@@ -96,10 +96,10 @@ type CkptBench struct {
 // reweighted CI met the same target. WithinCI is the unbiasedness
 // check: the stratified estimate must land inside the uniform run's CI.
 type StratRow struct {
-	Bench     string `json:"bench"`
-	NUniform  int    `json:"n_uniform"`
-	NStrat    int    `json:"n_strat"`
-	Strata    int    `json:"strata"`
+	Bench    string `json:"bench"`
+	NUniform int    `json:"n_uniform"`
+	NStrat   int    `json:"n_strat"`
+	Strata   int    `json:"strata"`
 	// Reduction is NUniform/NStrat — injections saved to the same bound.
 	Reduction  float64 `json:"reduction"`
 	EstUniform float64 `json:"est_uniform"`

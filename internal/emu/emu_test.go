@@ -137,10 +137,10 @@ func TestLoadsStores(t *testing.T) {
 			b.La(5, "buf")
 			b.Li(6, -2) // 0xFF..FE
 			b.Sw(6, 0, 5)
-			b.Lb(7, 0, 5)   // sign-extended 0xFE
-			b.Lbu(8, 0, 5)  // 0xFE
-			b.Lhu(9, 0, 5)  // 0xFFFE
-			b.Lh(10, 2, 5)  // sign-extended 0xFFFF
+			b.Lb(7, 0, 5)  // sign-extended 0xFE
+			b.Lbu(8, 0, 5) // 0xFE
+			b.Lhu(9, 0, 5) // 0xFFFE
+			b.Lh(10, 2, 5) // sign-extended 0xFFFF
 			halt(b)
 			b.DataLabel("buf")
 			b.Zero(16)

@@ -40,7 +40,7 @@ func TestTrackUseMarksOnlyReadDefs(t *testing.T) {
 		}
 	}
 	// Sequences past the definition stream are never used.
-	if ip.DefUsed(99) || ip.DefUsed(1 << 40) {
+	if ip.DefUsed(99) || ip.DefUsed(1<<40) {
 		t.Error("out-of-range sequence reported used")
 	}
 }
@@ -75,8 +75,8 @@ func TestTrackUseAcrossCalls(t *testing.T) {
 	}}}
 	main := &Func{Name: "main", NumVReg: 2, HasRet: true}
 	main.Blocks = []*Block{{Instrs: []Instr{
-		{Op: OpConst, Dst: 0, Imm: 5},                      // seq 0: used (call arg)
-		{Op: OpCall, Sym: "id", Dst: 1, Args: []int{0}},    // seq 2: used (returned)
+		{Op: OpConst, Dst: 0, Imm: 5},                   // seq 0: used (call arg)
+		{Op: OpCall, Sym: "id", Dst: 1, Args: []int{0}}, // seq 2: used (returned)
 		{Op: OpRet, Dst: -1, A: 1},
 	}}}
 	m := &Module{Funcs: []*Func{main, callee}}

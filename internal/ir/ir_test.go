@@ -33,10 +33,10 @@ func evalBin(t *testing.T, op BinKind, a, b int64, width int) int64 {
 
 func TestBinSemantics(t *testing.T) {
 	cases := []struct {
-		op      BinKind
-		a, b    int64
-		want64  int64
-		want32  int64
+		op     BinKind
+		a, b   int64
+		want64 int64
+		want32 int64
 	}{
 		{Add, 1 << 40, 1, 1<<40 + 1, 1},
 		{Sub, 0, 1, -1, -1},
@@ -45,7 +45,7 @@ func TestBinSemantics(t *testing.T) {
 		{Div, 7, 0, -1, -1},
 		{Rem, 7, 0, 7, 7},
 		{Rem, -7, 2, -1, -1},
-		{Shl, 1, 33, 1 << 33, 2}, // width-32 masks the shift to 1
+		{Shl, 1, 33, 1 << 33, 2},            // width-32 masks the shift to 1
 		{LShr, -1, 60, 15, 0xFFFFFFF >> 24}, // width-32: (-1 as u32)>>28
 		{AShr, -16, 2, -4, -4},
 		{Eq, 5, 5, 1, 1},

@@ -90,13 +90,13 @@ func (o Op) String() string {
 type Format int
 
 const (
-	FmtR Format = iota // funct7 rs2 rs1 funct3 rd opcode
-	FmtI               // imm12 rs1 funct3 rd opcode
-	FmtS               // imm[11:5] rs2 rs1 funct3 imm[4:0] opcode (stores)
-	FmtB               // same layout as S; imm is a branch offset in words
-	FmtU               // imm20 rd opcode
-	FmtJ               // imm20 rd opcode; imm is a jump offset in words
-	FmtSys             // system instructions
+	FmtR   Format = iota // funct7 rs2 rs1 funct3 rd opcode
+	FmtI                 // imm12 rs1 funct3 rd opcode
+	FmtS                 // imm[11:5] rs2 rs1 funct3 imm[4:0] opcode (stores)
+	FmtB                 // same layout as S; imm is a branch offset in words
+	FmtU                 // imm20 rd opcode
+	FmtJ                 // imm20 rd opcode; imm is a jump offset in words
+	FmtSys               // system instructions
 )
 
 // Opcode field values (bits [6:0]).
@@ -114,12 +114,12 @@ const (
 
 // Instr is a decoded instruction.
 type Instr struct {
-	Op   Op
-	Rd   int
-	Rs1  int
-	Rs2  int
-	Imm  int64 // sign-extended immediate; branch/jump offsets in bytes
-	Raw  uint32
+	Op  Op
+	Rd  int
+	Rs1 int
+	Rs2 int
+	Imm int64 // sign-extended immediate; branch/jump offsets in bytes
+	Raw uint32
 }
 
 // Fmt returns the encoding format of op.

@@ -124,9 +124,9 @@ func Build(is isa.ISA, p Params) (*asm.Program, error) {
 	// Staged path: byte-copy the user buffer into the kernel staging
 	// buffer (kernel-mode loads and stores inside the program flow).
 	b.La(t1, "staging")
-	b.Mv(t2, a1)          // src cursor
-	b.Add(t3, a1, a2)     // src end
-	b.Mv(a1, t1)          // DMA source becomes the staging buffer
+	b.Mv(t2, a1)      // src cursor
+	b.Add(t3, a1, a2) // src end
+	b.Mv(a1, t1)      // DMA source becomes the staging buffer
 	b.Label("copy_loop")
 	b.Lbu(tp, 0, t2)
 	b.Sb(tp, 0, t1)

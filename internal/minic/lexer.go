@@ -77,7 +77,7 @@ var kindNames = map[TokKind]string{
 	TokSlash: "/", TokPercent: "%", TokAmp: "&", TokPipe: "|",
 	TokCaret: "^", TokTilde: "~", TokBang: "!", TokShl: "<<", TokShr: ">>",
 	TokShrU: ">>>",
-	TokEq: "==", TokNe: "!=", TokLt: "<", TokLe: "<=", TokGt: ">",
+	TokEq:   "==", TokNe: "!=", TokLt: "<", TokLe: "<=", TokGt: ">",
 	TokGe: ">=", TokAndAnd: "&&", TokOrOr: "||",
 }
 

@@ -24,8 +24,8 @@ type node struct {
 	// Register dataflow facts, as bitmasks over register indices
 	// (bit r set = register r; r0 is never tracked, matching the
 	// dynamic ACE analysis which skips the hardwired zero).
-	use, def         uint32
-	liveIn, liveOut  uint32
+	use, def        uint32
+	liveIn, liveOut uint32
 }
 
 // CFG is an instruction-level control-flow graph recovered from raw

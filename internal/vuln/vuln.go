@@ -169,7 +169,7 @@ func invNormTail(q float64) float64 {
 		2.400758277161838e+00)*q-2.549732539343734e+00)*q+
 		4.374664141464968e+00)*q + 2.938163982698783e+00) /
 		((((7.784695709041462e-03*q+3.224671290700398e-01)*q+
-			2.445134137142996e+00)*q + 3.754408661907416e+00)*q + 1)
+			2.445134137142996e+00)*q+3.754408661907416e+00)*q + 1)
 }
 
 // Margin returns the worst-case (p = 0.5) sampling error margin for n
