@@ -16,10 +16,14 @@ vet:
 lint:
 	$(GO) run ./tools/lint
 
-# vet-analyzers is the CI static-analysis gate: go vet with its full
-# standard analyzer suite across every package, then the determinism
-# linter. Both reuse the Go build cache, so a warm run is seconds.
+# vet-analyzers is the CI static-analysis gate: gofmt over every
+# tracked Go file (any file it lists fails the gate), go vet with its
+# full standard analyzer suite across every package, then the
+# determinism linter. All reuse the Go build cache, so a warm run is
+# seconds.
 vet-analyzers:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./tools/lint
 

@@ -21,7 +21,9 @@
 //     compared only on the union of the faulty run's dirty pages and
 //     the chain's content-changed pages — sound, because every page
 //     outside that union provably equals the restore point's copy in
-//     both runs.
+//     both runs. StateChunks and StateRangeEqual let an engine that
+//     knows its encoding's layout do the same for its state blob:
+//     decode or compare only the ranges that can differ.
 //   - Encode/Decode: a colseg-serialized form persisted in the results
 //     store, digest-protected, so a warm store (top-up resume or a
 //     second process) skips the golden run entirely.
@@ -37,6 +39,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sort"
 	"strings"
 
@@ -279,22 +282,20 @@ func (ch *Chain) StateAt(i int, buf []byte, from int) []byte {
 	}
 	if len(buf) < want {
 		// Grown region starts zeroed: chunks that stayed zero through
-		// the growth have no stored version to walk.
-		old := len(buf)
-		if cap(buf) < want {
-			nb := make([]byte, want)
-			copy(nb, buf)
-			buf = nb
-		} else {
-			buf = buf[:want]
-			clear(buf[old:])
-		}
+		// the growth have no stored version to walk. append grows the
+		// capacity geometrically, so a blob whose length wobbles by a
+		// few bytes between checkpoints is not copied again each time.
+		buf = append(buf, make([]byte, want-len(buf))...)
 	} else {
 		buf = buf[:want]
 	}
+	// The walk visits a chunk once per version in the range; copy it
+	// only once.
 	nc := numChunks(want)
+	copied := make([]uint64, (nc+63)/64)
 	d.walk(from, i, func(c int) {
-		if c < nc {
+		if c < nc && copied[c>>6]&(1<<(c&63)) == 0 {
+			copied[c>>6] |= 1 << (c & 63)
 			copy(chunkOf(buf, c), d.get(i, c))
 		}
 	})
@@ -330,6 +331,43 @@ func (ch *Chain) StateEqual(i int, blob []byte) bool {
 		if !bytes.Equal(chunkOf(blob, c), d.get(i, c)) {
 			return false
 		}
+	}
+	return true
+}
+
+// StateLen returns the length of checkpoint i's machine-state blob.
+func (ch *Chain) StateLen(i int) int { return ch.state.lens[i] }
+
+// StateChunks appends to dst, sorted and without repeats, the indices
+// of the machine-state chunks with a stored version in
+// (min(from,to), max(from,to)] — every chunk whose contents can differ
+// between the two checkpoints' blobs (from = -1: every chunk stored up
+// to to). It is the set StateAt walks.
+func (ch *Chain) StateChunks(from, to int, dst []int) []int {
+	n := len(dst)
+	ch.state.walk(from, to, func(c int) { dst = append(dst, c) })
+	slices.Sort(dst[n:])
+	return dst[:n+len(slices.Compact(dst[n:]))]
+}
+
+// StateRangeEqual reports whether checkpoint i's machine-state blob
+// holds b at offset off, compared against the stored chunk versions
+// without materializing the blob. A range reaching past the blob's end
+// is unequal.
+func (ch *Chain) StateRangeEqual(i, off int, b []byte) bool {
+	if off < 0 || off+len(b) > ch.state.lens[i] {
+		return false
+	}
+	for len(b) > 0 {
+		data, lo := ch.state.get(i, off>>ChunkShift), off&(chunkSize-1)
+		if lo >= len(data) {
+			return false
+		}
+		k := min(len(b), len(data)-lo)
+		if !bytes.Equal(b[:k], data[lo:lo+k]) {
+			return false
+		}
+		b, off = b[k:], off+k
 	}
 	return true
 }

@@ -153,6 +153,104 @@ func TestStateEqualAndRAMEqual(t *testing.T) {
 	}
 }
 
+// TestStateRangeEqual: the ranged compare must agree with slicing the
+// retained image — for ranges inside one chunk, across chunk
+// boundaries, in tails that shrank and regrew, and on a decoded chain —
+// and must reject any range reaching past the blob's end.
+func TestStateRangeEqual(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	ramImgs := buildImages(r, 12, 2*chunkSize, false)
+	stateImgs := buildImages(r, 12, 3*chunkSize+100, true)
+	shrunk := false
+	for i := 1; i < len(stateImgs); i++ {
+		shrunk = shrunk || len(stateImgs[i]) < len(stateImgs[i-1])
+	}
+	if !shrunk {
+		t.Fatal("no checkpoint shrank its state blob; the tail case is untested")
+	}
+	built := chainOf(t, ramImgs, stateImgs)
+	decoded, err := Decode(built.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range []*Chain{built, decoded} {
+		for i, img := range stateImgs {
+			n := len(img)
+			if ch.StateLen(i) != n {
+				t.Fatalf("StateLen(%d) = %d, want %d", i, ch.StateLen(i), n)
+			}
+			ranges := [][2]int{{0, n}, {n, 0}, {n - min(n, 30), min(n, 30)}}
+			for c := chunkSize; c < n; c += chunkSize {
+				ranges = append(ranges, [2]int{c - 5, min(10, n-c+5)})
+			}
+			for k := 0; k < 40; k++ {
+				off := r.Intn(n)
+				ranges = append(ranges, [2]int{off, r.Intn(n - off + 1)})
+			}
+			for _, rg := range ranges {
+				off, b := rg[0], img[rg[0]:rg[0]+rg[1]]
+				if !ch.StateRangeEqual(i, off, b) {
+					t.Fatalf("ckpt %d: range [%d,+%d) unequal to the image", i, off, len(b))
+				}
+				if len(b) > 0 {
+					mut := append([]byte(nil), b...)
+					mut[r.Intn(len(mut))] ^= 0x40
+					if ch.StateRangeEqual(i, off, mut) {
+						t.Fatalf("ckpt %d: perturbed range [%d,+%d) equal", i, off, len(b))
+					}
+				}
+			}
+			for _, rg := range [][2]int{{n, 1}, {n - 3, 4}, {n + chunkSize, 0}, {-1, 2}} {
+				if ch.StateRangeEqual(i, rg[0], make([]byte, rg[1])) {
+					t.Fatalf("ckpt %d: range [%d,+%d) past the end reported equal", i, rg[0], rg[1])
+				}
+			}
+		}
+	}
+}
+
+// TestStateChunks: the chunk set between two checkpoints must be sorted,
+// without repeats, and cover every chunk whose contents differ between
+// the two retained images (length changes included); from = -1 stands
+// for an all-zero image.
+func TestStateChunks(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	ramImgs := buildImages(r, 10, chunkSize, false)
+	stateImgs := buildImages(r, 10, 3*chunkSize+100, true)
+	ch := chainOf(t, ramImgs, stateImgs)
+	for from := -1; from < len(stateImgs); from++ {
+		for to := 0; to < len(stateImgs); to++ {
+			got := ch.StateChunks(from, to, []int{-7})
+			if got[0] != -7 {
+				t.Fatal("StateChunks overwrote dst's existing elements")
+			}
+			got = got[1:]
+			for k := 1; k < len(got); k++ {
+				if got[k] <= got[k-1] {
+					t.Fatalf("StateChunks(%d, %d) = %v: not sorted and distinct", from, to, got)
+				}
+			}
+			b := stateImgs[to]
+			a := make([]byte, len(b))
+			if from >= 0 {
+				a = stateImgs[from]
+			}
+			for c := 0; c < numChunks(max(len(a), len(b))); c++ {
+				if bytes.Equal(chunkOf(a, c), chunkOf(b, c)) {
+					continue
+				}
+				found := false
+				for _, k := range got {
+					found = found || k == c
+				}
+				if !found {
+					t.Fatalf("StateChunks(%d, %d) = %v misses changed chunk %d", from, to, got, c)
+				}
+			}
+		}
+	}
+}
+
 // TestFindMatchesLinearScan: the binary search must agree with the
 // obvious linear reference on every boundary shape.
 func TestFindMatchesLinearScan(t *testing.T) {

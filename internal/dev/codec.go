@@ -32,8 +32,9 @@ func (b *Bus) AppendDevice(dst []byte) []byte {
 }
 
 // SetDevice decodes an AppendDevice encoding into this bus, replacing
-// its device-side state (RAM and Reader untouched, mirroring
-// RestoreFrom). It returns the remaining bytes after the encoding.
+// its device-side state; RAM and Reader are untouched, since the caller
+// restores its own memory and keeps its own snooper attached. It
+// returns the remaining bytes after the encoding.
 func (b *Bus) SetDevice(data []byte) ([]byte, error) {
 	if len(data) < 49 {
 		return nil, fmt.Errorf("dev: device state truncated (%d bytes)", len(data))

@@ -154,56 +154,6 @@ func (b *Bus) runDMA() {
 	}
 }
 
-// Clone deep-copies the bus and its RAM (device state included, so a
-// clone taken mid-way through DMA programming is faithful). The clone's
-// Reader reverts to direct RAM; callers attach their own snooper.
-func (b *Bus) Clone() *Bus {
-	nb := &Bus{
-		Mem:        b.Mem.Clone(),
-		Out:        append([]byte(nil), b.Out...),
-		Dbg:        append([]byte(nil), b.Dbg...),
-		Halt:       b.Halt,
-		ExitCode:   b.ExitCode,
-		DetectCode: b.DetectCode,
-		PanicCode:  b.PanicCode,
-		DMAErr:     b.DMAErr,
-		dmaSrc:     b.dmaSrc,
-		dmaLen:     b.dmaLen,
-	}
-	nb.Reader = ramReader{nb.Mem}
-	return nb
-}
-
-// RestoreFrom overwrites the device state (halt ports, DMA registers,
-// output buffers) from src without allocating, for reusable campaign
-// arenas. The RAM (Mem) and the Reader are deliberately left alone:
-// the caller restores its own memory (possibly dirty-page-wise) and
-// keeps its own snooper attached.
-func (b *Bus) RestoreFrom(src *Bus) {
-	b.Out = append(b.Out[:0], src.Out...)
-	b.Dbg = append(b.Dbg[:0], src.Dbg...)
-	b.Halt, b.ExitCode, b.DetectCode, b.PanicCode = src.Halt, src.ExitCode, src.DetectCode, src.PanicCode
-	b.DMAErr = src.DMAErr
-	b.dmaSrc, b.dmaLen = src.dmaSrc, src.dmaLen
-}
-
-// CloneDevice copies the device-side state only — no RAM, no Reader: a
-// lightweight snapshot for the early-stop engines' boundary comparison
-// (see StateEqual). The result must not be used as a live bus.
-func (b *Bus) CloneDevice() *Bus {
-	return &Bus{
-		Out:        append([]byte(nil), b.Out...),
-		Dbg:        append([]byte(nil), b.Dbg...),
-		Halt:       b.Halt,
-		ExitCode:   b.ExitCode,
-		DetectCode: b.DetectCode,
-		PanicCode:  b.PanicCode,
-		DMAErr:     b.DMAErr,
-		dmaSrc:     b.dmaSrc,
-		dmaLen:     b.dmaLen,
-	}
-}
-
 // StateEqual reports whether the device-side state of two buses is
 // identical: halt ports, DMA registers and error flag, and the full
 // output and debug streams. RAM (Mem) and the Reader hook are excluded

@@ -267,16 +267,16 @@ func PrepareFromChain(img *kernel.Image, cfg micro.Config, ch *ckpt.Chain) (*Cam
 }
 
 // worker is the reusable per-worker machine arena: one core restored in
-// place by delta-walking the chain (dirty RAM pages plus the chunks
-// that changed between the previous and the new restore point) instead
-// of deep-copied for every injection.
+// place by delta-walking the chain (dirty RAM pages, touched cache
+// lines, and the chunks that changed between the previous and the new
+// restore point) instead of deep-copied for every injection.
 type worker struct {
 	arena *micro.Core
 	src   int // checkpoint index the arena was last restored from
 	// stateBuf holds the materialized machine-state blob of checkpoint
-	// src; cmpBuf is the convergence-test encode scratch.
+	// src; chunks is state-chunk list scratch.
 	stateBuf []byte
-	cmpBuf   []byte
+	chunks   []int
 }
 
 // coreFor readies the worker's arena at the given cycle, restoring from
@@ -289,7 +289,16 @@ func (cp *Campaign) coreFor(w *worker, cycle uint64, g int) *micro.Core {
 		w.src = -1
 	}
 	w.stateBuf = cp.chain.StateAt(g, w.stateBuf, w.src)
-	if err := w.arena.DecodeState(w.stateBuf); err != nil {
+	var err error
+	if w.src < 0 {
+		err = w.arena.DecodeState(w.stateBuf)
+	} else {
+		// The arena holds checkpoint src's state except on the cache
+		// lines its last run touched.
+		w.chunks = cp.chain.StateChunks(w.src, g, w.chunks[:0])
+		err = w.arena.DecodeStateDelta(w.stateBuf, w.chunks)
+	}
+	if err != nil {
 		// Unreachable for a chain that passed Prepare/PrepareFromChain
 		// validation: every checkpoint was encoded by the same codec on
 		// the same geometry.
@@ -398,18 +407,29 @@ func (cp *Campaign) runFaulty(core *micro.Core, g int, w *worker) (halted, conve
 
 // converged reports whether the faulty core, now at the cycle of
 // checkpoint j, is bit-identical to the golden run. The scalar probe
-// gates the test; on a match the core is encoded canonically and
-// compared chunk-wise against the chain (bytes-equality ⟺
-// micro.StateEqual), and RAM is compared on the union of the faulty
-// run's dirty pages (tracked since its restore from checkpoint g) and
-// the chain's content-changed pages in (g, j] — every other page
-// provably equals checkpoint g's copy in both runs.
+// gates the test. On a match the core's canonical encoding is compared
+// against checkpoint j's stored blob (bytes-equality ⟺
+// micro.StateEqual) on the cache lines the faulty run touched since its
+// restore from checkpoint g plus the lines in the chain's
+// content-changed state chunks in (g, j], and RAM on the union of the
+// faulty run's dirty pages and the chain's content-changed pages in
+// (g, j]. Every other line and page provably equals checkpoint g's copy
+// in both runs.
 func (cp *Campaign) converged(core *micro.Core, g, j int, w *worker) bool {
 	if core.Cycle != cp.chain.Coord(j) || core.StateProbe() != cp.chain.Probe(j) {
 		return false
 	}
-	w.cmpBuf = core.EncodeState(w.cmpBuf[:0])
-	return cp.chain.StateEqual(j, w.cmpBuf) && cp.chain.RAMEqual(core.Bus.Mem, g, j)
+	return cp.stateConverged(core, g, j, w) && cp.chain.RAMEqual(core.Bus.Mem, g, j)
+}
+
+// stateConverged is converged's machine-state half, without the probe.
+func (cp *Campaign) stateConverged(core *micro.Core, g, j int, w *worker) bool {
+	return core.StateMatches(cp.chain.StateLen(j),
+		func(off int, b []byte) bool { return cp.chain.StateRangeEqual(j, off, b) },
+		func() []int {
+			w.chunks = cp.chain.StateChunks(g, j, w.chunks[:0])
+			return w.chunks
+		})
 }
 
 // RunCampaign performs n sampled injections into structure s, fanned

@@ -101,16 +101,6 @@ func (r *ramLevel) taintRange(addr uint64, n int) {
 	}
 }
 
-// clone deep-copies the RAM level over an already-cloned memory.
-func (r *ramLevel) clone(m *mem.Memory) *ramLevel {
-	nr := &ramLevel{m: m, lat: r.lat, taints: make(map[uint64]taintMask, len(r.taints))}
-	//lint:ordered map-to-map copy; the result is independent of visit order
-	for k, v := range r.taints {
-		nr.taints[k] = v
-	}
-	return nr
-}
-
 // cache is one set-associative writeback cache level.
 type cache struct {
 	cfg     CacheConfig
@@ -120,6 +110,16 @@ type cache struct {
 	offBits uint
 	idxBits uint
 	tick    int64
+	// stateOff is the offset of this cache's section in the core's
+	// EncodeState blob (see state.go).
+	stateOff int
+	// touched is the set of lines mutated since the last state decode,
+	// by line index (set-major, the codec's order): a bitset plus its
+	// members in first-touch order. Every line mutation goes through
+	// touch, flipBit or flushAll, which mark the line; a decode clears
+	// the set. Not to be confused with a line's write-back dirty bit.
+	touchedBits []uint64
+	touched     []int32
 }
 
 func newCache(cfg CacheConfig, lower memLevel) *cache {
@@ -129,9 +129,10 @@ func newCache(cfg CacheConfig, lower memLevel) *cache {
 		offBits: uint(bits.TrailingZeros32(uint32(cfg.LineBytes))),
 		idxBits: uint(bits.TrailingZeros32(uint32(cfg.Sets()))),
 	}
-	// One backing array for all line data keeps clones to a single
-	// copy instead of tens of thousands of small allocations.
+	// One backing array for all line data: the state codec reads and
+	// writes it as one section.
 	c.backing = make([]byte, cfg.Lines()*cfg.LineBytes)
+	c.touchedBits = make([]uint64, (cfg.Lines()+63)/64)
 	c.sets = make([][]line, cfg.Sets())
 	li := 0
 	for i := range c.sets {
@@ -224,6 +225,28 @@ func (c *cache) refill(addr uint64) (int, int) {
 func (c *cache) touch(set, way int) {
 	c.tick++
 	c.sets[set][way].lru = c.tick
+	c.mark(set*c.cfg.Assoc + way)
+}
+
+// mark adds line li to the touched set.
+func (c *cache) mark(li int) {
+	if w, b := li>>6, uint64(1)<<(li&63); c.touchedBits[w]&b == 0 {
+		c.touchedBits[w] |= b
+		c.touched = append(c.touched, int32(li))
+	}
+}
+
+// clearTouched empties the touched set.
+func (c *cache) clearTouched() {
+	for _, li := range c.touched {
+		c.touchedBits[li>>6] = 0
+	}
+	c.touched = c.touched[:0]
+}
+
+// line returns the line with index li (set-major).
+func (c *cache) line(li int) *line {
+	return &c.sets[li/c.cfg.Assoc][li%c.cfg.Assoc]
 }
 
 // readLine serves a whole-line read from this level (the refill path
@@ -353,6 +376,7 @@ func (c *cache) flushAll() {
 			if l.valid && l.dirty {
 				c.lower.writeLine(c.lineAddr(set, l.tag), l.data, l.taint)
 				l.dirty = false
+				c.mark(set*c.cfg.Assoc + w)
 			}
 		}
 	}
@@ -375,6 +399,7 @@ type FlipResult struct {
 // layout: [0, 8*LineBytes) data, then tag bits, then valid, then dirty.
 func (c *cache) flipBit(set, way, bit int) FlipResult {
 	l := &c.sets[set][way]
+	c.mark(set*c.cfg.Assoc + way)
 	dataBits := 8 * c.cfg.LineBytes
 	tagBits := c.cfg.TagBits()
 	switch {

@@ -205,15 +205,3 @@ func TestBranchPredictorBasics(t *testing.T) {
 		t.Fatal("RAS order")
 	}
 }
-
-func TestCloneIndependence(t *testing.T) {
-	l1, _, _, _ := testHierarchy()
-	l1.write(0x2000, 8, 5, false)
-	ram2 := newRAMLevel(mem.New(1<<18), 50)
-	c2 := l1.clone(ram2)
-	c2.write(0x2000, 8, 99, false)
-	v, _, _ := l1.read(0x2000, 8)
-	if v != 5 {
-		t.Fatal("clone aliases the original backing array")
-	}
-}

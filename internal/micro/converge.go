@@ -71,10 +71,6 @@ func (c *Core) StateEqual(o *Core) bool {
 	return c.Bus.StateEqual(o.Bus)
 }
 
-// RAMDirtyPages exposes the dirty-page list of the core's RAM (nil
-// without tracking). The slice aliases tracking state; read-only.
-func (c *Core) RAMDirtyPages() []uint32 { return c.Bus.Mem.DirtyPageList() }
-
 func (bp *branchPred) stateEqual(o *branchPred) bool {
 	return bp.rasTop == o.rasTop &&
 		slices.Equal(bp.counters, o.counters) &&
