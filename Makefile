@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint vet-analyzers race check cover bench bench-short bench-agg bench-strat bench-strat-short bench-tb bench-tb-short gobench
+.PHONY: all build test vet lint vet-analyzers race check cover bench bench-short bench-agg bench-strat bench-strat-short gobench
 
 all: check
 
@@ -47,19 +47,20 @@ check:
 	$(GO) run ./tools/lint
 	$(GO) test -race -cover ./...
 
-# bench measures per-injection cost per layer per benchmark (with the
-# early-stop and decode-cache accelerations on vs off, asserting
-# bit-identical tallies) and writes BENCH_<date>.json. bench-short is
-# the three-benchmark small-n CI variant (separate output file, so
-# it never clobbers a committed full-run artifact); it also runs the
-# delta-checkpoint benchmark (cold vs warm Prepare, full-restore vs
-# delta-walk, chain memory vs 12 full snapshots — tallies asserted
-# bit-identical across all paths). gobench keeps the raw Go testing
-# benchmarks.
-bench: bench-strat bench-tb
+# bench measures per-injection cost per layer per benchmark on the fast
+# path against the reference engine (every shortcut off), asserting
+# bit-identical tallies on every attempt and speedup floors on the
+# medians (2x arch, 1.5x soft; 0.98x soft per benchmark), and writes
+# BENCH_<date>.json. bench-short is the three-benchmark small-n CI
+# variant (separate output file, so it never clobbers a committed
+# full-run artifact); it also runs the delta-checkpoint benchmark (cold
+# vs warm Prepare, full-restore vs delta-walk, chain memory vs 12 full
+# snapshots — tallies asserted bit-identical across all paths). gobench
+# keeps the raw Go testing benchmarks.
+bench: bench-strat
 	$(GO) run ./cmd/vulnstack bench -ckpt -bench all
 
-bench-short: bench-strat-short bench-tb-short
+bench-short: bench-strat-short
 	$(GO) run ./cmd/vulnstack bench -short -ckpt -bench all -out BENCH_short.json -force
 
 # bench-strat compares injections-to-target-CI for the stratified
@@ -73,17 +74,6 @@ bench-strat:
 
 bench-strat-short:
 	$(GO) run ./cmd/vulnstack bench -strat -short -out BENCH_strat_short.json -force
-
-# bench-tb measures per-injection cost with the translation-block
-# engines on vs off (arch superblock dispatch, soft compiled IR) on
-# every benchmark, asserting bit-identical tallies on every attempt and
-# speedup floors on the medians (2x arch, 1.5x soft). bench-tb-short is
-# the three-benchmark small-n CI variant.
-bench-tb:
-	$(GO) run ./cmd/vulnstack bench -tb -out BENCH_tb.json -force
-
-bench-tb-short:
-	$(GO) run ./cmd/vulnstack bench -tb -short -out BENCH_tb_short.json -force
 
 # bench-agg measures record re-aggregation throughput (JSONL re-parse
 # vs the streaming columnar cursor) on a small synthetic campaign,

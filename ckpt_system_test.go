@@ -32,10 +32,9 @@ func ckptSystem(t *testing.T, dir string, mut func(*System)) *System {
 
 // TestChainFingerprintGuard: a persisted checkpoint chain must only be
 // resumed by a system whose configuration fingerprint matches exactly.
-// Any flag baked into the golden run or its consumption — early-stop,
-// decode cache, snapshot density, the target seed — must send the
-// campaign down the fresh golden-run path, never silently reuse the
-// stale chain.
+// Any input baked into the golden run or its checkpoints — snapshot
+// density, the target seed — must send the campaign down the fresh
+// golden-run path, never silently reuse the stale chain.
 func TestChainFingerprintGuard(t *testing.T) {
 	dir := t.TempDir()
 	cfg := micro.ConfigA72()
@@ -61,8 +60,6 @@ func TestChainFingerprintGuard(t *testing.T) {
 		name string
 		mut  func(*System)
 	}{
-		{"earlystop", func(s *System) { s.NoEarlyStop = true }},
-		{"decodecache", func(s *System) { s.NoDecodeCache = true }},
 		{"snapshots", func(s *System) { s.Snapshots = 33 }},
 	}
 	for _, v := range variants {

@@ -7,7 +7,7 @@
 //	vulnstack experiment fig4 [-navf N] [-npvf N] [-nsvf N] [-bench a,b] [-seed S] [-store DIR]
 //	vulnstack analyze [-bench a,b] [-seed S] [-store DIR] [-ace=false] [-bits]
 //	vulnstack run -bench sha [-config A72] [-harden]
-//	vulnstack campaign -bench sha -config A72 -struct L2 -n 200 [-store DIR] [-cpuprofile F] [-memprofile F]
+//	vulnstack campaign -bench sha -config A72 -struct L2 -n 200 [-store DIR | -reference] [-cpuprofile F] [-memprofile F]
 //	vulnstack campaign -layer soft -bench sha -n 200 [-static] [-store DIR]
 //	vulnstack campaign -strat [-layer micro|arch|soft] [-static] [-ci 0.0288] [-conf 0.99] [-pool 20000] [-n0 N] [-maxnew N] [-store DIR]
 //	vulnstack bench [-bench a,b] [-n N] [-out FILE]
@@ -22,6 +22,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -241,69 +242,110 @@ func cmdCampaign(args []string) error {
 	hard := fs.Bool("harden", false, "apply the fault-tolerance transform")
 	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = all CPUs; tallies are identical for any value)")
 	storeDir := fs.String("store", "", "persistent results store directory (reuse + top-up of stored records)")
-	earlyStop := fs.Bool("earlystop", true, "golden-trace convergence early-stop (provably outcome-preserving; off-switch for measurement)")
-	decodeCache := fs.Bool("decodecache", true, "predecoded fetch cache (provably result-neutral; off-switch for measurement)")
-	tbEng := fs.Bool("tb", true, "translation-block execution engines: arch-layer superblock dispatch and soft-layer compiled IR (provably result-neutral; off-switch for measurement)")
+	reference := fs.Bool("reference", false, "run the reference engine: every shortcut off (step engines, no early-stop, no dead-def filter, no decode memo); tallies are identical, records differ only in early-stop provenance; never uses -store")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (runtime/pprof) to this file")
 	fs.Parse(args)
 
+	layers := []string{"micro", "uniform", "soft"}
+	if *strat {
+		layers = []string{"micro", "arch", "soft"}
+	}
+	if !slices.Contains(layers, *layer) {
+		return fmt.Errorf("campaign: unknown -layer %q (%s)", *layer, strings.Join(layers, ", "))
+	}
 	stopProf, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
 	}
 	defer stopProf()
 
-	if *strat {
-		opt := vulnstack.StratOptions{CI: *ci, Confidence: *conf, Pool: *pool, N0: *n0, MaxNew: *maxNew}
-		return stratCampaign(*layer, *bench, *cfgName, *stName, *fpmName, *seed, *hard, *workers, *storeDir, *static, !*tbEng, opt)
-	}
-	if *layer == "uniform" {
-		return uniformCampaign(*bench, *n, *seed, *hard, *workers, *storeDir, !*earlyStop, !*decodeCache, !*tbEng)
-	}
-	if *layer == "soft" {
-		return softCampaign(*bench, *n, *seed, *hard, *workers, *storeDir, !*earlyStop, *static, !*tbEng)
-	}
-	if *layer != "micro" {
-		return fmt.Errorf("campaign: unknown -layer %q (micro, uniform, or soft)", *layer)
-	}
 	cfg, err := micro.ConfigByName(*cfgName)
 	if err != nil {
 		return err
 	}
-	st, err := micro.ParseStructure(*stName)
+	// The arch and soft injectors run the 64-bit ISA exclusively. Uniform
+	// and soft campaigns use the sampling seed as the input seed too,
+	// matching the lab's convention so `analyze -seed S -store DIR` finds
+	// their records.
+	t := vulnstack.Target{Bench: *bench, Seed: 1, Harden: *hard}
+	is := isa.VSA64
+	if *layer == "micro" {
+		is = cfg.ISA
+	} else if !*strat {
+		t.Seed = *seed
+	}
+	sys, err := campaignSystem(t, is, *workers, *storeDir, *reference, *static)
 	if err != nil {
 		return err
 	}
-	sys, err := vulnstack.Build(vulnstack.Target{Bench: *bench, Seed: 1, Harden: *hard}, cfg.ISA)
+	switch {
+	case *strat:
+		opt := vulnstack.StratOptions{CI: *ci, Confidence: *conf, Pool: *pool, N0: *n0, MaxNew: *maxNew}
+		return stratCampaign(sys, *layer, cfg, *stName, *fpmName, *seed, opt)
+	case *layer == "uniform":
+		return uniformCampaign(sys, *n, *seed)
+	case *layer == "soft":
+		return softCampaign(sys, *n, *seed)
+	}
+	return microCampaign(sys, cfg, *stName, *n, *seed)
+}
+
+// campaignSystem builds the System behind every campaign path (micro,
+// uniform, soft and strat) from the shared flags. A reference run
+// refuses -store before the directory is opened, so nothing is written
+// into it.
+func campaignSystem(t vulnstack.Target, is isa.ISA, workers int, storeDir string, reference, static bool) (*vulnstack.System, error) {
+	if reference && storeDir != "" {
+		return nil, fmt.Errorf("campaign: -reference never reads or writes a results store; drop -store")
+	}
+	sys, err := vulnstack.Build(t, is)
+	if err != nil {
+		return nil, err
+	}
+	sys.Workers = workers
+	sys.Reference = reference
+	sys.Static = static
+	if storeDir != "" {
+		if sys.Store, err = results.OpenStore(storeDir); err != nil {
+			return nil, err
+		}
+	}
+	return sys, nil
+}
+
+// storedN is how many records the store already holds under key k (0
+// without a store).
+func storedN(sys *vulnstack.System, k results.Key) (int, error) {
+	if sys.Store == nil {
+		return 0, nil
+	}
+	m, ok, err := sys.Store.Manifest(k)
+	if err != nil || !ok {
+		return 0, err
+	}
+	return m.N, nil
+}
+
+// microCampaign runs one structure's microarchitectural AVF/HVF
+// campaign.
+func microCampaign(sys *vulnstack.System, cfg micro.Config, stName string, n int, seed int64) error {
+	st, err := micro.ParseStructure(stName)
 	if err != nil {
 		return err
 	}
-	sys.Workers = *workers
-	sys.NoEarlyStop = !*earlyStop
-	sys.NoDecodeCache = !*decodeCache
-	sys.NoTB = !*tbEng
-	stored := 0
-	if *storeDir != "" {
-		store, err := results.OpenStore(*storeDir)
-		if err != nil {
-			return err
-		}
-		sys.Store = store
-		if m, ok, err := store.Manifest(sys.MicroKey(cfg, st, *seed)); err != nil {
-			return err
-		} else if ok {
-			stored = m.N
-		}
+	stored, err := storedN(sys, sys.MicroKey(cfg, st, seed))
+	if err != nil {
+		return err
 	}
 	start := time.Now()
-	tally, err := sys.MicroTally(cfg, st, *n, *seed)
+	tally, err := sys.MicroTally(cfg, st, n, seed)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 
-	fmt.Printf("%s on %s, %d faults into %s\n", *bench, cfg.Name, tally.N, st)
+	fmt.Printf("%s on %s, %d faults into %s\n", sys.Target.Bench, cfg.Name, tally.N, st)
 	fmt.Printf("  Masked   %6.2f%%\n", 100*tally.Frac(0))
 	fmt.Printf("  SDC      %6.2f%%\n", 100*tally.Frac(1))
 	fmt.Printf("  Crash    %6.2f%%\n", 100*tally.Frac(2))
@@ -314,9 +356,9 @@ func cmdCampaign(args []string) error {
 		100*tally.FPMShare(micro.FPMWD), 100*tally.FPMShare(micro.FPMWI),
 		100*tally.FPMShare(micro.FPMWOI), 100*tally.FPMShare(micro.FPMESC))
 	if sys.Store != nil {
-		reused := min(stored, *n)
+		reused := min(stored, n)
 		fmt.Printf("  store: reused %d records, ran %d new (id %s)\n",
-			reused, *n-reused, sys.MicroKey(cfg, st, *seed).ID())
+			reused, n-reused, sys.MicroKey(cfg, st, seed).ID())
 	}
 	fmt.Printf("  %d injections in %v (%.1f/s)\n", tally.N, elapsed.Round(time.Millisecond),
 		float64(tally.N)/elapsed.Seconds())
@@ -327,29 +369,10 @@ func cmdCampaign(args []string) error {
 // uniform over (register, bit, dynamic instant). Its failure rate is
 // the measured quantity that the dynamic ACE bound — and transitively
 // the static bound of `vulnstack analyze` — provably dominates.
-func uniformCampaign(bench string, n int, seed int64, hard bool, workers int, storeDir string, noEarlyStop, noDecodeCache, noTB bool) error {
-	// The input seed doubles as the sampling seed, matching the lab's
-	// convention so `analyze -seed S -store DIR` finds these records.
-	sys, err := vulnstack.Build(vulnstack.Target{Bench: bench, Seed: seed, Harden: hard}, isa.VSA64)
+func uniformCampaign(sys *vulnstack.System, n int, seed int64) error {
+	stored, err := storedN(sys, sys.UniformKey(seed))
 	if err != nil {
 		return err
-	}
-	sys.Workers = workers
-	sys.NoEarlyStop = noEarlyStop
-	sys.NoDecodeCache = noDecodeCache
-	sys.NoTB = noTB
-	stored := 0
-	if storeDir != "" {
-		store, err := results.OpenStore(storeDir)
-		if err != nil {
-			return err
-		}
-		sys.Store = store
-		if m, ok, err := store.Manifest(sys.UniformKey(seed)); err != nil {
-			return err
-		} else if ok {
-			stored = m.N
-		}
 	}
 	start := time.Now()
 	sp, err := sys.UniformPVF(n, seed)
@@ -357,7 +380,7 @@ func uniformCampaign(bench string, n int, seed int64, hard bool, workers int, st
 		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("%s (harden=%v), %d register-uniform injections\n", bench, hard, n)
+	fmt.Printf("%s (harden=%v), %d register-uniform injections\n", sys.Target.Bench, sys.Target.Harden, n)
 	fmt.Printf("  SDC      %6.2f%%\n", 100*sp.SDC)
 	fmt.Printf("  Crash    %6.2f%%\n", 100*sp.Crash)
 	fmt.Printf("  Detected %6.2f%%\n", 100*sp.Detected)
@@ -376,27 +399,10 @@ func uniformCampaign(bench string, n int, seed int64, hard bool, workers int, st
 // optionally with the bit-precise static resolution pass: faults the
 // demanded-bits analysis proves masked are classified without running,
 // with tallies bit-identical to the uninstrumented dynamic baseline.
-func softCampaign(bench string, n int, seed int64, hard bool, workers int, storeDir string, noEarlyStop, static, noTB bool) error {
-	sys, err := vulnstack.Build(vulnstack.Target{Bench: bench, Seed: seed, Harden: hard}, isa.VSA64)
+func softCampaign(sys *vulnstack.System, n int, seed int64) error {
+	stored, err := storedN(sys, sys.SoftKey(seed))
 	if err != nil {
 		return err
-	}
-	sys.Workers = workers
-	sys.NoEarlyStop = noEarlyStop
-	sys.Static = static
-	sys.NoTB = noTB
-	stored := 0
-	if storeDir != "" {
-		store, err := results.OpenStore(storeDir)
-		if err != nil {
-			return err
-		}
-		sys.Store = store
-		if m, ok, err := store.Manifest(sys.SoftKey(seed)); err != nil {
-			return err
-		} else if ok {
-			stored = m.N
-		}
 	}
 	start := time.Now()
 	sp, err := sys.SVF(n, seed)
@@ -404,7 +410,7 @@ func softCampaign(bench string, n int, seed int64, hard bool, workers int, store
 		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("%s (harden=%v), %d software-level IR injections (static=%v)\n", bench, hard, n, static)
+	fmt.Printf("%s (harden=%v), %d software-level IR injections (static=%v)\n", sys.Target.Bench, sys.Target.Harden, n, sys.Static)
 	fmt.Printf("  SDC      %6.2f%%\n", 100*sp.SDC)
 	fmt.Printf("  Crash    %6.2f%%\n", 100*sp.Crash)
 	fmt.Printf("  Detected %6.2f%%\n", 100*sp.Detected)
@@ -423,34 +429,11 @@ func softCampaign(bench string, n int, seed int64, hard bool, workers int, store
 // requested layer and prints the unbiased reweighted estimate with the
 // per-stratum breakdown and the provenance stamp (plan parameters +
 // partition fingerprint) that identifies the record stream in a store.
-func stratCampaign(layer, bench, cfgName, stName, fpmName string, seed int64, hard bool, workers int, storeDir string, static, noTB bool, opt vulnstack.StratOptions) error {
-	cfg, err := micro.ConfigByName(cfgName)
-	if err != nil {
-		return err
-	}
-	is := cfg.ISA
-	if layer != "micro" {
-		// The arch and soft injectors run the 64-bit ISA exclusively.
-		is = isa.VSA64
-	}
-	sys, err := vulnstack.Build(vulnstack.Target{Bench: bench, Seed: 1, Harden: hard}, is)
-	if err != nil {
-		return err
-	}
-	sys.Workers = workers
-	sys.Static = static
-	sys.NoTB = noTB
-	if storeDir != "" {
-		store, err := results.OpenStore(storeDir)
-		if err != nil {
-			return err
-		}
-		sys.Store = store
-	}
-
+func stratCampaign(sys *vulnstack.System, layer string, cfg micro.Config, stName, fpmName string, seed int64, opt vulnstack.StratOptions) error {
 	start := time.Now()
 	var res vulnstack.StratResult
 	var what string
+	var err error
 	switch layer {
 	case "micro":
 		st, perr := micro.ParseStructure(stName)
@@ -466,11 +449,9 @@ func stratCampaign(layer, bench, cfgName, stName, fpmName string, seed int64, ha
 		}
 		what = fmt.Sprintf("architectural %s faults", fpm)
 		res, err = sys.StratPVF(fpm, opt, seed)
-	case "soft":
+	default:
 		what = "software-level IR faults"
 		res, err = sys.StratSVF(opt, seed)
-	default:
-		return fmt.Errorf("campaign -strat: unknown -layer %q (micro, arch, soft)", layer)
 	}
 	if err != nil {
 		return err
@@ -480,7 +461,7 @@ func stratCampaign(layer, bench, cfgName, stName, fpmName string, seed int64, ha
 	target := opt.CI
 	level := opt.Confidence
 	nUniform := vulnstack.UniformSamplesFor(target, level)
-	fmt.Printf("%s, stratified: %s\n", bench, what)
+	fmt.Printf("%s, stratified: %s\n", sys.Target.Bench, what)
 	fmt.Printf("  failures (SDC+Crash) %6.2f%%  ±%.2f%% achieved at %.0f%% (target ±%.2f%%)\n",
 		100*res.Split.Total(), 100*res.HalfWidth, 100*level, 100*target)
 	fmt.Printf("  SDC %5.2f%%  Crash %5.2f%%  Detected %5.2f%%  Masked %5.2f%%\n",

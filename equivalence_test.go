@@ -1,6 +1,7 @@
 package vulnstack
 
 import (
+	"fmt"
 	"testing"
 
 	"vulnstack/internal/isa"
@@ -8,76 +9,109 @@ import (
 	"vulnstack/internal/results"
 )
 
-// TestAccelerationEquivalenceAllBenchmarks is the acceptance gate of
-// the early-stop + decode-cache work: on every seed benchmark, at every
-// layer, for one and several workers, the accelerated engines must
-// produce tallies bit-identical to the run-to-completion engines. The
-// per-layer sample counts are small — the point is breadth (every
-// benchmark exercises different convergence and decode patterns), not
-// statistical depth.
+// equivLayer runs one layer's campaign on sys and returns its record
+// stream.
+type equivLayer struct {
+	name string
+	run  func(t *testing.T, sys *System, workers int) []results.Record
+}
+
+const equivSeed = 2021
+
+// TestAccelerationEquivalenceAllBenchmarks is the fast-vs-reference
+// gate of the micro layer: convergence early-stop and the micro decode
+// memo must reproduce the reference engine's record stream on every
+// seed benchmark (see assertFastMatchesReference).
 func TestAccelerationEquivalenceAllBenchmarks(t *testing.T) {
-	const (
-		nMicro = 10
-		nArch  = 16
-		nSoft  = 30
-		seed   = 2021
-	)
 	cfg := micro.ConfigA72()
+	assertFastMatchesReference(t, equivLayer{"micro", func(t *testing.T, sys *System, workers int) []results.Record {
+		cp, err := sys.MicroCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp.Workers = workers
+		return cp.Records(micro.StructRF, 10, 0, equivSeed, nil)
+	}})
+}
+
+// TestTranslationBlockEquivalenceAllBenchmarks is the fast-vs-reference
+// gate of the two layers that execute through translation blocks (arch
+// emulator, compiled IR): blocks, convergence early-stop and the
+// dead-definition filter must reproduce the reference engine's record
+// stream on every seed benchmark (see assertFastMatchesReference).
+func TestTranslationBlockEquivalenceAllBenchmarks(t *testing.T) {
+	assertFastMatchesReference(t,
+		equivLayer{"arch", func(t *testing.T, sys *System, workers int) []results.Record {
+			cp, err := sys.ArchCampaign()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.Workers = workers
+			return cp.Records(micro.FPMWD, 16, 0, equivSeed, nil)
+		}},
+		equivLayer{"soft", func(t *testing.T, sys *System, workers int) []results.Record {
+			cp, err := sys.LLFICampaign()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.Workers = workers
+			return cp.Records(30, 0, equivSeed, nil)
+		}})
+}
+
+// assertFastMatchesReference runs each layer on every seed benchmark,
+// for one and several workers, and requires the fast path to reproduce
+// the reference engine's record stream record for record — only the
+// EarlyStop provenance flag may differ. Each engine builds its own
+// golden chain, so an engine bug cannot corrupt both sides of the
+// comparison. The per-layer sample counts are small — the point is
+// breadth (every benchmark exercises different convergence, decode and
+// block patterns), not statistical depth.
+func assertFastMatchesReference(t *testing.T, layers ...equivLayer) {
 	for _, bench := range Benchmarks() {
 		bench := bench
 		t.Run(bench, func(t *testing.T) {
 			t.Parallel()
-			// Two systems: the decode-cache switch is baked into campaign
-			// snapshots, so accelerated and baseline campaigns cannot
-			// share one.
-			mk := func(off bool) *System {
+			mk := func(reference bool) *System {
 				sys, err := Build(Target{Bench: bench, Seed: 1}, isa.VSA64)
 				if err != nil {
 					t.Fatal(err)
 				}
 				sys.Snapshots = 6
-				sys.NoEarlyStop = off
-				sys.NoDecodeCache = off
+				sys.Reference = reference
 				return sys
 			}
-			accel, base := mk(false), mk(true)
-
-			layer := func(sys *System, name string, workers int) results.Tally {
-				sys.Workers = workers
-				switch name {
-				case "micro":
-					cp, err := sys.MicroCampaign(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cp.Workers = workers
-					return results.TallyOf(cp.Records(micro.StructRF, nMicro, 0, seed, nil))
-				case "arch":
-					cp, err := sys.ArchCampaign()
-					if err != nil {
-						t.Fatal(err)
-					}
-					cp.Workers = workers
-					return results.TallyOf(cp.Records(micro.FPMWD, nArch, 0, seed, nil))
-				default:
-					cp, err := sys.LLFICampaign()
-					if err != nil {
-						t.Fatal(err)
-					}
-					cp.Workers = workers
-					return results.TallyOf(cp.Records(nSoft, 0, seed, nil))
-				}
-			}
-			for _, name := range []string{"micro", "arch", "soft"} {
-				ref := layer(base, name, 1)
+			fast, ref := mk(false), mk(true)
+			for _, l := range layers {
+				want := l.run(t, ref, 1)
 				for _, workers := range []int{1, 3} {
-					if got := layer(accel, name, workers); got != ref {
-						t.Errorf("%s layer, %d workers: accelerated tally %+v, baseline %+v",
-							name, workers, got, ref)
-					}
+					assertSameRecords(t, fmt.Sprintf("%s layer, %d workers", l.name, workers),
+						l.run(t, fast, workers), want)
 				}
 			}
 		})
+	}
+}
+
+// assertSameRecords fails unless the fast-path stream equals the
+// reference stream record for record, ignoring only the EarlyStop
+// provenance flag (which the reference engine never sets). On failure
+// it reports the first divergent record with its provenance, so the
+// divergence is attributable to a specific shortcut.
+func assertSameRecords(t *testing.T, what string, fast, ref []results.Record) {
+	t.Helper()
+	for i := 0; i < len(fast) || i < len(ref); i++ {
+		if i >= len(fast) || i >= len(ref) {
+			t.Errorf("%s: fast path has %d records, reference %d", what, len(fast), len(ref))
+			return
+		}
+		a, b := fast[i], ref[i]
+		a.EarlyStop = false
+		if b.EarlyStop || a != b {
+			t.Errorf("%s: first divergent record %d (fast provenance: early-stop=%v static=%v)\n     fast: %+v\nreference: %+v",
+				what, i, fast[i].EarlyStop, fast[i].StaticResolved, fast[i], ref[i])
+			return
+		}
 	}
 }
 

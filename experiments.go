@@ -349,7 +349,7 @@ func (l *Lab) stamp(r *report.Report) {
 		var records, strat int
 		for _, m := range ms {
 			records += m.N
-			if m.Key.Mode != "" {
+			if strings.HasPrefix(m.Key.Mode, "strat,") {
 				strat++
 			}
 		}

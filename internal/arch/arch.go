@@ -52,17 +52,9 @@ type Campaign struct {
 	// Workers is the campaign fan-out; <= 0 selects runtime.NumCPU().
 	// The tally is bit-identical for every worker count.
 	Workers int
-	// NoEarlyStop disables convergence early-stop classification; runs
-	// then always execute to halt or Limit. The zero value keeps the
-	// optimization on — outcomes are provably identical either way.
-	NoEarlyStop bool
-	// NoDecodeCache disables the emulator's predecoded fetch cache on
-	// CPUs this campaign creates (also provably result-neutral).
-	NoDecodeCache bool
-	// NoTB disables the translation-block engine (internal/tb) on the
-	// faulty-run path; the zero value keeps it on. Tallies are
-	// bit-identical either way (the equivalence gate asserts it).
-	NoTB bool
+	// reference is PrepareOptions.Reference: step-by-step execution and
+	// no convergence early-stop.
+	reference bool
 	// TBParanoid, when non-nil, runs translation-block workers in
 	// paranoid validation mode: every predecoded op's instruction word
 	// is refetched and compared before executing (counted here), and a
@@ -185,13 +177,16 @@ func decodeGolden(b []byte, cp *Campaign) error {
 	return nil
 }
 
-// PrepareOptions configure the golden run.
+// PrepareOptions configure the campaign's engine.
 type PrepareOptions struct {
-	// NoTB runs the golden execution step-by-step instead of through
-	// the translation-block engine. The captured chain is bit-identical
-	// either way; campaigns pass their own NoTB so an engine bug could
-	// never corrupt both sides of the tb-on/tb-off equivalence gate.
-	NoTB bool
+	// Reference selects the reference engine for the golden run and
+	// every faulty run: instruction-at-a-time stepping instead of the
+	// translation-block engine (internal/tb), and faulty runs execute to
+	// halt or Limit without convergence early-stop. Outcomes are
+	// provably identical either way. The golden run goes through the
+	// campaign's own engine, so an engine bug could never corrupt both
+	// sides of the fast-vs-reference equivalence gate.
+	Reference bool
 }
 
 // Prepare runs the golden execution with default options and captures
@@ -204,7 +199,7 @@ func Prepare(img *kernel.Image, nsnaps int) (*Campaign, error) {
 // checkpoint chain (boot state only when nsnaps <= 1).
 func PrepareWith(img *kernel.Image, nsnaps int, opts PrepareOptions) (*Campaign, error) {
 	run := func(c *emu.CPU) func(uint64) bool {
-		if opts.NoTB {
+		if opts.Reference {
 			return c.Run
 		}
 		return tb.New(c).Run
@@ -223,6 +218,7 @@ func PrepareWith(img *kernel.Image, nsnaps int, opts PrepareOptions) (*Campaign,
 		GoldenExit:  bus.ExitCode,
 		GoldenInstr: c.Instret,
 		KInstr:      c.KernelInstret,
+		reference:   opts.Reference,
 	}
 	cp.Limit = 3*cp.GoldenInstr + 100000
 
@@ -265,7 +261,8 @@ func PrepareWith(img *kernel.Image, nsnaps int, opts PrepareOptions) (*Campaign,
 // responsible for fingerprint-matching the chain to its campaign
 // configuration; this validates engine, image geometry and
 // decodability of the boot checkpoint, returning an error (for a cold
-// Prepare fallback) on any mismatch.
+// Prepare fallback) on any mismatch. The campaign runs the fast path:
+// the reference engine never resumes from a persisted chain.
 func PrepareFromChain(img *kernel.Image, ch *ckpt.Chain) (*Campaign, error) {
 	if ch.Meta.Engine != Engine {
 		return nil, fmt.Errorf("arch: chain engine %q, want %q", ch.Meta.Engine, Engine)
@@ -294,7 +291,7 @@ type worker struct {
 	cpu *emu.CPU
 	bus *dev.Bus
 	m   *mem.Memory
-	eng *tb.Engine // nil when the campaign runs step-by-step (NoTB)
+	eng *tb.Engine // nil when the campaign runs step-by-step (reference)
 	src int        // checkpoint index the arena was last restored from
 	// stateBuf holds the materialized state blob of checkpoint src;
 	// cmpBuf is the convergence-test encode scratch.
@@ -312,8 +309,7 @@ func (cp *Campaign) cpuFor(w *worker, k uint64, g int) (*emu.CPU, *dev.Bus) {
 		w.m.EnableTracking()
 		w.bus = dev.NewBus(w.m)
 		w.cpu = emu.New(cp.Img.ISA, w.bus, cp.Img.Entry)
-		w.cpu.NoDecodeCache = cp.NoDecodeCache
-		if !cp.NoTB {
+		if !cp.reference {
 			w.eng = tb.New(w.cpu)
 			w.eng.Paranoid = cp.TBParanoid
 		}
@@ -466,7 +462,7 @@ func (cp *Campaign) runFaulty(c *emu.CPU, bus *dev.Bus, g int, w *worker) (halte
 		}
 		return bus.Halted()
 	}
-	if !cp.NoEarlyStop && bus.Mem.Tracking() {
+	if !cp.reference && bus.Mem.Tracking() {
 		for j := g + 1; j < cp.chain.Len(); j++ {
 			target := cp.chain.Coord(j)
 			// apply may have executed forward past this boundary while

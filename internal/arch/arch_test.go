@@ -18,6 +18,11 @@ import (
 
 func prep(t *testing.T, bench string, is isa.ISA) *Campaign {
 	t.Helper()
+	return prepWith(t, bench, is, PrepareOptions{})
+}
+
+func prepWith(t *testing.T, bench string, is isa.ISA, opts PrepareOptions) *Campaign {
+	t.Helper()
 	spec, err := workload.Get(bench)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +39,7 @@ func prep(t *testing.T, bench string, is isa.ISA) *Campaign {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := Prepare(img, 8)
+	cp, err := PrepareWith(img, 8, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,14 +162,12 @@ func TestSampleClampDegenerateGolden(t *testing.T) {
 }
 
 // TestArchEarlyStopRecordEquivalence: convergence early-stop at the
-// architectural layer must change records only in provenance.
+// architectural layer must change records only in provenance: the
+// fast path matches the reference engine record for record.
 func TestArchEarlyStopRecordEquivalence(t *testing.T) {
-	cp := prep(t, "sha", isa.VSA64)
 	const n, seed = 40, 2021
-	on := cp.Records(micro.FPMWD, n, 0, seed, nil)
-	cp.NoEarlyStop = true
-	off := cp.Records(micro.FPMWD, n, 0, seed, nil)
-	cp.NoEarlyStop = false
+	on := prep(t, "sha", isa.VSA64).Records(micro.FPMWD, n, 0, seed, nil)
+	off := prepWith(t, "sha", isa.VSA64, PrepareOptions{Reference: true}).Records(micro.FPMWD, n, 0, seed, nil)
 	stopped := 0
 	for i := range on {
 		if on[i].EarlyStop {

@@ -61,9 +61,9 @@ type Meta struct {
 	// restores engine-specific state and is never cross-loaded.
 	Engine string
 	// Fingerprint keys the chain to the exact campaign configuration —
-	// target/seed, machine config, snapshot density, earlystop and
-	// decodecache flags, RAM size, format version. Loaders must reject
-	// any mismatch and fall back to a cold Prepare.
+	// target/seed, machine config, snapshot density, RAM size, format
+	// version. Loaders must reject any mismatch and fall back to a cold
+	// Prepare.
 	Fingerprint string
 	// Target and Config are human-readable labels for `results show`.
 	Target string
@@ -425,9 +425,9 @@ func (ch *Chain) Stats() Stats {
 
 // Fingerprint derives the chain key from the campaign's configuration
 // parts. Everything that changes the golden run or the validity of its
-// checkpoints — target key, machine config, snapshot density, the
-// earlystop/decodecache flags, RAM size, engine, format version — must
-// be a part; a loader seeing a different fingerprint must re-Prepare.
+// checkpoints — target key, machine config, snapshot density, RAM size,
+// engine, format version — must be a part; a loader seeing a different
+// fingerprint must re-Prepare.
 func Fingerprint(parts ...string) string {
 	h := sha256.Sum256([]byte(strings.Join(parts, "\x1f")))
 	return hex.EncodeToString(h[:16])

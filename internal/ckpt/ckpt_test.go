@@ -424,20 +424,20 @@ func TestDeltaMemoryScaling(t *testing.T) {
 // TestFingerprintSensitivity: any part change must change the
 // fingerprint; identical parts must reproduce it.
 func TestFingerprintSensitivity(t *testing.T) {
-	base := Fingerprint("micro", "v1", "sha/1/1/false/VSA64", "A72", "snapshots=192", "earlystop=true")
-	if base != Fingerprint("micro", "v1", "sha/1/1/false/VSA64", "A72", "snapshots=192", "earlystop=true") {
+	base := Fingerprint("micro", "v1", "sha/1/1/false/VSA64", "A72", "snapshots=192", "ram=2097152")
+	if base != Fingerprint("micro", "v1", "sha/1/1/false/VSA64", "A72", "snapshots=192", "ram=2097152") {
 		t.Fatal("fingerprint not deterministic")
 	}
 	variants := [][]string{
-		{"arch", "v1", "sha/1/1/false/VSA64", "A72", "snapshots=192", "earlystop=true"},
-		{"micro", "v2", "sha/1/1/false/VSA64", "A72", "snapshots=192", "earlystop=true"},
-		{"micro", "v1", "sha/2/1/false/VSA64", "A72", "snapshots=192", "earlystop=true"},
-		{"micro", "v1", "sha/1/1/false/VSA64", "A57", "snapshots=192", "earlystop=true"},
-		{"micro", "v1", "sha/1/1/false/VSA64", "A72", "snapshots=12", "earlystop=true"},
-		{"micro", "v1", "sha/1/1/false/VSA64", "A72", "snapshots=192", "earlystop=false"},
+		{"arch", "v1", "sha/1/1/false/VSA64", "A72", "snapshots=192", "ram=2097152"},
+		{"micro", "v2", "sha/1/1/false/VSA64", "A72", "snapshots=192", "ram=2097152"},
+		{"micro", "v1", "sha/2/1/false/VSA64", "A72", "snapshots=192", "ram=2097152"},
+		{"micro", "v1", "sha/1/1/false/VSA64", "A57", "snapshots=192", "ram=2097152"},
+		{"micro", "v1", "sha/1/1/false/VSA64", "A72", "snapshots=12", "ram=2097152"},
+		{"micro", "v1", "sha/1/1/false/VSA64", "A72", "snapshots=192", "ram=1048576"},
 		// Concatenation ambiguity: moving a character across a part
 		// boundary must still change the hash (the separator guarantees).
-		{"micro", "v1", "sha/1/1/false/VSA64", "A72s", "napshots=192", "earlystop=true"},
+		{"micro", "v1", "sha/1/1/false/VSA64", "A72s", "napshots=192", "ram=2097152"},
 	}
 	for i, parts := range variants {
 		if Fingerprint(parts...) == base {

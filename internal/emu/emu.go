@@ -34,48 +34,6 @@ type CPU struct {
 
 	// OnCommit, when non-nil, observes every committed instruction.
 	OnCommit func(pc uint64, in isa.Instr, mode isa.Mode)
-
-	// NoDecodeCache disables the predecoded fetch memo (decode below);
-	// the zero value keeps it on. The memo is behaviour-transparent: it
-	// is tagged by the fetched word, so corrupted or overwritten
-	// instruction words always re-decode.
-	NoDecodeCache bool
-	decodeMemo    []decodeEnt
-}
-
-// decodeEnt is one slot of the predecoded fetch memo: a direct-mapped
-// table indexed by word-aligned PC whose tag is the fetched word
-// itself. isa.Decode is pure in (word, ISA), so a word-matching hit is
-// correct regardless of PC and can never go stale — a WI/WOI flip or a
-// store to the text page changes the word and misses the tag compare.
-type decodeEnt struct {
-	word  uint32
-	in    isa.Instr
-	state uint8 // 0 empty, 1 decodes to in, 2 illegal
-}
-
-const decodeBits = 12
-
-// decode is the memoized isa.Decode used by Step.
-func (c *CPU) decode(pc uint64, w uint32) (isa.Instr, bool) {
-	if c.NoDecodeCache {
-		return isa.Decode(w, c.ISA)
-	}
-	if c.decodeMemo == nil {
-		c.decodeMemo = make([]decodeEnt, 1<<decodeBits)
-	}
-	e := &c.decodeMemo[(pc>>2)&(1<<decodeBits-1)]
-	if e.state != 0 && e.word == w {
-		return e.in, e.state == 1
-	}
-	in, ok := isa.Decode(w, c.ISA)
-	e.word, e.in = w, in
-	if ok {
-		e.state = 1
-	} else {
-		e.state = 2
-	}
-	return in, ok
 }
 
 // New creates a CPU over bus, in kernel mode at entry (the reset vector
@@ -193,7 +151,7 @@ func (c *CPU) Step() bool {
 		c.trap(isa.CauseFetchFault, c.PC)
 		return !c.Bus.Halted()
 	}
-	in, ok := c.decode(c.PC, w)
+	in, ok := isa.Decode(w, c.ISA)
 	if !ok {
 		c.trap(isa.CauseIllegal, uint64(w))
 		return !c.Bus.Halted()

@@ -70,37 +70,46 @@ func TestTrivialWorkloadCampaign(t *testing.T) {
 	}
 }
 
-// TestEarlyStopRecordEquivalence: convergence early-stop must change no
-// record beyond its provenance flag, and must actually fire.
-func TestEarlyStopRecordEquivalence(t *testing.T) {
-	cp := shaCampaign(t, micro.ConfigA72(), 8)
-	const n, seed = 40, 2021
-	on := cp.Records(micro.StructRF, n, 0, seed, nil)
-	cp.NoEarlyStop = true
-	off := cp.Records(micro.StructRF, n, 0, seed, nil)
-	cp.NoEarlyStop = false
+// referenceRecords runs the fast-path and reference-engine campaigns on
+// the same faults and fails on any record difference beyond the
+// EarlyStop provenance flag. It returns how many fast-path runs
+// early-stopped.
+func referenceRecords(t *testing.T, st micro.Structure, n int, seed int64) int {
+	t.Helper()
+	cfgRef := micro.ConfigA72()
+	cfgRef.Reference = true
+	on := shaCampaign(t, micro.ConfigA72(), 8).Records(st, n, 0, seed, nil)
+	off := shaCampaign(t, cfgRef, 8).Records(st, n, 0, seed, nil)
 	if len(on) != len(off) {
-		t.Fatalf("record counts differ: %d vs %d", len(on), len(off))
+		t.Fatalf("%v: record counts differ: %d vs %d", st, len(on), len(off))
 	}
 	stopped := 0
 	for i := range on {
+		if off[i].EarlyStop {
+			t.Fatalf("%v record %d: the reference engine early-stopped", st, i)
+		}
 		if on[i].EarlyStop {
 			stopped++
 			if on[i].Outcome != results.Outcome(Masked) {
-				t.Fatalf("record %d early-stopped with outcome %v", i, on[i].Outcome)
+				t.Fatalf("%v record %d early-stopped with outcome %v", st, i, on[i].Outcome)
 			}
 		}
 		a := on[i]
 		a.EarlyStop = false
 		if a != off[i] {
-			t.Fatalf("record %d differs beyond provenance:\n on: %+v\noff: %+v", i, on[i], off[i])
+			t.Fatalf("%v record %d differs beyond provenance:\n fast: %+v\n  ref: %+v", st, i, on[i], off[i])
 		}
 	}
+	return stopped
+}
+
+// TestEarlyStopRecordEquivalence: convergence early-stop must change no
+// record beyond its provenance flag, and must actually fire.
+func TestEarlyStopRecordEquivalence(t *testing.T) {
+	const n = 40
+	stopped := referenceRecords(t, micro.StructRF, n, 2021)
 	if stopped == 0 {
 		t.Error("expected at least one convergence early-stop in 40 RF injections")
-	}
-	if results.TallyOf(on) != results.TallyOf(off) {
-		t.Fatal("tallies differ")
 	}
 	t.Logf("early-stopped %d/%d injections", stopped, n)
 }
@@ -109,23 +118,7 @@ func TestEarlyStopRecordEquivalence(t *testing.T) {
 // invisible in every record — including L1i injections, which corrupt
 // the very words the cache is keyed on.
 func TestDecodeCacheRecordsIdentical(t *testing.T) {
-	cfgOn := micro.ConfigA72()
-	cfgOff := micro.ConfigA72()
-	cfgOff.NoDecodeCache = true
-	mkRecs := func(cfg micro.Config, st micro.Structure) []results.Record {
-		cp := shaCampaign(t, cfg, 8)
-		return cp.Records(st, 25, 0, 7, nil)
-	}
 	for _, st := range []micro.Structure{micro.StructRF, micro.StructL1I} {
-		on := mkRecs(cfgOn, st)
-		off := mkRecs(cfgOff, st)
-		if len(on) != len(off) {
-			t.Fatalf("%v: record counts differ", st)
-		}
-		for i := range on {
-			if on[i] != off[i] {
-				t.Fatalf("%v record %d differs:\n cache: %+v\nno-cache: %+v", st, i, on[i], off[i])
-			}
-		}
+		referenceRecords(t, st, 25, 7)
 	}
 }

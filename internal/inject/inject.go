@@ -143,10 +143,6 @@ type Campaign struct {
 	// Workers is the campaign fan-out; <= 0 selects runtime.NumCPU().
 	// The tally is bit-identical for every worker count.
 	Workers int
-	// NoEarlyStop disables convergence early-stop classification; runs
-	// then always execute to halt or Limit. The zero value keeps the
-	// optimization on — outcomes are provably identical either way.
-	NoEarlyStop bool
 	// Resumed reports the campaign was prepared from a persisted chain:
 	// zero golden-run instructions were executed by Prepare.
 	Resumed bool
@@ -158,7 +154,10 @@ func (cp *Campaign) Chain() *ckpt.Chain { return cp.chain }
 
 // Prepare runs the golden execution (twice: once to learn its length,
 // once to capture evenly spaced delta checkpoints) and returns a ready
-// campaign. nsnaps <= 1 keeps only the boot checkpoint.
+// campaign. nsnaps <= 1 keeps only the boot checkpoint. cfg.Reference
+// selects the reference engine for every run of the campaign: no decode
+// memo, and faulty runs execute to halt or Limit without convergence
+// early-stop. Outcomes are provably identical either way.
 func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int, maxCycles uint64) (*Campaign, error) {
 	if cfg.ISA != img.ISA {
 		return nil, fmt.Errorf("inject: config %s is %v but image is %v", cfg.Name, cfg.ISA, img.ISA)
@@ -389,7 +388,7 @@ func (cp *Campaign) classify(core *micro.Core, f Fault, g int, w *worker) Result
 // (the machine reached a halt port) and converged (the run was cut
 // short because its full state re-equaled golden's at a boundary).
 func (cp *Campaign) runFaulty(core *micro.Core, g int, w *worker) (halted, converged bool) {
-	if cp.NoEarlyStop || !core.Bus.Mem.Tracking() {
+	if cp.Cfg.Reference || !core.Bus.Mem.Tracking() {
 		return core.Run(cp.Limit), false
 	}
 	for j := g + 1; j < cp.chain.Len(); j++ {

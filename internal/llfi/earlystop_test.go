@@ -30,14 +30,12 @@ func TestSampleClampNoDefs(t *testing.T) {
 }
 
 // TestDeadFilterEquivalence: the dead-definition filter must not change
-// a single record's outcome — only skip the runs it can prove Masked.
+// a single record's outcome — only skip the runs it can prove Masked:
+// the fast path matches the reference engine record for record.
 func TestDeadFilterEquivalence(t *testing.T) {
-	cp := prep(t, "sha")
 	const n, seed = 80, 2021
-	on := cp.Records(n, 0, seed, nil)
-	cp.NoEarlyStop = true
-	off := cp.Records(n, 0, seed, nil)
-	cp.NoEarlyStop = false
+	on := prep(t, "sha").Records(n, 0, seed, nil)
+	off := prepWith(t, "sha", PrepareOptions{Reference: true}).Records(n, 0, seed, nil)
 	if len(on) != len(off) {
 		t.Fatalf("record counts differ: %d vs %d", len(on), len(off))
 	}
@@ -86,6 +84,10 @@ func main() int {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := PrepareWith(m, 1<<20, PrepareOptions{Reference: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var dead []uint64
 	for seq := uint64(0); seq < cp.GoldenDefs; seq++ {
 		if cp.deadDef(Fault{Seq: seq}) {
@@ -97,11 +99,9 @@ func main() int {
 	}
 	for _, seq := range dead {
 		f := Fault{Seq: seq, Bit: 13}
-		cp.NoEarlyStop = true
-		if o := cp.Run(f); o != inject.Masked {
+		if o := ref.Run(f); o != inject.Masked {
 			t.Fatalf("dead def seq=%d executed to %v, not Masked", seq, o)
 		}
-		cp.NoEarlyStop = false
 	}
 	t.Logf("executed %d filter-claimed-dead faults, all Masked", len(dead))
 }

@@ -43,24 +43,21 @@ type Campaign struct {
 	// The tally is bit-identical for every worker count.
 	Workers int
 
-	// NoEarlyStop disables the dead-definition filter (the zero value
-	// keeps it on): a fault in a definition whose value the golden run
-	// never read is provably Masked — the corrupted register is
-	// overwritten or its frame returns before anything consumes it, so
-	// execution is bit-identical to golden — and is classified without
-	// running the interpreter at all.
-	NoEarlyStop bool
 	// usedDefs is the golden def-use bitset (ir.Interp.TrackUse), indexed
-	// by dynamic definition sequence number.
+	// by dynamic definition sequence number. It feeds the dead-definition
+	// filter: a fault in a definition whose value the golden run never
+	// read is provably Masked — the corrupted register is overwritten or
+	// its frame returns before anything consumes it, so execution is
+	// bit-identical to golden — and is classified without running the
+	// interpreter at all.
 	usedDefs []uint64
 
 	// Static enables the bit-precise static resolution pass: faults
 	// flipping a bit the interprocedural demanded-bits analysis proves
 	// can never influence an observable output (program bytes, exit
 	// code, detection, or a crash) are classified Masked without ever
-	// preparing an interpreter. Off by default; requires the golden run
-	// to have tracked definition sites (it does unless NoDeadDefFilter
-	// was set at Prepare time).
+	// preparing an interpreter. Off by default; a reference campaign
+	// never resolves statically.
 	Static bool
 	// defSites maps each dynamic definition sequence number from the
 	// golden run to its static instruction site (ir.Interp.DefSites).
@@ -68,25 +65,23 @@ type Campaign struct {
 	// irb is the interprocedural demanded-bits result over cp.M.
 	irb *static.IRBits
 
-	// NoTB disables the compiled direct-threaded engine for faulty runs
-	// (the zero value keeps it on): the module is then interpreted
-	// instruction-by-instruction with the fault applied via DefHook.
-	// Outcomes are bit-identical either way (the equivalence gate
-	// asserts it); golden runs always use the plain interpreter, which
-	// the def-use and site tracking requires.
-	NoTB     bool
-	progOnce sync.Once
-	prog     *tb.Prog
+	// reference is PrepareOptions.Reference.
+	reference bool
+	progOnce  sync.Once
+	prog      *tb.Prog
 }
 
-// PrepareOptions configure the golden run.
+// PrepareOptions configure the campaign's engine.
 type PrepareOptions struct {
-	// NoDeadDefFilter skips golden def-use tracking entirely: when the
-	// dead-definition filter will be disabled anyway (NoEarlyStop
-	// campaigns), paying the tracking overhead on the golden run buys
-	// nothing, so the bitset is simply never built. Outcomes are
-	// unaffected — deadDef treats a missing bitset as "never dead".
-	NoDeadDefFilter bool
+	// Reference selects the reference engine: no dead-definition filter,
+	// no static resolution, and every faulty run interpreted
+	// instruction-by-instruction with the fault applied via the
+	// definition hook instead of the compiled direct-threaded engine.
+	// Outcomes are provably identical either way. Golden runs always use
+	// the plain interpreter, which the def-use and site tracking
+	// requires; the tracking still runs, so stratified campaigns
+	// partition their pools identically on both engines.
+	Reference bool
 }
 
 // Prepare runs the golden execution with default options.
@@ -98,21 +93,13 @@ func Prepare(m *ir.Module, memSize int) (*Campaign, error) {
 func PrepareWith(m *ir.Module, memSize int, opts PrepareOptions) (*Campaign, error) {
 	ip := ir.NewInterp(m, Width, memSize)
 	ip.MaxSteps = 1 << 32
-	ip.TrackUse = !opts.NoDeadDefFilter
-	ip.TrackSites = ip.TrackUse
+	ip.TrackUse = true
+	ip.TrackSites = true
 	if err := ip.Run("_start"); err != nil {
 		return nil, fmt.Errorf("llfi: golden run: %w", err)
 	}
 	if !ip.Exited {
 		return nil, errors.New("llfi: golden run did not exit")
-	}
-	var used []uint64
-	var sites []int32
-	var irb *static.IRBits
-	if ip.TrackUse {
-		used = ip.UsedDefs()
-		sites = append([]int32(nil), ip.DefSites()...)
-		irb = static.AnalyzeIR(m, "_start", Width)
 	}
 	return &Campaign{
 		M:           m,
@@ -122,9 +109,10 @@ func PrepareWith(m *ir.Module, memSize int, opts PrepareOptions) (*Campaign, err
 		GoldenSteps: ip.Steps,
 		MemSize:     memSize,
 		Limit:       3*ip.Steps + 100000,
-		usedDefs:    used,
-		defSites:    sites,
-		irb:         irb,
+		usedDefs:    ip.UsedDefs(),
+		defSites:    append([]int32(nil), ip.DefSites()...),
+		irb:         static.AnalyzeIR(m, "_start", Width),
+		reference:   opts.Reference,
 	}, nil
 }
 
@@ -152,7 +140,7 @@ func (cp *Campaign) Sample(r *rand.Rand) Fault {
 // deadDef reports whether f targets a definition the golden run never
 // read: such faults are provably Masked without running.
 func (cp *Campaign) deadDef(f Fault) bool {
-	if cp.NoEarlyStop || cp.usedDefs == nil {
+	if cp.reference {
 		return false
 	}
 	w := int(f.Seq >> 6)
@@ -166,10 +154,10 @@ func (cp *Campaign) deadDef(f Fault) bool {
 // site is statically undemanded — no chain of uses can carry it into
 // program output, the exit code, a branch, an address, or a syscall
 // operand, so the injected run is observably identical to golden.
-// Always false when the campaign was prepared without site tracking or
-// Static is off.
+// Always false when Static is off or the campaign runs the reference
+// engine.
 func (cp *Campaign) StaticMasked(f Fault) bool {
-	if !cp.Static || cp.irb == nil {
+	if !cp.Static || cp.reference {
 		return false
 	}
 	if f.Seq >= cp.GoldenDefs {
@@ -182,9 +170,8 @@ func (cp *Campaign) StaticMasked(f Fault) bool {
 }
 
 // IRBits exposes the interprocedural demanded-bits result computed at
-// Prepare time (nil when site tracking was disabled): the analyze
-// surface reports its resolved fraction, and stratified campaigns key
-// strata on its per-site verdicts.
+// Prepare time: the analyze surface reports its resolved fraction, and
+// stratified campaigns key strata on its per-site verdicts.
 func (cp *Campaign) IRBits() *static.IRBits { return cp.irb }
 
 // Run performs one injection and classifies the outcome. It allocates
@@ -199,10 +186,10 @@ func (cp *Campaign) Run(f Fault) inject.Outcome {
 
 // compiled returns the direct-threaded compiled form of cp.M, building
 // it once per campaign, or nil when the campaign runs interpreted
-// (NoTB, or a module the compiler cannot handle — execution then falls
-// back to the interpreter with identical outcomes).
+// (the reference engine, or a module the compiler cannot handle —
+// execution then falls back to the interpreter with identical outcomes).
 func (cp *Campaign) compiled() *tb.Prog {
-	if cp.NoTB {
+	if cp.reference {
 		return nil
 	}
 	cp.progOnce.Do(func() {
@@ -318,13 +305,9 @@ func (cp *Campaign) Pool(n int, seed int64) []Fault {
 }
 
 // UsedDef reports whether the golden run ever read the value of dynamic
-// definition seq. Conservatively true when def-use tracking was skipped
-// (NoDeadDefFilter) — callers using it as a stratification feature then
-// simply get one coarser stratum, never a wrong estimate.
+// definition seq — stratified campaigns use it as a stratification
+// feature on both engines.
 func (cp *Campaign) UsedDef(seq uint64) bool {
-	if cp.usedDefs == nil {
-		return true
-	}
 	w := int(seq >> 6)
 	return w < len(cp.usedDefs) && cp.usedDefs[w]&(1<<(seq&63)) != 0
 }
@@ -347,7 +330,7 @@ func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r r
 	// arena is ever allocated.
 	var resolve func(j campaign.Job) results.Record
 	var resolveOK func(j campaign.Job) (results.Record, bool)
-	if cp.Static && cp.irb != nil {
+	if cp.Static && !cp.reference {
 		resolve = func(j campaign.Job) results.Record {
 			f := faults[j.Index]
 			rec := record(f, inject.Masked)

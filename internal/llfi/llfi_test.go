@@ -11,6 +11,11 @@ import (
 
 func prep(t *testing.T, bench string) *Campaign {
 	t.Helper()
+	return prepWith(t, bench, PrepareOptions{})
+}
+
+func prepWith(t *testing.T, bench string, opts PrepareOptions) *Campaign {
+	t.Helper()
 	spec, err := workload.Get(bench)
 	if err != nil {
 		t.Fatal(err)
@@ -19,7 +24,7 @@ func prep(t *testing.T, bench string) *Campaign {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := Prepare(m, 1<<21)
+	cp, err := PrepareWith(m, 1<<21, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,11 +66,13 @@ type Config struct {
 	L1I, L1D, L2 CacheConfig
 	MemLat       int
 
-	// NoDecodeCache disables the predecoded fetch cache (the per-PC
-	// isa.Decode memo). The zero value keeps it enabled; the cache is
-	// behaviour-transparent (keyed on the fetched word, so corrupted or
-	// self-modified words re-decode) and exists purely for speed.
-	NoDecodeCache bool
+	// Reference runs the reference engine: every shortcut off. The core
+	// then decodes every fetched word afresh (no predecoded fetch memo,
+	// see decode.go), and the micro-layer injector built on this config
+	// runs every faulty run to completion (no convergence early-stop).
+	// Results are bit-identical either way; the zero value is the fast
+	// path.
+	Reference bool
 }
 
 // The four study microarchitectures. Parameters follow the paper's

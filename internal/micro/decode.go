@@ -29,7 +29,7 @@ type decodeEnt struct {
 
 // decode is the memoized isa.Decode used by fetchStage.
 func (c *Core) decode(pc uint64, word uint32) (isa.Instr, bool) {
-	if c.Cfg.NoDecodeCache {
+	if c.Cfg.Reference {
 		return isa.Decode(word, c.IS)
 	}
 	if c.decodeMemo == nil {

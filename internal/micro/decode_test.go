@@ -16,9 +16,9 @@ import (
 // smcImage builds a self-modifying program: a two-iteration loop whose
 // body instruction is overwritten (addi +1 -> addi +100) during the
 // first iteration, then exits with the accumulator as the exit code.
-// The decode memo is keyed on the fetched word, so the patched word
-// must decode fresh — a stale hit would add 1 twice (exit 2) instead
-// of 1 then 100 (exit 101).
+// The micro decode memo is keyed on the fetched word, so the patched
+// word must decode fresh — a stale hit would add 1 twice (exit 2)
+// instead of 1 then 100 (exit 101).
 func smcImage(t *testing.T) *kernel.Image {
 	t.Helper()
 	patched := isa.Encode(isa.Instr{Op: isa.ADDI, Rd: 8, Rs1: 8, Imm: 100})
@@ -50,39 +50,30 @@ func smcImage(t *testing.T) *kernel.Image {
 
 // TestEmuDecodeCacheSelfModifying: the functional emulator rereads the
 // instruction stream every step, so the patched instruction must take
-// effect — with and without the decode memo, identically.
+// effect.
 func TestEmuDecodeCacheSelfModifying(t *testing.T) {
 	img := smcImage(t)
-	run := func(noCache bool) *dev.Bus {
-		bus := dev.NewBus(img.NewMemory())
-		c := emu.New(img.ISA, bus, img.Entry)
-		c.NoDecodeCache = noCache
-		if !c.Run(1 << 20) {
-			t.Fatal("did not halt")
-		}
-		return bus
+	bus := dev.NewBus(img.NewMemory())
+	if !emu.New(img.ISA, bus, img.Entry).Run(1 << 20) {
+		t.Fatal("did not halt")
 	}
-	cached, plain := run(false), run(true)
-	if cached.Halt != dev.HaltClean || plain.Halt != dev.HaltClean {
-		t.Fatalf("halts: cached %v, plain %v", cached.Halt, plain.Halt)
+	if bus.Halt != dev.HaltClean {
+		t.Fatalf("halt %v", bus.Halt)
 	}
-	if cached.ExitCode != plain.ExitCode {
-		t.Fatalf("decode cache changed the result: %d vs %d", cached.ExitCode, plain.ExitCode)
-	}
-	if plain.ExitCode != 101 {
-		t.Fatalf("exit %d, want 101 (1 then patched +100)", plain.ExitCode)
+	if bus.ExitCode != 101 {
+		t.Fatalf("exit %d, want 101 (1 then patched +100)", bus.ExitCode)
 	}
 }
 
 // TestMicroDecodeCacheSelfModifying: whatever instruction bytes the
 // OoO front end fetches, the memoized decode must match a fresh
-// isa.Decode of those bytes — the cached and uncached cores must agree
-// cycle for cycle.
+// isa.Decode of those bytes — the cached core and the reference core
+// must agree cycle for cycle.
 func TestMicroDecodeCacheSelfModifying(t *testing.T) {
 	img := smcImage(t)
 	cfgOn := ConfigA72()
 	cfgOff := ConfigA72()
-	cfgOff.NoDecodeCache = true
+	cfgOff.Reference = true
 	run := func(cfg Config) *Core {
 		c := New(cfg, img.NewMemory(), img.Entry)
 		if !c.Run(1 << 22) {
@@ -158,7 +149,7 @@ func TestDecodeMemoCollisionEviction(t *testing.T) {
 	check(pcA, wa)      // same slot, legal word: must evict, not report illegal
 }
 
-// TestDecodeCacheLockstepOnWorkload: cached and uncached cores run a
+// TestDecodeCacheLockstepOnWorkload: cached and reference cores run a
 // real benchmark in lockstep to the same output.
 func TestDecodeCacheLockstepOnWorkload(t *testing.T) {
 	spec, err := workload.Get("crc32")
@@ -167,7 +158,7 @@ func TestDecodeCacheLockstepOnWorkload(t *testing.T) {
 	}
 	img := buildImage(t, spec.Gen(3, 1), isa.VSA64)
 	cfgOff := ConfigA72()
-	cfgOff.NoDecodeCache = true
+	cfgOff.Reference = true
 	on := New(ConfigA72(), img.NewMemory(), img.Entry)
 	off := New(cfgOff, img.NewMemory(), img.Entry)
 	if !on.Run(1<<26) || !off.Run(1<<26) {

@@ -2,8 +2,8 @@
 // superblocks of guest code are discovered once, predecoded into flat
 // buffers of resolved micro-ops, and executed block-at-a-time through a
 // direct-threaded dispatch loop — removing the per-instruction fetch,
-// decode-memo probe, and operand-extraction cost that dominates
-// per-injection time at the arch and soft layers.
+// decode, and operand-extraction cost that dominates per-injection time
+// at the arch and soft layers.
 //
 // Soundness under fault injection is the design constraint:
 //
@@ -426,7 +426,7 @@ func (e *Engine) exec(b *block, limit uint64) {
 			}
 			// The store committed. It may have halted the machine (MMIO
 			// halt ports) or overwritten this very block's code granules
-			// (self-modifying store, exactly the decode-memo SMC case):
+			// (a self-modifying store):
 			// either way the remaining predecoded ops must not run.
 			if c.Bus.Halted() || !e.fresh(b) {
 				e.flush(kern, i+1)

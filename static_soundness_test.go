@@ -13,9 +13,8 @@ import (
 // TestStaticSoundnessGate is the machine-checked soundness gate of the
 // bit-precise static analysis: across every seed benchmark, every fault
 // the demanded-bits pass classifies as provably Masked must dynamically
-// run to Masked on a campaign with every filter off (no dead-def
-// filter, no static resolution — the interpreter executes each fault to
-// completion). One statically-masked site observed as SDC, Crash, or
+// run to Masked on the reference engine (no dead-def filter, no static
+// resolution — the interpreter executes each fault to completion). One statically-masked site observed as SDC, Crash, or
 // Detected fails the build: the analysis claims a proof, not a
 // heuristic.
 func TestStaticSoundnessGate(t *testing.T) {
@@ -38,12 +37,12 @@ func TestStaticSoundnessGate(t *testing.T) {
 				t.Fatal("static campaign has no demanded-bits result")
 			}
 
-			// Dynamic oracle: same module, every shortcut disabled.
+			// Dynamic oracle: same module, the reference engine.
 			oracle, err := Build(Target{Bench: bench, Seed: 1}, isa.VSA64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle.NoEarlyStop = true
+			oracle.Reference = true
 			ocp, err := oracle.LLFICampaign()
 			if err != nil {
 				t.Fatal(err)

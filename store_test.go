@@ -186,6 +186,11 @@ func TestExperimentStoreReuse(t *testing.T) {
 	if !strings.Contains(second.String(), "results store:") {
 		t.Error("report must stamp the store state")
 	}
+	// fig1 runs uniform campaigns only; the arch and soft keys' "tb"
+	// Mode must not count as stratified.
+	if strings.Contains(second.String(), "stratified") {
+		t.Errorf("fig1 stamp counts stratified campaigns:\n%s", second.String())
+	}
 	lab2.mu.Lock()
 	defer lab2.mu.Unlock()
 	for key, s := range lab2.systems {

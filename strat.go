@@ -278,7 +278,7 @@ func (s *System) StratPVF(fpm micro.FPM, opt StratOptions, seed int64) (StratRes
 		return key
 	})
 	k := s.ArchKey(fpm, seed)
-	k.Mode = s.tbMode(opt.mode(part))
+	k.Mode = tbMode(opt.mode(part))
 	return s.runStratified(k, part, nil, opt, func(sites []int, base int) []results.Record {
 		faults := make([]arch.Fault, len(sites))
 		for i, site := range sites {
@@ -301,7 +301,6 @@ func (s *System) StratSVF(opt StratOptions, seed int64) (StratResult, error) {
 		return StratResult{}, err
 	}
 	pool := cp.Pool(opt.pool(), seed)
-	useStatic := s.Static && cp.IRBits() != nil
 	part := strata.New(len(pool), func(i int) strata.Key {
 		f := pool[i]
 		class := "dead"
@@ -309,7 +308,7 @@ func (s *System) StratSVF(opt StratOptions, seed int64) (StratResult, error) {
 			class = "live"
 		}
 		key := strata.Key{Class: class, Bit: strata.BitBucket(int(f.Bit)), Live: -1}
-		if useStatic {
+		if s.Static {
 			// The soft layer has a sound per-site verdict: a
 			// DemResolved stratum holds only provably-Masked faults, so
 			// the driver counts its whole mass without injecting.
@@ -321,14 +320,14 @@ func (s *System) StratSVF(opt StratOptions, seed int64) (StratResult, error) {
 		return key
 	})
 	var resolved []bool
-	if useStatic {
+	if s.Static {
 		resolved = make([]bool, part.NumStrata())
 		for h := range resolved {
 			resolved[h] = part.Key(h).Dem == strata.DemResolved
 		}
 	}
 	k := s.SoftKey(seed)
-	k.Mode = s.tbMode(opt.mode(part))
+	k.Mode = tbMode(opt.mode(part))
 	return s.runStratified(k, part, resolved, opt, func(sites []int, base int) []results.Record {
 		faults := make([]llfi.Fault, len(sites))
 		for i, site := range sites {
@@ -352,6 +351,9 @@ func (s *System) StratSVF(opt StratOptions, seed int64) (StratResult, error) {
 // zero samples, and no record for them ever enters the stream — their
 // mass reaches the estimate as zero-variance certainty.
 func (s *System) runStratified(k results.Key, part *strata.Partition, resolved []bool, opt StratOptions, injectAt func(sites []int, base int) []results.Record) (StratResult, error) {
+	if err := s.checkStore(); err != nil {
+		return StratResult{}, err
+	}
 	sizes := part.Sizes()
 	labels := part.Labels()
 	byStratum := make([][]int, part.NumStrata())

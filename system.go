@@ -78,26 +78,15 @@ type System struct {
 	// Workers is the injection-campaign fan-out (<= 0: all CPUs).
 	// Tallies are bit-identical for every worker count.
 	Workers int
-	// NoEarlyStop disables golden-trace convergence early-stop (micro
-	// and arch layers) and the dead-definition filter (soft layer). The
-	// accelerations are provably outcome-preserving — tallies are
-	// bit-identical either way — so the zero value keeps them on; the
-	// switch exists for benchmarking and verification.
-	NoEarlyStop bool
-	// NoDecodeCache disables the predecoded fetch cache in the micro and
-	// arch execution models. Same contract as NoEarlyStop: provably
-	// result-neutral, off-switch for measurement only. Set before the
-	// first campaign use — the flag is baked into campaign snapshots.
-	NoDecodeCache bool
-	// NoTB disables the translation-block execution engines: the arch
-	// layer's predecoded superblock dispatch and the soft layer's
-	// compiled direct-threaded IR. Same contract as NoEarlyStop:
-	// provably result-neutral (the equivalence gate asserts bit-identical
-	// tallies), off-switch for measurement and verification only. Set
-	// before the first campaign use — the engine choice is stamped into
-	// store keys and chain fingerprints, so tb-on and tb-off runs never
-	// share persisted state.
-	NoTB bool
+	// Reference selects the reference engine at every layer: every
+	// shortcut off — step engines instead of translation blocks, no
+	// convergence early-stop, no dead-definition filter, no micro decode
+	// memo. It is the oracle the default fast path is gated against:
+	// record streams are identical except for their EarlyStop
+	// provenance. A reference system never reads or writes a results
+	// store or a checkpoint chain, and rejects Static at the soft layer.
+	// Set before the first campaign use.
+	Reference bool
 	// Static enables the bit-precise static resolution pass: at the soft
 	// layer, faults the interprocedural demanded-bits analysis proves
 	// Masked are classified without running (provenance-flagged records,
@@ -161,11 +150,12 @@ func Build(t Target, is isa.ISA) (*System, error) {
 const DefaultSnapshots = 192
 
 // chainFingerprint identifies the checkpoint chain a campaign would
-// capture: every input that shapes the golden run, its checkpoints, or
-// how they are consumed. A persisted chain is only ever reused on an
-// exact fingerprint match — a store written under different flags (or
-// a different format version) triggers a fresh golden run instead of a
-// silent mismatch.
+// capture: every input that shapes the golden run or its checkpoints.
+// A persisted chain is only ever reused on an exact fingerprint match —
+// a store written under a different snapshot density (or a different
+// format version) triggers a fresh golden run instead of a silent
+// mismatch. Only the fast path persists chains, so the engine needs no
+// part.
 func (s *System) chainFingerprint(engine, config string) string {
 	return ckpt.Fingerprint(
 		engine,
@@ -174,10 +164,16 @@ func (s *System) chainFingerprint(engine, config string) string {
 		config,
 		fmt.Sprintf("snapshots=%d", s.Snapshots),
 		fmt.Sprintf("ram=%d", RAMSize),
-		fmt.Sprintf("earlystop=%v", !s.NoEarlyStop),
-		fmt.Sprintf("decodecache=%v", !s.NoDecodeCache),
-		fmt.Sprintf("tb=%v", !s.NoTB),
 	)
+}
+
+// checkStore rejects a store attached to a reference system: the
+// reference engine never reads or writes persisted records.
+func (s *System) checkStore() error {
+	if s.Reference && s.Store != nil {
+		return fmt.Errorf("vulnstack: the reference engine never reads or writes a results store")
+	}
+	return nil
 }
 
 // loadChain fetches and decodes a persisted checkpoint chain by
@@ -187,7 +183,7 @@ func (s *System) chainFingerprint(engine, config string) string {
 // cold Prepare path, so a damaged store costs a golden run, never
 // wrong results.
 func (s *System) loadChain(fp string) *ckpt.Chain {
-	if s.Store == nil {
+	if s.Store == nil || s.Reference {
 		return nil
 	}
 	data, ok, err := s.Store.LoadChain(fp)
@@ -205,7 +201,7 @@ func (s *System) loadChain(fp string) *ckpt.Chain {
 // best-effort: campaigns proceed identically whether or not the write
 // lands.
 func (s *System) saveChain(fp string, ch *ckpt.Chain) {
-	if s.Store == nil {
+	if s.Store == nil || s.Reference {
 		return
 	}
 	ch.Meta.Fingerprint = fp
@@ -224,9 +220,7 @@ func (s *System) MicroCampaign(cfg micro.Config) (*inject.Campaign, error) {
 	if cp, ok := s.microC[cfg.Name]; ok {
 		return cp, nil
 	}
-	// The decode-cache switch is part of the core configuration (baked
-	// into the golden snapshots), so it must be set before Prepare.
-	cfg.NoDecodeCache = s.NoDecodeCache
+	cfg.Reference = s.Reference
 	fp := s.chainFingerprint(inject.Engine, cfg.Name)
 	cp, err := (*inject.Campaign)(nil), error(nil)
 	if ch := s.loadChain(fp); ch != nil {
@@ -241,7 +235,6 @@ func (s *System) MicroCampaign(cfg micro.Config) (*inject.Campaign, error) {
 		s.saveChain(fp, cp.Chain())
 	}
 	cp.Workers = s.Workers
-	cp.NoEarlyStop = s.NoEarlyStop
 	s.microC[cfg.Name] = cp
 	return cp, nil
 }
@@ -258,39 +251,36 @@ func (s *System) ArchCampaign() (*arch.Campaign, error) {
 			cp, _ = arch.PrepareFromChain(s.Image, ch)
 		}
 		if cp == nil {
-			if cp, err = arch.PrepareWith(s.Image, s.Snapshots, arch.PrepareOptions{NoTB: s.NoTB}); err != nil {
+			if cp, err = arch.PrepareWith(s.Image, s.Snapshots, arch.PrepareOptions{Reference: s.Reference}); err != nil {
 				return nil, err
 			}
 			s.saveChain(fp, cp.Chain())
 		}
 		cp.Workers = s.Workers
-		cp.NoEarlyStop = s.NoEarlyStop
-		cp.NoDecodeCache = s.NoDecodeCache
-		cp.NoTB = s.NoTB
 		s.archC = cp
 	}
 	return s.archC, nil
 }
 
 // LLFICampaign returns the SVF campaign. Like the real LLFI tool, it
-// only exists for the 64-bit variant.
+// only exists for the 64-bit variant. Static resolution is a shortcut,
+// so a reference system refuses it rather than silently ignoring it.
 func (s *System) LLFICampaign() (*llfi.Campaign, error) {
 	if s.ISA != isa.VSA64 {
 		return nil, fmt.Errorf("vulnstack: SVF (LLFI) supports only the 64-bit ISA")
 	}
+	if s.Static && s.Reference {
+		return nil, fmt.Errorf("vulnstack: Static and Reference are mutually exclusive (the reference engine resolves nothing statically)")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.llfiC == nil {
-		// With the dead-def filter disabled there is no point paying the
-		// golden-run def-use tracking that feeds it.
-		cp, err := llfi.PrepareWith(s.IR, RAMSize, llfi.PrepareOptions{NoDeadDefFilter: s.NoEarlyStop})
+		cp, err := llfi.PrepareWith(s.IR, RAMSize, llfi.PrepareOptions{Reference: s.Reference})
 		if err != nil {
 			return nil, err
 		}
 		cp.Workers = s.Workers
-		cp.NoEarlyStop = s.NoEarlyStop
 		cp.Static = s.Static
-		cp.NoTB = s.NoTB
 		s.llfiC = cp
 	}
 	return s.llfiC, nil
@@ -324,15 +314,11 @@ func (s *System) MicroKey(cfg micro.Config, st micro.Structure, seed int64) resu
 		Config: cfg.Name, Struct: st.String(), Seed: seed}
 }
 
-// tbMode stamps the execution-engine provenance into a store key Mode:
-// records produced under the translation-block engine are never mixed
-// with step-engine records in a warm store — even though the tallies
-// are provably identical, reuse across engines would make the
-// equivalence gate vacuous for anything already persisted.
-func (s *System) tbMode(base string) string {
-	if s.NoTB {
-		return base
-	}
+// tbMode appends the literal "tb" stamp to an arch or soft store-key
+// Mode. Only the fast path touches a store, so the stamp selects
+// nothing; it stays because existing stores and the pinned bench
+// digests key arch and soft campaigns on it.
+func tbMode(base string) string {
 	if base == "" {
 		return "tb"
 	}
@@ -342,19 +328,19 @@ func (s *System) tbMode(base string) string {
 // ArchKey is the store key of one architecture-level (PVF) campaign.
 func (s *System) ArchKey(fpm micro.FPM, seed int64) results.Key {
 	return results.Key{Layer: results.LayerArch.String(), Target: s.targetKey(),
-		Struct: fpm.String(), Seed: seed, Mode: s.tbMode("")}
+		Struct: fpm.String(), Seed: seed, Mode: tbMode("")}
 }
 
 // UniformKey is the store key of the register-uniform PVF campaign.
 func (s *System) UniformKey(seed int64) results.Key {
 	return results.Key{Layer: results.LayerArch.String(), Target: s.targetKey(),
-		Struct: arch.UniformTarget, Seed: seed, Mode: s.tbMode("")}
+		Struct: arch.UniformTarget, Seed: seed, Mode: tbMode("")}
 }
 
 // SoftKey is the store key of the software-level (SVF) campaign.
 func (s *System) SoftKey(seed int64) results.Key {
 	return results.Key{Layer: results.LayerSoft.String(), Target: s.targetKey(),
-		Seed: seed, Mode: s.tbMode("")}
+		Seed: seed, Mode: tbMode("")}
 }
 
 // storeTally returns the n-injection tally for campaign key k, serving
@@ -367,6 +353,9 @@ func (s *System) SoftKey(seed int64) results.Key {
 // returning. Tallies are integer sums, so prefix-tally + fresh-tally is
 // bit-identical to a one-shot n-injection tally.
 func (s *System) storeTally(k results.Key, n int, run func(from int) ([]results.Record, error)) (results.Tally, error) {
+	if err := s.checkStore(); err != nil {
+		return results.Tally{}, err
+	}
 	if s.Store == nil {
 		recs, err := run(0)
 		if err != nil {

@@ -1,6 +1,8 @@
 package vulnstack
 
 import (
+	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -9,76 +11,15 @@ import (
 	"vulnstack/internal/results"
 )
 
-// TestTranslationBlockEquivalenceAllBenchmarks is the acceptance gate
-// of the translation-block engine: on every seed benchmark, at both
-// layers that execute through it (arch emulator, IR interpreter), for
-// one and several workers, block-at-a-time dispatch must produce
-// tallies bit-identical to the step-by-step engines. The tb-on and
-// tb-off systems build their golden chains independently through their
-// respective engines, so an engine bug cannot corrupt both sides of
-// the comparison.
-func TestTranslationBlockEquivalenceAllBenchmarks(t *testing.T) {
-	const (
-		nArch = 16
-		nSoft = 30
-		seed  = 2021
-	)
-	for _, bench := range Benchmarks() {
-		bench := bench
-		t.Run(bench, func(t *testing.T) {
-			t.Parallel()
-			mk := func(off bool) *System {
-				sys, err := Build(Target{Bench: bench, Seed: 1}, isa.VSA64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sys.Snapshots = 6
-				sys.NoTB = off
-				return sys
-			}
-			tbOn, tbOff := mk(false), mk(true)
-
-			layer := func(sys *System, name string, workers int) results.Tally {
-				sys.Workers = workers
-				switch name {
-				case "arch":
-					cp, err := sys.ArchCampaign()
-					if err != nil {
-						t.Fatal(err)
-					}
-					cp.Workers = workers
-					return results.TallyOf(cp.Records(micro.FPMWD, nArch, 0, seed, nil))
-				default:
-					cp, err := sys.LLFICampaign()
-					if err != nil {
-						t.Fatal(err)
-					}
-					cp.Workers = workers
-					return results.TallyOf(cp.Records(nSoft, 0, seed, nil))
-				}
-			}
-			for _, name := range []string{"arch", "soft"} {
-				ref := layer(tbOff, name, 1)
-				for _, workers := range []int{1, 3} {
-					if got := layer(tbOn, name, workers); got != ref {
-						t.Errorf("%s layer, %d workers: tb tally %+v, step-by-step %+v",
-							name, workers, got, ref)
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestTranslationBlockSMCInvalidation drives the code-corruption path
 // that makes translation caching unsound if invalidation misses: WI and
 // WOI arch faults flip instruction-word bits in memory, exactly where
-// predecoded blocks could go stale. The tb-on campaign runs in Paranoid
-// mode — every dispatched op is refetched from memory and compared to
-// its predecoded copy, and executing a stale op panics — so this test
-// passing means (a) tallies match the step-by-step engine and (b) no
-// stale block was ever dispatched while the checks were demonstrably
-// exercised.
+// predecoded blocks could go stale. The fast-path campaign runs in
+// Paranoid mode — every dispatched op is refetched from memory and
+// compared to its predecoded copy, and executing a stale op panics — so
+// this test passing means (a) records match the reference engine's and
+// (b) no stale block was ever dispatched while the checks were
+// demonstrably exercised.
 func TestTranslationBlockSMCInvalidation(t *testing.T) {
 	const (
 		n    = 24
@@ -88,30 +29,27 @@ func TestTranslationBlockSMCInvalidation(t *testing.T) {
 		fpm := fpm
 		t.Run(fpm.String(), func(t *testing.T) {
 			t.Parallel()
-			mk := func(off bool) *System {
+			mk := func(reference bool) *System {
 				sys := shaSystem(t)
 				sys.Workers = 2
 				sys.Snapshots = 6
-				sys.NoTB = off
+				sys.Reference = reference
 				return sys
 			}
-			on, off := mk(false), mk(true)
-			cpOff, err := off.ArchCampaign()
+			fast, oracle := mk(false), mk(true)
+			cpRef, err := oracle.ArchCampaign()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := results.TallyOf(cpOff.Records(fpm, n, 0, seed, nil))
+			ref := cpRef.Records(fpm, n, 0, seed, nil)
 
 			var checks atomic.Uint64
-			cpOn, err := on.ArchCampaign()
+			cp, err := fast.ArchCampaign()
 			if err != nil {
 				t.Fatal(err)
 			}
-			cpOn.TBParanoid = &checks
-			got := results.TallyOf(cpOn.Records(fpm, n, 0, seed, nil))
-			if got != ref {
-				t.Errorf("%v code-corruption tally under tb %+v, step-by-step %+v", fpm, got, ref)
-			}
+			cp.TBParanoid = &checks
+			assertSameRecords(t, fpm.String()+" code corruption", cp.Records(fpm, n, 0, seed, nil), ref)
 			if checks.Load() == 0 {
 				t.Error("paranoid dispatch verified zero ops: the SMC path never ran through the engine")
 			}
@@ -119,53 +57,76 @@ func TestTranslationBlockSMCInvalidation(t *testing.T) {
 	}
 }
 
-// TestStoreTBProvenanceKeys guards record provenance: measurements made
-// through the translation-block engine are stamped with a distinct
-// store-key Mode, so a tb-off campaign over the same store can never be
-// served records a different engine produced (and vice versa).
+// TestStoreTBProvenanceKeys pins the fast path's store-key strings:
+// micro keys carry no Mode, arch and soft keys the literal "tb" engine
+// stamp. Existing stores and the pinned bench digests key on these
+// strings, so they must not drift.
 func TestStoreTBProvenanceKeys(t *testing.T) {
-	st := openStore(t)
-
-	a := storedSystem(t, st)
-	if got := a.ArchKey(micro.FPMWD, 7).Mode; got != "tb" {
-		t.Fatalf("tb-on arch key Mode = %q, want \"tb\"", got)
-	}
-	if got := a.SoftKey(7).Mode; got != "tb" {
-		t.Fatalf("tb-on soft key Mode = %q, want \"tb\"", got)
-	}
-	if _, err := a.PVF(micro.FPMWD, 12, 7); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.SVF(20, 7); err != nil {
-		t.Fatal(err)
-	}
-
-	b := storedSystem(t, st)
-	b.NoTB = true
-	if got := b.ArchKey(micro.FPMWD, 7).Mode; got != "" {
-		t.Fatalf("tb-off arch key Mode = %q, want \"\"", got)
-	}
-	if got := b.SoftKey(7).Mode; got != "" {
-		t.Fatalf("tb-off soft key Mode = %q, want \"\"", got)
-	}
-	// The tb-on run must not have populated the tb-off keys.
-	for _, k := range []results.Key{b.ArchKey(micro.FPMWD, 7), b.SoftKey(7)} {
-		if _, ok, err := st.Manifest(k); err != nil || ok {
-			t.Fatalf("manifest for tb-off key %v: ok=%v err=%v (tb records leaked across engines)", k, ok, err)
+	sys := shaSystem(t)
+	for _, c := range []struct {
+		key  results.Key
+		want string
+	}{
+		{sys.MicroKey(micro.ConfigA72(), micro.StructRF, 7), "micro/sha/1/0/false/VSA64/A72/RF/seed=7"},
+		{sys.ArchKey(micro.FPMWD, 7), "arch/sha/1/0/false/VSA64//WD/seed=7/mode=tb"},
+		{sys.UniformKey(7), "arch/sha/1/0/false/VSA64//reg-uniform/seed=7/mode=tb"},
+		{sys.SoftKey(7), "soft/sha/1/0/false/VSA64///seed=7/mode=tb"},
+	} {
+		if got := c.key.String(); got != c.want {
+			t.Errorf("key %q, want %q", got, c.want)
 		}
 	}
-	// A tb-off measurement over the warm store therefore re-injects
-	// (builds injectors) instead of replaying the tb records.
-	if _, err := b.PVF(micro.FPMWD, 12, 7); err != nil {
+}
+
+// TestReferenceRejectsStore: the reference engine never reads or
+// writes a results store. A reference system with a store attached
+// fails at all three layers, uniform and stratified, and leaves the
+// store directory empty.
+func TestReferenceRejectsStore(t *testing.T) {
+	dir := t.TempDir()
+	st, err := results.OpenStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.SVF(20, 7); err != nil {
+	sys := shaSystem(t)
+	sys.Snapshots = 6
+	sys.Reference = true
+	sys.Store = st
+	for name, run := range map[string]func() error{
+		"micro": func() error { _, err := sys.MicroTally(micro.ConfigA72(), micro.StructRF, 4, 7); return err },
+		"arch":  func() error { _, err := sys.PVF(micro.FPMWD, 4, 7); return err },
+		"soft":  func() error { _, err := sys.SVF(4, 7); return err },
+		"strat": func() error { _, err := sys.StratSVF(stratTestOpts, 7); return err },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "reference") {
+			t.Errorf("%s: reference system with a store returned %v, want a reference-engine error", name, err)
+		}
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.archC == nil || b.llfiC == nil {
-		t.Fatalf("tb-off system served from tb manifests without re-injecting (arch=%v llfi=%v)",
-			b.archC != nil, b.llfiC != nil)
+	if len(ents) != 0 {
+		t.Errorf("reference system wrote %d entries into the store (first %q)", len(ents), ents[0].Name())
+	}
+}
+
+// TestStaticReferenceExclusive: static resolution is a shortcut, so a
+// reference system refuses Static at the soft layer, uniform and
+// stratified, with an error naming both, instead of silently resolving
+// nothing.
+func TestStaticReferenceExclusive(t *testing.T) {
+	sys, err := Build(Target{Bench: "crc32", Seed: 1}, isa.VSA64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Static = true
+	sys.Reference = true
+	_, errSVF := sys.SVF(4, 2021)
+	_, errStrat := sys.StratSVF(stratTestOpts, 2021)
+	for name, err := range map[string]error{"SVF": errSVF, "StratSVF": errStrat} {
+		if err == nil || !strings.Contains(err.Error(), "Static") || !strings.Contains(err.Error(), "Reference") {
+			t.Errorf("%s with Static and Reference returned %v, want an error naming both", name, err)
+		}
 	}
 }
