@@ -38,17 +38,22 @@ func TestAccelerationEquivalenceAllBenchmarks(t *testing.T) {
 // gate of the two layers that execute through translation blocks (arch
 // emulator, compiled IR): blocks, convergence early-stop and the
 // dead-definition filter must reproduce the reference engine's record
-// stream on every seed benchmark (see assertFastMatchesReference).
+// stream on every seed benchmark (see assertFastMatchesReference). The
+// arch layer runs all three fault models: WOI and WI flip instruction
+// bits in memory, so they exercise code-granule invalidation.
 func TestTranslationBlockEquivalenceAllBenchmarks(t *testing.T) {
-	assertFastMatchesReference(t,
-		equivLayer{"arch", func(t *testing.T, sys *System, workers int) []results.Record {
+	arch := func(fpm micro.FPM, n int) equivLayer {
+		return equivLayer{"arch " + fpm.String(), func(t *testing.T, sys *System, workers int) []results.Record {
 			cp, err := sys.ArchCampaign()
 			if err != nil {
 				t.Fatal(err)
 			}
 			cp.Workers = workers
-			return cp.Records(micro.FPMWD, 16, 0, equivSeed, nil)
-		}},
+			return cp.Records(fpm, n, 0, equivSeed, nil)
+		}}
+	}
+	assertFastMatchesReference(t,
+		arch(micro.FPMWD, 16), arch(micro.FPMWOI, 8), arch(micro.FPMWI, 8),
 		equivLayer{"soft", func(t *testing.T, sys *System, workers int) []results.Record {
 			cp, err := sys.LLFICampaign()
 			if err != nil {

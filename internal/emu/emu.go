@@ -82,7 +82,8 @@ func (c *CPU) trap(cause, tval uint64) {
 	c.PC = c.CSR[isa.CsrTVEC]
 }
 
-// load performs a data load, routing MMIO in kernel mode.
+// load performs a data load, routing MMIO in kernel mode. Sizes are
+// powers of two, so alignment is a mask test.
 func (c *CPU) load(addr uint64, n int, unsigned bool) (uint64, bool) {
 	if mem.IsMMIO(addr) {
 		if c.Mode != isa.Kernel {
@@ -96,7 +97,7 @@ func (c *CPU) load(addr uint64, n int, unsigned bool) (uint64, bool) {
 		}
 		return v, true
 	}
-	if addr%uint64(n) != 0 {
+	if addr&uint64(n-1) != 0 {
 		c.trap(isa.CauseMisalignLoad, addr)
 		return 0, false
 	}
@@ -125,11 +126,11 @@ func (c *CPU) store(addr uint64, n int, val uint64) bool {
 		}
 		return true
 	}
-	if addr%uint64(n) != 0 {
+	if addr&uint64(n-1) != 0 {
 		c.trap(isa.CauseMisalignStore, addr)
 		return false
 	}
-	if !c.Bus.Mem.Write(addr, n, val) {
+	if ok, _ := c.Bus.Mem.Write(addr, n, val); !ok {
 		c.trap(isa.CauseStoreFault, addr)
 		return false
 	}

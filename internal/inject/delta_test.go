@@ -80,3 +80,31 @@ func TestDeltaConvergenceMatchesFullCompare(t *testing.T) {
 		t.Logf("%s: %d live runs, %d converged, %d boundary checks", cfg.Name, live, converging, checks)
 	}
 }
+
+// TestConvergedRequiresRAM: a run whose machine state — core, caches,
+// devices — matches the golden checkpoint has still not converged while
+// its RAM differs, here in a byte no cache line holds, so the faulty
+// value would only show once the program reads it.
+func TestConvergedRequiresRAM(t *testing.T) {
+	cp := shaCampaign(t, micro.ConfigA72(), 24)
+	w := &worker{src: -1}
+	g := cp.chain.Len() / 2
+	j := g + 1
+	core := cp.coreFor(w, cp.chain.Coord(j), g)
+	if !cp.converged(core, g, j, w) {
+		t.Fatal("fault-free run from checkpoint g did not converge at g+1")
+	}
+	// The middle of RAM lies between sha's heap and its stack.
+	addr := cp.Img.RAM.Size() / 2
+	core.Bus.Mem.FlipBit(addr, 3)
+	ram, _ := core.Bus.Mem.Byte(addr)
+	if seen, _ := core.Bus.Reader.DMARead(addr); seen != ram {
+		t.Fatalf("a cache line holds %#x", addr)
+	}
+	if core.StateProbe() != cp.chain.Probe(j) || !cp.stateConverged(core, g, j, w) {
+		t.Fatal("a RAM flip changed the machine state")
+	}
+	if cp.converged(core, g, j, w) {
+		t.Fatalf("converged with RAM byte %#x differing from the golden run", addr)
+	}
+}

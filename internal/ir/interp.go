@@ -3,6 +3,8 @@ package ir
 import (
 	"errors"
 	"fmt"
+
+	"vulnstack/internal/mem"
 )
 
 // Interpreter errors classified as abnormal termination (the software-
@@ -457,26 +459,26 @@ func b2i(b bool) int64 {
 	return 0
 }
 
-func (ip *Interp) checkAddr(addr int64, n int) error {
-	a := int64(uint64(addr) & ip.mask)
-	if a < guardTop || a+int64(n) > int64(len(ip.Mem)) || a+int64(n) < a {
-		return fmt.Errorf("%w: %#x", ErrBadAddress, uint64(addr))
+// checkAddr validates an n-byte access at addr (n in {1,2,4,8}) and
+// returns its width-masked address: in bounds, then n-aligned.
+func (ip *Interp) checkAddr(addr int64, n int) (uint64, error) {
+	a := uint64(addr) & ip.mask
+	end := a + uint64(n)
+	if a < guardTop || end > uint64(len(ip.Mem)) || end < a {
+		return 0, fmt.Errorf("%w: %#x", ErrBadAddress, uint64(addr))
 	}
-	if a%int64(n) != 0 {
-		return fmt.Errorf("%w: %#x size %d", ErrMisaligned, uint64(addr), n)
+	if a&uint64(n-1) != 0 {
+		return 0, fmt.Errorf("%w: %#x size %d", ErrMisaligned, uint64(addr), n)
 	}
-	return nil
+	return a, nil
 }
 
 func (ip *Interp) load(addr int64, n int, unsigned bool) (int64, error) {
-	if err := ip.checkAddr(addr, n); err != nil {
+	a, err := ip.checkAddr(addr, n)
+	if err != nil {
 		return 0, err
 	}
-	a := uint64(addr) & ip.mask
-	var v uint64
-	for i := n - 1; i >= 0; i-- {
-		v = v<<8 | uint64(ip.Mem[a+uint64(i)])
-	}
+	v := mem.LoadLE(ip.Mem[a:], n)
 	if !unsigned {
 		shift := uint(64 - 8*n)
 		return ip.wrap(int64(v<<shift) >> shift), nil
@@ -485,18 +487,16 @@ func (ip *Interp) load(addr int64, n int, unsigned bool) (int64, error) {
 }
 
 func (ip *Interp) store(addr int64, n int, val int64) error {
-	if err := ip.checkAddr(addr, n); err != nil {
+	a, err := ip.checkAddr(addr, n)
+	if err != nil {
 		return err
 	}
-	a := uint64(addr) & ip.mask
 	if ip.track {
 		// Stores are size-aligned (checkAddr), so they never straddle a
 		// page boundary.
-		ip.markPage(int64(a) >> pageShift)
+		ip.markPage(int64(a >> pageShift))
 	}
-	for i := 0; i < n; i++ {
-		ip.Mem[a+uint64(i)] = byte(uint64(val) >> (8 * i))
-	}
+	mem.StoreLE(ip.Mem[a:], n, uint64(val))
 	return nil
 }
 

@@ -57,14 +57,19 @@ type Memory struct {
 	dirtyPages []uint32
 
 	// codeVer, when enabled, holds one version counter per VerGranule
-	// bytes, bumped by every content mutation (stores, bit flips,
-	// page/image restores). The translation-block engine keys cached
-	// blocks on the versions of the granules they decode from, so any
+	// bytes, and codeBit flags the granules decoded code lives in (see
+	// FlagCode). Only flagged granules are versioned: every content
+	// mutation of one (stores, bit flips, page restores that change its
+	// bytes) bumps its counter. The translation-block engine flags each
+	// granule before it captures the version a block is keyed on, so any
 	// write that could invalidate predecoded code — self-modifying
 	// stores, injected instruction-bit flips, checkpoint restores —
-	// forces a re-decode. A spurious bump only costs a rebuild, never
-	// correctness. The granule is finer than a page so data stores
-	// sharing a page with hot code do not keep invalidating its blocks.
+	// forces a re-decode, while writes to unflagged granules (nearly all
+	// data stores) cost no version work at all. A spurious bump only
+	// costs a rebuild, never correctness. The granule is finer than a
+	// page so data stores sharing a page with hot code do not keep
+	// invalidating its blocks.
+	codeBit []uint64
 	codeVer []uint32
 }
 
@@ -106,31 +111,53 @@ func (m *Memory) EnableTracking() {
 	m.dirtyBit = make([]uint64, (pages+63)/64)
 }
 
-// EnableCodeVersions turns on per-granule content versioning (see
-// codeVer). Idempotent; versioning does not survive Clone.
+// EnableCodeVersions turns on per-granule content versioning of the
+// granules FlagCode marks (see codeVer). Idempotent; versioning does not
+// survive Clone.
 func (m *Memory) EnableCodeVersions() {
 	if m.codeVer == nil {
-		m.codeVer = make([]uint32, (len(m.data)+VerGranule-1)>>VerShift)
+		n := (len(m.data) + VerGranule - 1) >> VerShift
+		m.codeVer = make([]uint32, n)
+		m.codeBit = make([]uint64, (n+63)/64)
 	}
 }
 
+// FlagCode marks version granule c as holding code: from now on every
+// mutation of its bytes bumps its version. A flag is never cleared.
+// Callers flag a granule before reading the version they key decoded
+// code on. A no-op without versioning or for out-of-range granules.
+func (m *Memory) FlagCode(c uint32) {
+	if int(c) < len(m.codeVer) {
+		m.codeBit[c>>6] |= 1 << (c & 63)
+	}
+}
+
+// isCode reports whether granule c is flagged (versioning enabled).
+func (m *Memory) isCode(c uint64) bool { return m.codeBit[c>>6]&(1<<(c&63)) != 0 }
+
 // ChunkVersion returns version granule c's content counter (0 until
-// versioning is enabled or for out-of-range granules). Two reads of the
-// same granule returning the same version bracket unmodified bytes.
+// versioning is enabled or for out-of-range granules). Once c is
+// flagged, two reads returning the same version bracket unmodified
+// bytes.
 func (m *Memory) ChunkVersion(c uint32) uint32 {
-	if m.codeVer == nil || int(c) >= len(m.codeVer) {
+	if int(c) >= len(m.codeVer) {
 		return 0
 	}
 	return m.codeVer[c]
 }
 
-// bumpVer advances the version of every granule overlapping a validated
-// write [addr, addr+n).
-func (m *Memory) bumpVer(addr uint64, n int) {
+// bumpCode advances the version of every flagged granule overlapping a
+// validated write [addr, addr+n) and reports whether there was one.
+func (m *Memory) bumpCode(addr uint64, n int) bool {
+	hit := false
 	last := (addr + uint64(n) - 1) >> VerShift
 	for c := addr >> VerShift; c <= last; c++ {
-		m.codeVer[c]++
+		if m.isCode(c) {
+			m.codeVer[c]++
+			hit = true
+		}
 	}
+	return hit
 }
 
 // bumpAllVer advances every granule version (whole-image mutations).
@@ -140,14 +167,19 @@ func (m *Memory) bumpAllVer() {
 	}
 }
 
-// bumpChangedChunks advances the version of every granule in [lo, hi)
-// whose current bytes differ from src (src is indexed relative to lo;
-// bytes past len(src) are about to be left unchanged). Restore paths
-// use it instead of a blind bump: a page restore rewrites whole pages,
-// but the code granules on them are almost always byte-identical across
-// restores, and skipping their bump keeps predecoded blocks valid.
+// bumpChangedChunks advances the version of every flagged granule in
+// [lo, hi) whose current bytes differ from src (lo is granule-aligned;
+// src is indexed relative to lo; bytes past len(src) are about to be
+// left unchanged). Restore paths use it instead of a blind bump: a page
+// restore rewrites whole pages, but the code granules on them are
+// almost always byte-identical across restores, and skipping their bump
+// keeps predecoded blocks valid. Unflagged granules hold no decoded
+// code, so they are neither compared nor bumped.
 func (m *Memory) bumpChangedChunks(lo, hi int, src []byte) {
 	for off := lo; off < hi; off += VerGranule {
+		if !m.isCode(uint64(off) >> VerShift) {
+			continue
+		}
 		slo := off - lo
 		if slo >= len(src) {
 			return
@@ -300,33 +332,63 @@ func (m *Memory) RestoreDirty(src *Memory) {
 	m.clearDirty()
 }
 
+// LoadLE returns the n-byte little-endian word at the start of b, for n
+// in {1, 2, 4, 8}: the word kernel behind Read, shared with the IR
+// interpreter's flat memory.
+func LoadLE(b []byte, n int) uint64 {
+	switch n {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	default:
+		return binary.LittleEndian.Uint64(b)
+	}
+}
+
+// StoreLE writes the low n bytes of v at the start of b, little-endian,
+// for n in {1, 2, 4, 8}: the word kernel behind Write.
+func StoreLE(b []byte, n int, v uint64) {
+	switch n {
+	case 1:
+		b[0] = byte(v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+	default:
+		binary.LittleEndian.PutUint64(b, v)
+	}
+}
+
 // Read loads an n-byte little-endian value (n in {1,2,4,8}).
 func (m *Memory) Read(addr uint64, n int) (uint64, bool) {
 	if !m.Valid(addr, n) {
 		return 0, false
 	}
-	var v uint64
-	for i := n - 1; i >= 0; i-- {
-		v = v<<8 | uint64(m.data[addr+uint64(i)])
-	}
-	return v, true
+	return LoadLE(m.data[addr:], n), true
 }
 
-// Write stores the low n bytes of val at addr, little-endian.
-func (m *Memory) Write(addr uint64, n int, val uint64) bool {
+// Write stores the low n bytes of val at addr, little-endian (n in
+// {1,2,4,8}). It validates the range (ok is false, and nothing changes,
+// outside RAM), marks the written page dirty under tracking, and reports
+// in code whether it touched a granule flagged by FlagCode, whose
+// version it bumped: only such a store can have overwritten decoded
+// code.
+func (m *Memory) Write(addr uint64, n int, val uint64) (ok, code bool) {
 	if !m.Valid(addr, n) {
-		return false
+		return false, false
 	}
 	if m.track {
 		m.mark(addr, n)
 	}
 	if m.codeVer != nil {
-		m.bumpVer(addr, n)
+		code = m.bumpCode(addr, n)
 	}
-	for i := 0; i < n; i++ {
-		m.data[addr+uint64(i)] = byte(val >> (8 * i))
-	}
-	return true
+	StoreLE(m.data[addr:], n, val)
+	return true, code
 }
 
 // ReadBytes copies len(dst) bytes starting at addr into dst.
@@ -347,7 +409,7 @@ func (m *Memory) WriteBytes(addr uint64, src []byte) bool {
 		m.mark(addr, len(src))
 	}
 	if m.codeVer != nil && len(src) > 0 {
-		m.bumpVer(addr, len(src))
+		m.bumpCode(addr, len(src))
 	}
 	copy(m.data[addr:], src)
 	return true
@@ -371,7 +433,7 @@ func (m *Memory) FlipBit(addr uint64, bit uint) bool {
 		m.mark(addr, 1)
 	}
 	if m.codeVer != nil {
-		m.bumpVer(addr, 1)
+		m.bumpCode(addr, 1)
 	}
 	m.data[addr] ^= 1 << bit
 	return true

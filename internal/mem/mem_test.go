@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -14,7 +17,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 			a += GuardTop
 		}
 		a &^= uint64(n - 1) // align
-		if !m.Write(a, n, val) {
+		if ok, _ := m.Write(a, n, val); !ok {
 			return a+uint64(n) > m.Size()
 		}
 		got, ok := m.Read(a, n)
@@ -37,7 +40,7 @@ func TestGuardPage(t *testing.T) {
 	if _, ok := m.Read(0, 4); ok {
 		t.Fatal("null page must not be readable")
 	}
-	if m.Write(GuardTop-4, 8, 1) {
+	if ok, _ := m.Write(GuardTop-4, 8, 1); ok {
 		t.Fatal("write straddling guard must fail")
 	}
 	if _, ok := m.Read(m.Size()-4, 8); ok {
@@ -236,4 +239,177 @@ func TestPageEqualAndDirtyTracking(t *testing.T) {
 	if l := m.DirtyPageList(); len(l) != 1 || l[0] != 5 {
 		t.Fatalf("DirtyPageList = %v, want [5]", l)
 	}
+}
+
+// FuzzMemoryAccess checks Read, Write, FlipBit, SetPage, RestoreDirty,
+// ResetDirty and FlagCode, with tracking and code versions on, against
+// a plain byte-slice model of RAM and of its dirty-page list: values,
+// ok flags, the code hits Write reports, contents and the dirty pages
+// in first-write order must all agree. Every flagged granule whose
+// bytes changed across an operation must carry a new version, which is
+// what keeps predecoded code from going stale.
+//
+// The input is a sequence of 8-byte operations: kind, a0, a1, a2, then
+// four payload bytes x. The address is a0 | a1<<8 (kind bit 7 moves it
+// just below 2^64), a2 picks the access size or bit, and x the stored
+// value or the page edit.
+func FuzzMemoryAccess(f *testing.F) {
+	f.Add([]byte{
+		5, 0x10, 0, 0, 0, 0, 0, 0, // FlagCode(16): granule 16 is page 1's first
+		1, 0x08, 0x10, 3, 1, 2, 3, 4, // Write(0x1008, 8) into the flagged granule
+		0, 0x08, 0x10, 3, 0, 0, 0, 0, // Read(0x1008, 8)
+		1, 0x00, 0x30, 2, 9, 9, 9, 9, // Write(0x3000, 4): page 3, unflagged
+		4, 0, 0, 0, 0, 0, 0, 0, // RestoreDirty: page 1's flagged granule changes back
+		1, 0xfc, 0x1f, 3, 5, 6, 7, 8, // Write(0x1ffc, 8) straddles pages 1 and 2
+		2, 0x00, 0x10, 5, 0, 0, 0, 0, // FlipBit(0x1000, 5)
+		3, 1, 0, 0, 0x10, 0, 0xff, 0, // SetPage(1) from the model, byte 0x10 flipped
+		6, 0, 0, 0, 0, 0, 0, 0, // ResetDirty
+		3, 1, 0, 0, 0x20, 0, 0x01, 2, // SetPage(1) from the restore source
+		0x81, 0xfc, 0, 2, 0, 0, 0, 0, // Write(2^64-4-0xfc, 4): out of range
+	})
+	f.Add([]byte{
+		5, 0x3f, 0, 0, 0, 0, 0, 0, // FlagCode(63): the last granule
+		5, 0x40, 0, 0, 0, 0, 0, 0, // FlagCode(64): out of range
+		1, 0xf8, 0x3f, 3, 1, 1, 1, 1, // Write(0x3ff8, 8): last word
+		1, 0xfc, 0x3f, 3, 1, 1, 1, 1, // Write(0x3ffc, 8): past the end
+		2, 0xff, 0x3f, 8, 0, 0, 0, 0, // FlipBit(0x3fff, 8): bad bit
+		0, 0xff, 0x0f, 0, 0, 0, 0, 0, // Read(0xfff, 1): guard page
+		3, 3, 0, 4, 0xf8, 0x0f, 0x80, 1, // SetPage(3) with half a page
+		4, 0, 0, 0, 0, 0, 0, 0, // RestoreDirty
+		3, 9, 0, 0, 0, 0, 1, 0, // SetPage(9): out of range
+	})
+	const size = 4 * PageSize
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		src := New(size)
+		for i := range src.data {
+			src.data[i] = byte(i*7 + i>>8)
+		}
+		m := New(size)
+		m.EnableTracking()
+		m.EnableCodeVersions()
+		m.CopyFrom(src)
+		model := append([]byte(nil), src.data...)
+		var dirty []uint32
+		markModel := func(addr uint64, n int) {
+			for p := uint32(addr >> PageShift); p <= uint32((addr+uint64(n)-1)>>PageShift); p++ {
+				if !slices.Contains(dirty, p) {
+					dirty = append(dirty, p)
+				}
+			}
+		}
+		ngran := size / VerGranule
+		flagged := make([]bool, ngran)
+		seenVer := make([]uint32, ngran)
+		seen := make([][]byte, ngran)
+		granule := func(g int) []byte { return model[g*VerGranule : (g+1)*VerGranule] }
+		valid := func(addr uint64, n int) bool {
+			return addr >= GuardTop && addr < size && uint64(n) <= size-addr
+		}
+
+		for ; len(ops) >= 8; ops = ops[8:] {
+			kind, a, a2, x := ops[0], uint64(ops[1])|uint64(ops[2])<<8, ops[3], ops[4:8]
+			if kind&0x80 != 0 {
+				a = ^uint64(0) - a
+			}
+			n := 1 << (a2 & 3)
+			switch (kind & 0x7f) % 7 {
+			case 0:
+				v, ok := m.Read(a, n)
+				if ok != valid(a, n) {
+					t.Fatalf("Read(%#x, %d) ok=%v", a, n, ok)
+				}
+				var want [8]byte
+				if ok {
+					copy(want[:], model[a:a+uint64(n)])
+				}
+				if v != binary.LittleEndian.Uint64(want[:]) {
+					t.Fatalf("Read(%#x, %d) = %#x, model %x", a, n, v, want[:n])
+				}
+			case 1:
+				v := uint64(binary.LittleEndian.Uint32(x)) * 0x9e3779b97f4a7c15
+				ok, code := m.Write(a, n, v)
+				if ok != valid(a, n) {
+					t.Fatalf("Write(%#x, %d) ok=%v", a, n, ok)
+				}
+				wantCode := false
+				if ok {
+					var b [8]byte
+					binary.LittleEndian.PutUint64(b[:], v)
+					copy(model[a:a+uint64(n)], b[:n])
+					markModel(a, n)
+					for g := a >> VerShift; g <= (a+uint64(n)-1)>>VerShift; g++ {
+						wantCode = wantCode || flagged[g]
+					}
+				}
+				if code != wantCode {
+					t.Fatalf("Write(%#x, %d) code=%v, want %v", a, n, code, wantCode)
+				}
+			case 2:
+				bit := uint(a2 % 9)
+				ok := m.FlipBit(a, bit)
+				if want := valid(a, 1) && bit < 8; ok != want {
+					t.Fatalf("FlipBit(%#x, %d) ok=%v", a, bit, ok)
+				}
+				if ok {
+					model[a] ^= 1 << bit
+					markModel(a, 1)
+				}
+			case 3:
+				p := uint32(ops[1]) % (size/PageSize + 1)
+				lo := int(p) * PageSize
+				data := make([]byte, PageSize)
+				base := model
+				if x[3]&2 != 0 {
+					base = src.data
+				}
+				if lo < size {
+					copy(data, base[lo:])
+				}
+				data[(int(x[0])|int(x[1])<<8)%PageSize] ^= x[2]
+				if x[3]&1 != 0 {
+					data = data[:PageSize/2+int(a2)]
+				}
+				m.SetPage(p, data)
+				if lo < size {
+					copy(model[lo:lo+PageSize], data)
+				}
+			case 4:
+				m.RestoreDirty(src)
+				for _, p := range dirty {
+					lo := int(p) * PageSize
+					copy(model[lo:lo+PageSize], src.data[lo:])
+				}
+				dirty = dirty[:0]
+			case 5:
+				g := int(a % uint64(ngran+2))
+				m.FlagCode(uint32(g))
+				if g < ngran && !flagged[g] {
+					flagged[g] = true
+					seenVer[g] = m.ChunkVersion(uint32(g))
+					seen[g] = append([]byte(nil), granule(g)...)
+				}
+			case 6:
+				m.ResetDirty()
+				dirty = dirty[:0]
+			}
+
+			if !bytes.Equal(m.Bytes(), model) {
+				t.Fatalf("op %d: contents differ from the model", kind)
+			}
+			if got := m.DirtyPageList(); !slices.Equal(got, dirty) {
+				t.Fatalf("op %d: dirty pages %v, model %v", kind, got, dirty)
+			}
+			for g := range flagged {
+				if !flagged[g] {
+					continue
+				}
+				v := m.ChunkVersion(uint32(g))
+				if !bytes.Equal(seen[g], granule(g)) && v == seenVer[g] {
+					t.Fatalf("op %d: flagged granule %d changed but kept version %d", kind, g, v)
+				}
+				seenVer[g] = v
+				seen[g] = append(seen[g][:0], granule(g)...)
+			}
+		}
+	})
 }

@@ -683,7 +683,7 @@ func (c *Core) executeMem(idx int, e *robe) bool {
 			if e.mode != isa.Kernel {
 				e.hasExc, e.excCause, e.excVal = true, isa.CausePrivilege, addr
 			}
-		} else if addr%uint64(size) != 0 {
+		} else if addr&uint64(size-1) != 0 {
 			e.hasExc, e.excCause, e.excVal = true, isa.CauseMisalignStore, addr
 		} else if !c.Bus.Mem.Valid(addr, size) {
 			e.hasExc, e.excCause, e.excVal = true, isa.CauseStoreFault, addr
@@ -721,7 +721,7 @@ func (c *Core) executeMem(idx int, e *robe) bool {
 		c.schedule(idx, 2)
 		return true
 	}
-	if eff%uint64(size) != 0 {
+	if eff&uint64(size-1) != 0 {
 		e.hasExc, e.excCause, e.excVal = true, isa.CauseMisalignLoad, eff
 		c.schedule(idx, 1)
 		return true

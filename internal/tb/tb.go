@@ -8,13 +8,17 @@
 // Soundness under fault injection is the design constraint:
 //
 //   - Code corruption. Blocks are keyed by (entry PC, content version
-//     of every covered 256-byte granule). mem.Memory bumps a
-//     per-granule version on every content mutation — data stores,
-//     injected bit flips, checkpoint restores — so a WI/WOI flip into
-//     text or a self-modifying store forces a re-decode at the next
-//     block lookup; a store issued from *inside* a block re-checks the
-//     block's own granule versions before running the next op. A stale
-//     predecoded op is therefore never executed.
+//     of every covered 256-byte granule). Building a block flags its
+//     granules as code in mem.Memory before capturing their versions,
+//     and every content mutation of a flagged granule — data stores,
+//     injected bit flips, checkpoint restores — bumps its version, so a
+//     WI/WOI flip into text or a self-modifying store forces a
+//     re-decode at the next block lookup; a store issued from *inside*
+//     a block that hits a flagged granule re-checks the block's own
+//     granule versions before running the next op. A stale predecoded
+//     op is therefore never executed. Flags come from block builds, not
+//     from the image's text range: a corrupted jump can decode a block
+//     from data, and that granule must be versioned from then on.
 //   - Fault landing. The engine stops at exact committed-instruction
 //     boundaries (Run's limit clips the in-block op budget), so
 //     register/state faults land mid-block exactly where the
@@ -95,8 +99,8 @@ type uop struct {
 // from entry up to and including the first control-flow instruction
 // (or a size/span/decode boundary). chunks/vers record the content
 // version of every 256-byte granule the block was decoded from; a
-// mismatch at lookup (or after an in-block store) invalidates the
-// block.
+// mismatch at lookup (or after an in-block store to a code granule)
+// invalidates the block.
 type block struct {
 	entry   uint64
 	ops     []uop
@@ -213,11 +217,12 @@ func (e *Engine) fresh(b *block) bool {
 	return true
 }
 
-// addChunk registers the version granule covering pc, capturing its
-// current content version. It reports false when the block already
-// spans the maximum number of granules and pc starts another (the
-// block ends before pc). Decode walks pc sequentially, so comparing
-// against the last registered granule suffices.
+// addChunk registers the version granule covering pc, flagging it as
+// code and then capturing its current content version. It reports false
+// when the block already spans the maximum number of granules and pc
+// starts another (the block ends before pc). Decode walks pc
+// sequentially, so comparing against the last registered granule
+// suffices.
 func (b *block) addChunk(m *mem.Memory, pc uint64) bool {
 	c := uint32(pc >> mem.VerShift)
 	if b.nchunks > 0 && b.chunks[b.nchunks-1] == c {
@@ -226,6 +231,7 @@ func (b *block) addChunk(m *mem.Memory, pc uint64) bool {
 	if b.nchunks == len(b.chunks) {
 		return false
 	}
+	m.FlagCode(c)
 	b.chunks[b.nchunks] = c
 	b.vers[b.nchunks] = m.ChunkVersion(c)
 	b.nchunks++
@@ -343,6 +349,7 @@ func (e *Engine) exec(b *block, limit uint64) {
 	}
 	ops := b.ops
 	regs := &c.Regs
+	m := e.m
 	mask, xsh, shm := e.mask, e.xsh, e.shm
 	entry := b.entry
 	kern := c.Mode == isa.Kernel
@@ -405,13 +412,28 @@ func (e *Engine) exec(b *block, limit uint64) {
 		case uLUI:
 			regs[u.rd] = uint64(u.imm) & mask
 
+		// Loads and stores take an inline path when the access is
+		// aligned, outside the MMIO window and inside RAM — where
+		// emu.load/store cannot trap or touch a device. Every other
+		// access runs with full Step semantics, trap included.
 		case uLOAD, uLOADU:
 			addr := (regs[u.rs1] + uint64(u.imm)) & mask
-			c.PC = entry + 4*uint64(i)
-			v, ok := c.LoadMem(addr, int(u.n), u.code == uLOADU)
-			if !ok {
-				e.flush(kern, i)
-				return
+			sz := int(u.n)
+			v, ok := uint64(0), false
+			if addr&uint64(sz-1) == 0 && !mem.IsMMIO(addr) {
+				v, ok = m.Read(addr, sz)
+			}
+			if ok {
+				if u.code == uLOAD {
+					sh := 64 - 8*uint(sz)
+					v = uint64(int64(v<<sh) >> sh)
+				}
+			} else {
+				c.PC = entry + 4*uint64(i)
+				if v, ok = c.LoadMem(addr, sz, u.code == uLOADU); !ok {
+					e.flush(kern, i)
+					return
+				}
 			}
 			if u.rd != 0 {
 				regs[u.rd] = v & mask
@@ -419,16 +441,30 @@ func (e *Engine) exec(b *block, limit uint64) {
 
 		case uSTORE:
 			addr := (regs[u.rs1] + uint64(u.imm)) & mask
+			sz := int(u.n)
+			if addr&uint64(sz-1) == 0 && !mem.IsMMIO(addr) {
+				if ok, code := m.Write(addr, sz, regs[u.rs2]); ok {
+					// Only a store into a flagged granule can have
+					// overwritten this block's code (a self-modifying
+					// store); then the remaining predecoded ops must
+					// not run unless the block is still fresh.
+					if code && !e.fresh(b) {
+						e.flush(kern, i+1)
+						c.PC = entry + 4*uint64(i+1)
+						return
+					}
+					continue
+				}
+			}
 			c.PC = entry + 4*uint64(i)
-			if !c.StoreMem(addr, int(u.n), regs[u.rs2]) {
+			if !c.StoreMem(addr, sz, regs[u.rs2]) {
 				e.flush(kern, i)
 				return
 			}
-			// The store committed. It may have halted the machine (MMIO
-			// halt ports) or overwritten this very block's code granules
-			// (a self-modifying store):
-			// either way the remaining predecoded ops must not run.
-			if c.Bus.Halted() || !e.fresh(b) {
+			// An MMIO store committed (devices never write RAM). It may
+			// have halted the machine through a halt port; then the
+			// remaining predecoded ops must not run.
+			if c.Bus.Halted() {
 				e.flush(kern, i+1)
 				c.PC = entry + 4*uint64(i+1)
 				return
