@@ -3,7 +3,7 @@ package vulnstack
 // The benchmark harness regenerates every table and figure of the
 // paper's evaluation:
 //
-//	go test -bench=. -benchmem
+//	go test -bench='Table|Fig' -benchmem .
 //
 // Each BenchmarkFigN/BenchmarkTableN prints the regenerated artifact
 // once (they share a lab, so golden runs and campaigns are reused) and

@@ -10,8 +10,7 @@
 //	vulnstack campaign -bench sha -config A72 -struct L2 -n 200 [-store DIR | -reference] [-cpuprofile F] [-memprofile F]
 //	vulnstack campaign -layer soft -bench sha -n 200 [-static] [-store DIR]
 //	vulnstack campaign -strat [-layer micro|arch|soft] [-static] [-ci 0.0288] [-conf 0.99] [-pool 20000] [-n0 N] [-maxnew N] [-store DIR]
-//	vulnstack bench [-bench a,b] [-n N] [-out FILE]
-//	vulnstack results [list|show|export|compact] -store DIR [-id ID] [filters]
+//	vulnstack results [list|show|export] -store DIR [-id ID] [filters]
 package main
 
 import (
@@ -52,8 +51,6 @@ func main() {
 		err = cmdRun(os.Args[2:])
 	case "campaign":
 		err = cmdCampaign(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "results":
 		err = cmdResults(os.Args[2:])
 	default:
@@ -73,8 +70,7 @@ func usage() {
   vulnstack analyze [flags]               static no-execution analysis report
   vulnstack run [flags]                   run one benchmark on a core model
   vulnstack campaign [flags]              one fault-injection campaign
-  vulnstack bench [flags]                 per-injection cost benchmark -> BENCH_<date>.json
-  vulnstack results <verb> [flags]        list / show / export / compact stored campaigns`)
+  vulnstack results <verb> [flags]        list / show / export stored campaigns`)
 }
 
 func cmdList() error {
@@ -497,15 +493,14 @@ func stratCampaign(sys *vulnstack.System, layer string, cfg micro.Config, stName
 	return nil
 }
 
-// cmdResults lists, inspects, exports or compacts the campaigns of a
-// persistent store. Tallies are re-aggregated through the streaming
+// cmdResults lists, inspects or exports the campaigns of a persistent
+// store. Tallies are re-aggregated through the streaming
 // columnar cursor with filters pushed down, so a show touches only the
 // columns it reads. Verbs:
 //
 //	list     every stored campaign manifest (the default)
 //	show     one campaign's tally, filterable (default with -id)
 //	export   one campaign's records as JSONL on stdout, filterable
-//	compact  migrate every legacy JSONL campaign to columnar segments
 func cmdResults(args []string) error {
 	verb := ""
 	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
@@ -549,20 +544,8 @@ func cmdResults(args []string) error {
 			return fmt.Errorf("results export: -id ID is required")
 		}
 		return exportCampaign(store, *id, filter)
-	case "compact":
-		st, err := store.Compact()
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d campaigns, %d migrated jsonl -> columnar", st.Campaigns, st.Migrated)
-		if st.Migrated > 0 {
-			fmt.Printf(" (%d -> %d bytes, %.1fx)", st.JSONLBytes, st.SegBytes,
-				float64(st.JSONLBytes)/float64(st.SegBytes))
-		}
-		fmt.Println()
-		return nil
 	default:
-		return fmt.Errorf("results: unknown verb %q (list, show, export, compact)", verb)
+		return fmt.Errorf("results: unknown verb %q (list, show, export)", verb)
 	}
 }
 
@@ -616,16 +599,16 @@ func listCampaigns(store *results.Store) error {
 		return nil
 	}
 	if len(ms) > 0 {
-		fmt.Printf("%-16s  %-5s  %-6s  %-5s  %6s  %8s  %-8s  %-5s  %s\n",
-			"ID", "LAYER", "CONFIG", "WHERE", "N", "MARGIN", "FORMAT", "CHAIN", "TARGET/SEED")
+		fmt.Printf("%-16s  %-5s  %-6s  %-5s  %6s  %8s  %-5s  %s\n",
+			"ID", "LAYER", "CONFIG", "WHERE", "N", "MARGIN", "CHAIN", "TARGET/SEED")
 		for _, m := range ms {
 			chain := "-"
 			if chainFor(chains, m.Key) != nil {
 				chain = "yes"
 			}
-			fmt.Printf("%-16s  %-5s  %-6s  %-5s  %6d  ±%6.2f%%  %-8s  %-5s  %s seed=%d\n",
+			fmt.Printf("%-16s  %-5s  %-6s  %-5s  %6d  ±%6.2f%%  %-5s  %s seed=%d\n",
 				m.Key.ID(), m.Key.Layer, orDash(m.Key.Config), orDash(m.Key.Struct),
-				m.N, 100*vulnstackMargin(m.N), m.Format, chain, m.Key.Target, m.Key.Seed)
+				m.N, 100*vulnstackMargin(m.N), chain, m.Key.Target, m.Key.Seed)
 		}
 		fmt.Printf("%d campaigns; inspect one with -id ID\n", len(ms))
 	}
@@ -694,7 +677,7 @@ func showCampaign(store *results.Store, id string, f results.Filter) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("campaign %s (schema v%d, %s)\n", id, m.Schema, m.Format)
+	fmt.Printf("campaign %s (schema v%d)\n", id, m.Schema)
 	fmt.Printf("  key     %s\n", m.Key)
 	if f.Empty() {
 		fmt.Printf("  records %d (±%.2f%% at 99%%)\n", m.N, 100*vulnstackMargin(m.N))
@@ -734,9 +717,8 @@ func showCampaign(store *results.Store, id string, f results.Filter) error {
 }
 
 // stratumTallies re-reads a campaign grouping its records by their
-// stored stratum label (the schema-v2 provenance column of stratified
-// campaigns). Uniform campaigns carry no labels and yield nothing; so
-// do legacy segments written before the column existed.
+// stored stratum label (the provenance column of stratified
+// campaigns). Uniform campaigns carry no labels and yield nothing.
 func stratumTallies(store *results.Store, id string, f results.Filter) (map[string]results.Tally, []string) {
 	_, c, err := store.CursorID(id, f)
 	if err != nil {

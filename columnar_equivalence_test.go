@@ -1,6 +1,7 @@
 package vulnstack
 
 import (
+	"bytes"
 	"testing"
 
 	"vulnstack/internal/isa"
@@ -11,9 +12,9 @@ import (
 // TestColumnarEquivalenceAllBenchmarks is the acceptance gate of the
 // columnar record plane: on every seed benchmark, at every layer, the
 // tally served from the columnar store (fresh run -> segment write ->
-// streamed re-read) and the tally of the same campaign migrated
-// through the JSONL interchange format must be bit-identical to the
-// direct in-memory run. Small per-layer counts — the point is breadth
+// streamed re-read) must be bit-identical to the direct in-memory run,
+// and each stored campaign must survive an export to the JSONL
+// interchange format and back record for record. Small per-layer counts — the point is breadth
 // across benchmarks (different record shapes: targets, coordinates,
 // outcomes, early-stop mixes), not statistical depth.
 func TestColumnarEquivalenceAllBenchmarks(t *testing.T) {
@@ -93,14 +94,8 @@ func TestColumnarEquivalenceAllBenchmarks(t *testing.T) {
 				t.Errorf("soft store split %+v != direct %+v", gotSoft, refSoft)
 			}
 
-			// JSONL round trip: re-save each stored campaign as legacy
-			// interchange JSONL in a second store, then aggregate — the
-			// first touch migrates back to columnar and the tally must
-			// still be bit-identical.
-			legacy, err := results.OpenStore(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
+			// JSONL round trip: export each stored campaign through the
+			// interchange format and parse it back.
 			for _, k := range []results.Key{
 				reread.MicroKey(cfg, micro.StructRF, seed),
 				reread.ArchKey(micro.FPMWD, seed),
@@ -110,23 +105,13 @@ func TestColumnarEquivalenceAllBenchmarks(t *testing.T) {
 				if err != nil || !ok {
 					t.Fatalf("%s: load ok=%v err=%v", k.ID(), ok, err)
 				}
-				if err := legacy.SaveJSONL(k, recs); err != nil {
+				var buf bytes.Buffer
+				if err := st.ExportJSONL(k.ID(), &buf); err != nil {
 					t.Fatal(err)
 				}
-				tl, err := legacy.TallyPrefix(k, len(recs))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := results.TallyOf(recs); tl != want {
-					t.Errorf("%s: migrated tally %+v != %+v", k.ID(), tl, want)
-				}
-				m, ok, err := legacy.Manifest(k)
-				if err != nil || !ok || m.Format != results.FormatColumnar {
-					t.Errorf("%s: post-migration manifest %+v ok=%v err=%v", k.ID(), m, ok, err)
-				}
-				back, ok, err := legacy.Load(k)
-				if err != nil || !ok || len(back) != len(recs) {
-					t.Fatalf("%s: reload %d ok=%v err=%v", k.ID(), len(back), ok, err)
+				back, err := results.ReadJSONL(&buf, -1)
+				if err != nil || len(back) != len(recs) {
+					t.Fatalf("%s: re-read %d of %d records, err=%v", k.ID(), len(back), len(recs), err)
 				}
 				for i := range back {
 					if back[i] != recs[i] {

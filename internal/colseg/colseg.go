@@ -46,6 +46,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 )
 
 // Version is the block-format version. Readers reject blocks written by
@@ -199,20 +201,6 @@ type Block struct {
 // Rows returns the block's record count.
 func (b *Block) Rows() int { return b.rows }
 
-// Has reports whether the block carries a column with the given id.
-// Blocks are self-describing (every block lists its columns in its
-// directory), so schema growth is backward compatible: a reader probes
-// for a column added after the block was written and substitutes the
-// zero value when it is absent, instead of rejecting the segment.
-func (b *Block) Has(id uint8) bool {
-	for _, c := range b.cols {
-		if c.id == id {
-			return true
-		}
-	}
-	return false
-}
-
 func (b *Block) find(id uint8, enc Enc) ([]byte, error) {
 	for _, c := range b.cols {
 		if c.id != id {
@@ -224,6 +212,20 @@ func (b *Block) find(id uint8, enc Enc) ([]byte, error) {
 		return c.data, nil
 	}
 	return nil, fmt.Errorf("%w: column %d missing", ErrCorrupt, id)
+}
+
+// rowBytes returns the payload of a column that spends at least one
+// byte per row, rejecting it when it is too short to hold the block's
+// rows — so a corrupt row count can never size an allocation.
+func (b *Block) rowBytes(id uint8, enc Enc) ([]byte, error) {
+	data, err := b.find(id, enc)
+	if err != nil {
+		return nil, err
+	}
+	if len(data) < b.rows {
+		return nil, fmt.Errorf("%w: column %d has %d bytes for %d rows", ErrCorrupt, id, len(data), b.rows)
+	}
+	return data, nil
 }
 
 // U8 decodes a one-byte-per-row column.
@@ -256,7 +258,7 @@ func (b *Block) Bits(id uint8) ([]bool, error) {
 
 // Uvarint decodes an unsigned varint column.
 func (b *Block) Uvarint(id uint8) ([]uint64, error) {
-	data, err := b.find(id, EncUvarint)
+	data, err := b.rowBytes(id, EncUvarint)
 	if err != nil {
 		return nil, err
 	}
@@ -274,7 +276,7 @@ func (b *Block) Uvarint(id uint8) ([]uint64, error) {
 
 // Zigzag decodes a signed varint column.
 func (b *Block) Zigzag(id uint8) ([]int64, error) {
-	data, err := b.find(id, EncZigzag)
+	data, err := b.rowBytes(id, EncZigzag)
 	if err != nil {
 		return nil, err
 	}
@@ -310,6 +312,9 @@ func (b *Block) Dict(id uint8) ([]string, error) {
 		dict[i] = string(data[n : n+int(l)])
 		data = data[n+int(l):]
 	}
+	if len(data) < b.rows {
+		return nil, fmt.Errorf("%w: dict column %d has %d index bytes for %d rows", ErrCorrupt, id, len(data), b.rows)
+	}
 	out := make([]string, b.rows)
 	for i := range out {
 		v, n := binary.Uvarint(data)
@@ -325,7 +330,7 @@ func (b *Block) Dict(id uint8) ([]string, error) {
 // Blob decodes an opaque byte-blob column. Returned rows alias the
 // block's payload and must not be mutated.
 func (b *Block) Blob(id uint8) ([][]byte, error) {
-	data, err := b.find(id, EncBlob)
+	data, err := b.rowBytes(id, EncBlob)
 	if err != nil {
 		return nil, err
 	}
@@ -347,12 +352,13 @@ func (b *Block) Blob(id uint8) ([][]byte, error) {
 // parseBody parses a block body (everything after the frame header).
 func parseBody(body []byte) (*Block, error) {
 	rows, n := binary.Uvarint(body)
-	if n <= 0 {
+	if n <= 0 || rows > math.MaxInt {
 		return nil, fmt.Errorf("%w: row count", ErrCorrupt)
 	}
 	body = body[n:]
 	ncols, n := binary.Uvarint(body)
-	if n <= 0 {
+	// A directory entry takes at least three bytes.
+	if n <= 0 || ncols > uint64(len(body)-n)/3 {
 		return nil, fmt.Errorf("%w: column count", ErrCorrupt)
 	}
 	body = body[n:]
@@ -455,13 +461,19 @@ func (r *Reader) Next() (*Block, error) {
 	if length > 1<<31 {
 		return nil, fmt.Errorf("%w: block length %d", ErrCorrupt, length)
 	}
-	if uint64(cap(r.buf)) < length {
-		r.buf = make([]byte, length)
+	// Grow the buffer only as body bytes arrive, so a corrupt length
+	// cannot allocate far beyond the bytes the stream actually holds.
+	body := r.buf[:0]
+	for uint64(len(body)) < length {
+		chunk := int(min(length-uint64(len(body)), 1<<20))
+		body = slices.Grow(body, chunk)
+		m, err := io.ReadFull(r.r, body[len(body):len(body)+chunk])
+		body = body[:len(body)+m]
+		if err != nil {
+			return nil, ErrTruncated
+		}
 	}
-	body := r.buf[:length]
-	if _, err := io.ReadFull(r.r, body); err != nil {
-		return nil, ErrTruncated
-	}
+	r.buf = body
 	return parseBody(body)
 }
 

@@ -2,6 +2,7 @@ package colseg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -198,5 +199,54 @@ func TestMissingAndMistypedColumn(t *testing.T) {
 	}
 	if _, err := blk.Bits(7); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("mistyped column err=%v", err)
+	}
+}
+
+// frame wraps a raw block body in a valid frame header.
+func frame(body []byte) []byte {
+	data := append(magic[:], Version)
+	data = binary.AppendUvarint(data, uint64(len(body)))
+	return append(data, body...)
+}
+
+func TestCorruptCountsRejected(t *testing.T) {
+	// Row and column counts are read from the bytes themselves; a corrupt
+	// count must fail as ErrCorrupt before it can size an allocation.
+	var hugeCols []byte
+	hugeCols = binary.AppendUvarint(hugeCols, 3)     // rows
+	hugeCols = binary.AppendUvarint(hugeCols, 1<<60) // ncols
+	if _, _, err := Parse(frame(hugeCols)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("column count 2^60: err=%v, want ErrCorrupt", err)
+	}
+	for _, rows := range []uint64{1 << 40, 1<<64 - 1} {
+		var body []byte
+		body = binary.AppendUvarint(body, rows)
+		body = binary.AppendUvarint(body, 3) // ncols
+		for id, enc := range []Enc{EncUvarint, EncDict, EncBits} {
+			body = append(body, uint8(id), uint8(enc), 1)
+		}
+		body = append(body, 0, 0, 0)
+		blk, _, err := Parse(frame(body))
+		if err != nil {
+			if errors.Is(err, ErrCorrupt) {
+				continue // rows beyond int: rejected at parse
+			}
+			t.Fatalf("rows %d: Parse err=%v", rows, err)
+		}
+		if _, err := blk.Uvarint(0); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("rows %d: Uvarint err=%v, want ErrCorrupt", rows, err)
+		}
+		if _, err := blk.Dict(1); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("rows %d: Dict err=%v, want ErrCorrupt", rows, err)
+		}
+		if _, err := blk.Bits(2); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("rows %d: Bits err=%v, want ErrCorrupt", rows, err)
+		}
+	}
+	// A frame claiming a 2 GiB body over a few bytes is truncated, not
+	// read into a 2 GiB buffer.
+	head := binary.AppendUvarint(append(magic[:], Version), 1<<31)
+	if _, err := NewReader(bytes.NewReader(append(head, 1, 2, 3))).Next(); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("oversized length: err=%v, want ErrTruncated", err)
 	}
 }

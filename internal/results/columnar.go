@@ -4,10 +4,9 @@
 // one colseg column; blocks hold up to BlockRows records, so cursor
 // memory is bounded by one block regardless of campaign size, and a
 // consumer that only tallies outcomes never decodes the coordinate,
-// entry or target columns at all (projection pushdown). JSONL remains
-// the interchange/debug format — WriteJSONL/ReadJSONL are the lossless
-// two-way converter the store's migration and export paths are built
-// on.
+// entry or target columns at all (projection pushdown). JSONL is the
+// interchange/debug format: WriteJSONL/ReadJSONL convert record slices
+// losslessly both ways, and the store's export path streams it.
 package results
 
 import (
@@ -23,8 +22,9 @@ import (
 )
 
 // Record column ids in the columnar segment format. The set is fixed
-// per block-format version (colseg.Version): every block carries every
-// column, so readers never guess at absent fields.
+// per schema (SchemaVersion): every block carries every column, and a
+// block missing one is corrupt, so readers never guess at absent
+// fields.
 const (
 	colIndex   uint8 = iota // zigzag: first row absolute, then gap to previous row
 	colLayer                // u8
@@ -39,16 +39,8 @@ const (
 	colContact              // uvarint
 	colLive                 // bits
 	colEarly                // bits
-	// colStratum (schema v2) is the stratified-campaign equivalence
-	// class label. Blocks written before it existed omit it; readers
-	// probe with Block.Has and substitute "" (uniform sampling), so
-	// legacy segments stay readable without migration.
-	colStratum // dict
-	// colStatic (schema v3) marks records classified by the static
-	// demanded-bits analysis without an injector run. Same legacy
-	// story: absent in older blocks, probed with Block.Has, reads back
-	// false.
-	colStatic // bits
+	colStratum              // dict: stratified-campaign class label (schema v2)
+	colStatic               // bits: statically resolved, no injector run (schema v3)
 )
 
 // BlockRows is the record batch size of one columnar block: large
@@ -131,6 +123,23 @@ func encodeColumnar(recs []Record) []byte {
 	return dst
 }
 
+// enumColumn decodes a one-byte enum column and rejects any value at or
+// above limit. A flipped byte must surface as corruption: taken as is
+// it would panic TallyOf and String, and folded into range it would be
+// silently counted as some valid class.
+func enumColumn(b *colseg.Block, id uint8, limit int, what string) ([]uint8, error) {
+	col, err := b.U8(id)
+	if err != nil {
+		return nil, err
+	}
+	for i, v := range col {
+		if int(v) >= limit {
+			return nil, fmt.Errorf("%w: %s %d at row %d", colseg.ErrCorrupt, what, v, i)
+		}
+	}
+	return col, nil
+}
+
 // blockRecords fully decodes a block back into records (the Load and
 // export paths; aggregation never takes this route).
 func blockRecords(b *colseg.Block, dst []Record) ([]Record, error) {
@@ -138,7 +147,7 @@ func blockRecords(b *colseg.Block, dst []Record) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	layer, err := b.U8(colLayer)
+	layer, err := enumColumn(b, colLayer, int(NumLayers), "layer")
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +171,7 @@ func blockRecords(b *colseg.Block, dst []Record) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	outcome, err := b.U8(colOutcome)
+	outcome, err := enumColumn(b, colOutcome, int(NumOutcomes), "outcome")
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +179,7 @@ func blockRecords(b *colseg.Block, dst []Record) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	fpm, err := b.U8(colFPM)
+	fpm, err := enumColumn(b, colFPM, int(micro.NumFPM), "FPM")
 	if err != nil {
 		return nil, err
 	}
@@ -186,21 +195,13 @@ func blockRecords(b *colseg.Block, dst []Record) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Legacy blocks (schema v1) predate the stratum column: absent means
-	// uniform sampling, read back as "".
-	var stratum []string
-	if b.Has(colStratum) {
-		if stratum, err = b.Dict(colStratum); err != nil {
-			return nil, err
-		}
+	stratum, err := b.Dict(colStratum)
+	if err != nil {
+		return nil, err
 	}
-	// Pre-v3 blocks predate the static-resolution column: absent reads
-	// back as false (no record was statically resolved).
-	var static []bool
-	if b.Has(colStatic) {
-		if static, err = b.Bits(colStatic); err != nil {
-			return nil, err
-		}
+	static, err := b.Bits(colStatic)
+	if err != nil {
+		return nil, err
 	}
 	prev := int64(0)
 	for i := 0; i < b.Rows(); i++ {
@@ -209,28 +210,23 @@ func blockRecords(b *colseg.Block, dst []Record) ([]Record, error) {
 			index += prev + 1
 		}
 		prev = index
-		rec := Record{
-			Index:     int(index),
-			Layer:     Layer(layer[i]),
-			Target:    target[i],
-			Coord:     coord[i],
-			Entry:     int(entry[i]),
-			Bit:       int(bit[i]),
-			Slot:      int(slot[i]),
-			Outcome:   Outcome(outcome[i]),
-			Visible:   visible[i],
-			FPM:       micro.FPM(fpm[i]),
-			Contact:   contact[i],
-			Live:      live[i],
-			EarlyStop: early[i],
-		}
-		if stratum != nil {
-			rec.Stratum = stratum[i]
-		}
-		if static != nil {
-			rec.StaticResolved = static[i]
-		}
-		dst = append(dst, rec)
+		dst = append(dst, Record{
+			Index:          int(index),
+			Layer:          Layer(layer[i]),
+			Target:         target[i],
+			Coord:          coord[i],
+			Entry:          int(entry[i]),
+			Bit:            int(bit[i]),
+			Slot:           int(slot[i]),
+			Outcome:        Outcome(outcome[i]),
+			Visible:        visible[i],
+			FPM:            micro.FPM(fpm[i]),
+			Contact:        contact[i],
+			Live:           live[i],
+			EarlyStop:      early[i],
+			Stratum:        stratum[i],
+			StaticResolved: static[i],
+		})
 	}
 	return dst, nil
 }
@@ -355,7 +351,7 @@ func (c *Cursor) Close() error {
 // next returns the next block and the number of its rows to serve
 // (manifest-truncated), or ok=false at the end of the promised records.
 // A segment that ends — cleanly or torn — before the manifest count is
-// satisfied is corruption, mirroring the JSONL short-file check.
+// satisfied is corruption.
 func (c *Cursor) next() (*colseg.Block, int, bool, error) {
 	if c.remaining <= 0 {
 		return nil, 0, false, nil
@@ -444,40 +440,48 @@ func (c *Cursor) Tally() (Tally, error) {
 		if !ok {
 			return t, nil
 		}
-		sel, err := c.selection(blk, take)
-		if err != nil {
-			return Tally{}, err
-		}
-		outcome, err := blk.U8(colOutcome)
-		if err != nil {
-			return Tally{}, err
-		}
-		visible, err := blk.Bits(colVisible)
-		if err != nil {
-			return Tally{}, err
-		}
-		fpm, err := blk.U8(colFPM)
-		if err != nil {
-			return Tally{}, err
-		}
-		for i := 0; i < take; i++ {
-			if sel != nil && !sel[i] {
-				continue
-			}
-			t.N++
-			t.Outcomes[outcome[i]%uint8(NumOutcomes)]++
-			if visible[i] {
-				t.Visible++
-				t.FPM[fpm[i]%uint8(micro.NumFPM)]++
-			}
+		if err := c.tallyBlock(&t, blk, take); err != nil {
+			return Tally{}, fmt.Errorf("results: %s: %w", c.id, err)
 		}
 	}
+}
+
+// tallyBlock adds one block's selected rows to t.
+func (c *Cursor) tallyBlock(t *Tally, blk *colseg.Block, take int) error {
+	sel, err := c.selection(blk, take)
+	if err != nil {
+		return err
+	}
+	outcome, err := enumColumn(blk, colOutcome, int(NumOutcomes), "outcome")
+	if err != nil {
+		return err
+	}
+	visible, err := blk.Bits(colVisible)
+	if err != nil {
+		return err
+	}
+	fpm, err := enumColumn(blk, colFPM, int(micro.NumFPM), "FPM")
+	if err != nil {
+		return err
+	}
+	for i := 0; i < take; i++ {
+		if sel != nil && !sel[i] {
+			continue
+		}
+		t.N++
+		t.Outcomes[outcome[i]]++
+		if visible[i] {
+			t.Visible++
+			t.FPM[fpm[i]]++
+		}
+	}
+	return nil
 }
 
 // Each streams matching records through fn one at a time, holding at
 // most one decoded block in memory (the streaming show/export path).
 func (c *Cursor) Each(fn func(Record) error) error {
-	scratch := make([]Record, 0, BlockRows)
+	var scratch []Record
 	for {
 		blk, take, ok, err := c.next()
 		if err != nil {
@@ -516,8 +520,7 @@ func (c *Cursor) Records() ([]Record, error) {
 }
 
 // WriteJSONL writes records in the JSONL interchange/debug format, one
-// JSON object per line — the inverse of ReadJSONL and the export half
-// of the lossless JSONL<->columnar converter pair.
+// JSON object per line — the inverse of ReadJSONL.
 func WriteJSONL(w io.Writer, recs []Record) error {
 	bw := bufio.NewWriter(w)
 	for _, r := range recs {
@@ -532,8 +535,7 @@ func WriteJSONL(w io.Writer, recs []Record) error {
 }
 
 // ReadJSONL parses up to n JSONL records (n < 0: all). Blank lines are
-// skipped; trailing lines beyond n are ignored (a crashed JSONL append
-// leaves exactly those).
+// skipped, and lines beyond n are never parsed.
 func ReadJSONL(r io.Reader, n int) ([]Record, error) {
 	var recs []Record
 	if n > 0 {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"vulnstack/internal/colseg"
@@ -173,77 +175,10 @@ func TestFilterPushdownMatchesReference(t *testing.T) {
 	}
 }
 
-func TestStoreMigratesLegacyJSONLOnFirstTouch(t *testing.T) {
-	s := testStore(t)
-	k := Key{Layer: "micro", Target: "legacy", Config: "A72", Struct: "RF", Seed: 3}
-	recs := randomRecords(1200, 7)
-	if err := s.SaveJSONL(k, recs); err != nil {
-		t.Fatal(err)
-	}
-	m, ok, err := s.Manifest(k)
-	if err != nil || !ok || m.Format != FormatJSONL {
-		t.Fatalf("manifest %+v ok=%v err=%v", m, ok, err)
-	}
-	got, ok, err := s.Load(k)
-	if err != nil || !ok || len(got) != len(recs) {
-		t.Fatalf("load: %d records ok=%v err=%v", len(got), ok, err)
-	}
-	for i := range got {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d mismatch after migration", i)
-		}
-	}
-	// First touch flipped the campaign to columnar and dropped the
-	// interchange file.
-	m, _, err = s.Manifest(k)
-	if err != nil || m.Format != FormatColumnar {
-		t.Fatalf("post-migration manifest %+v err=%v", m, err)
-	}
-	if _, err := os.Stat(filepath.Join(s.Dir(), k.ID()+JSONLExt)); !os.IsNotExist(err) {
-		t.Fatalf("jsonl survived migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(s.Dir(), k.ID()+SegExt)); err != nil {
-		t.Fatalf("segment missing: %v", err)
-	}
-}
-
-func TestStoreAppendAfterMigration(t *testing.T) {
-	// A legacy campaign tops up through the columnar path and stays
-	// bit-identical to a one-shot save.
-	s := testStore(t)
-	k := Key{Layer: "soft", Target: "topup", Seed: 9}
-	all := randomRecords(900, 13)
-	if err := s.SaveJSONL(k, all[:400]); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(k, all[400:]); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := s.Load(k)
-	if err != nil || !ok || len(got) != len(all) {
-		t.Fatalf("load: %d ok=%v err=%v", len(got), ok, err)
-	}
-	for i := range got {
-		if got[i] != all[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-	tp, err := s.TallyPrefix(k, len(all))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := TallyOf(all); tp != want {
-		t.Fatalf("TallyPrefix %+v != %+v", tp, want)
-	}
-	if tp400, err := s.TallyPrefix(k, 400); err != nil || tp400 != TallyOf(all[:400]) {
-		t.Fatalf("prefix 400: %+v err=%v", tp400, err)
-	}
-}
-
 func TestStoreTrailingSegmentBytesIgnored(t *testing.T) {
 	// Bytes past the manifest-promised rows are a crashed append's torn
 	// tail — loads serve the promised prefix, and the next append
-	// truncates the debris (mirroring the JSONL trailing-line behavior).
+	// truncates the debris.
 	s := testStore(t)
 	k := Key{Layer: "micro", Target: "crash", Config: "A9", Struct: "L2", Seed: 4}
 	recs := randomRecords(300, 21)
@@ -331,39 +266,6 @@ func TestStoreExportJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreCompact(t *testing.T) {
-	s := testStore(t)
-	kj := Key{Layer: "micro", Target: "j", Config: "A72", Struct: "RF", Seed: 1}
-	kc := Key{Layer: "soft", Target: "c", Seed: 2}
-	if err := s.SaveJSONL(kj, randomRecords(100, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(kc, randomRecords(50, 2)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Campaigns != 2 || st.Migrated != 1 || st.JSONLBytes == 0 || st.SegBytes == 0 {
-		t.Fatalf("compact stats %+v", st)
-	}
-	ms, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range ms {
-		if m.Format != FormatColumnar {
-			t.Fatalf("campaign %s still %s after compact", m.Key.ID(), m.Format)
-		}
-	}
-	// Idempotent.
-	st, err = s.Compact()
-	if err != nil || st.Migrated != 0 {
-		t.Fatalf("second compact %+v err=%v", st, err)
-	}
-}
-
 func TestParseOutcomeFPM(t *testing.T) {
 	if o, err := ParseOutcome("sdc"); err != nil || o != SDC {
 		t.Fatalf("sdc -> %v err=%v", o, err)
@@ -379,84 +281,129 @@ func TestParseOutcomeFPM(t *testing.T) {
 	}
 }
 
-// TestPreV3BlockReadsStaticFalse pins the legacy-read contract of the
-// schema v3 column: a block written by a pre-v3 encoder (no colStatic —
-// here also no colStratum, i.e. a v1 writer) must decode with
-// StaticResolved false and Stratum "" on every record, with no
-// migration step.
+// TestPreV3BlockReadsStaticFalse pins the end of the legacy-read
+// contract: a block written before schema v3 (no colStatic) or before
+// v2 (no colStratum either) no longer reads back with zero-valued
+// provenance but fails to decode with ErrCorrupt naming the campaign.
+// The same columns plus colStatic decode, so the rejection is due to
+// the missing column alone.
 func TestPreV3BlockReadsStaticFalse(t *testing.T) {
-	recs := randomRecords(300, 9)
-	n := len(recs)
-	idx := make([]int64, n)
-	layer := make([]uint8, n)
-	target := make([]string, n)
-	coord := make([]uint64, n)
-	entry := make([]int64, n)
-	bit := make([]int64, n)
-	slot := make([]int64, n)
-	outcome := make([]uint8, n)
-	visible := make([]bool, n)
-	fpm := make([]uint8, n)
-	contact := make([]uint64, n)
-	live := make([]bool, n)
-	early := make([]bool, n)
-	prev := int64(0)
-	for i, r := range recs {
-		if i == 0 {
-			idx[i] = int64(r.Index)
-		} else {
-			idx[i] = int64(r.Index) - prev - 1
-		}
-		prev = int64(r.Index)
-		layer[i] = uint8(r.Layer)
-		target[i] = r.Target
-		coord[i] = r.Coord
-		entry[i] = int64(r.Entry)
-		bit[i] = int64(r.Bit)
-		slot[i] = int64(r.Slot)
-		outcome[i] = uint8(r.Outcome)
-		visible[i] = r.Visible
-		fpm[i] = uint8(r.FPM)
-		contact[i] = r.Contact
-		live[i] = r.Live
-		early[i] = r.EarlyStop
-	}
+	const n = 3
 	b := colseg.NewBuilder(n)
-	b.Zigzag(colIndex, idx)
-	b.U8(colLayer, layer)
-	b.Dict(colTarget, target)
-	b.Uvarint(colCoord, coord)
-	b.Zigzag(colEntry, entry)
-	b.Zigzag(colBit, bit)
-	b.Zigzag(colSlot, slot)
-	b.U8(colOutcome, outcome)
-	b.Bits(colVisible, visible)
-	b.U8(colFPM, fpm)
-	b.Uvarint(colContact, contact)
-	b.Bits(colLive, live)
-	b.Bits(colEarly, early)
-	data := b.AppendTo(nil)
+	b.Zigzag(colIndex, []int64{0, 0, 0})
+	b.U8(colLayer, make([]uint8, n))
+	b.Dict(colTarget, make([]string, n))
+	b.Uvarint(colCoord, make([]uint64, n))
+	b.Zigzag(colEntry, make([]int64, n))
+	b.Zigzag(colBit, make([]int64, n))
+	b.Zigzag(colSlot, make([]int64, n))
+	b.U8(colOutcome, make([]uint8, n))
+	b.Bits(colVisible, make([]bool, n))
+	b.U8(colFPM, make([]uint8, n))
+	b.Uvarint(colContact, make([]uint64, n))
+	b.Bits(colLive, make([]bool, n))
+	b.Bits(colEarly, make([]bool, n))
+	v1 := b.AppendTo(nil)
+	b.Dict(colStratum, make([]string, n))
+	v2 := b.AppendTo(nil)
+	b.Bits(colStatic, make([]bool, n))
+	v3 := b.AppendTo(nil)
 
-	c := newCursor(bytes.NewReader(data), nil, "legacy", n, Filter{})
-	got, err := c.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("decoded %d of %d", len(got), n)
-	}
-	for i, r := range got {
-		if r.StaticResolved {
-			t.Fatalf("record %d from a pre-v3 block reads StaticResolved", i)
-		}
-		if r.Stratum != "" {
-			t.Fatalf("record %d from a pre-v2 block reads stratum %q", i, r.Stratum)
-		}
-		want := recs[i]
-		want.StaticResolved = false
-		want.Stratum = ""
-		if r != want {
-			t.Fatalf("record %d: %+v != %+v", i, r, want)
+	for _, legacy := range []struct {
+		name string
+		data []byte
+	}{{"v1", v1}, {"v2", v2}} {
+		_, err := newCursor(bytes.NewReader(legacy.data), nil, "legacy", n, Filter{}).Records()
+		if !errors.Is(err, colseg.ErrCorrupt) || !strings.Contains(err.Error(), "legacy") {
+			t.Errorf("%s block: err=%v, want ErrCorrupt naming the campaign", legacy.name, err)
 		}
 	}
+	got, err := newCursor(bytes.NewReader(v3), nil, "current", n, Filter{}).Records()
+	if err != nil || len(got) != n {
+		t.Fatalf("v3 block: %d records, err=%v", len(got), err)
+	}
+}
+
+// TestCorruptEnumBytesRejected pins that an out-of-range outcome, FPM
+// or layer byte (a flipped bit in a stored segment) fails both read
+// paths with ErrCorrupt naming the campaign. Taken as is, such a byte
+// panics TallyOf and String; folded into range, Tally would count
+// outcome 5 as SDC and FPM 7 as WI. Tally reads no layer column, so a
+// corrupt layer fails only the record paths.
+func TestCorruptEnumBytesRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tally bool
+		flip  func(*Record)
+	}{
+		{"outcome", true, func(r *Record) { r.Outcome = NumOutcomes + 1 }},
+		{"fpm", true, func(r *Record) { r.FPM = micro.NumFPM + 2 }},
+		{"layer", false, func(r *Record) { r.Layer = NumLayers }},
+	} {
+		s := testStore(t)
+		k := Key{Layer: "micro", Target: tc.name, Config: "A72", Struct: "RF", Seed: 1}
+		recs := []Record{rec(0, Masked, false, 0), rec(1, SDC, true, micro.FPMWD), rec(2, Crash, false, 0)}
+		tc.flip(&recs[1])
+		if err := s.Save(k, recs); err != nil {
+			t.Fatal(err)
+		}
+		corrupt := func(op string, err error) {
+			t.Helper()
+			if !errors.Is(err, colseg.ErrCorrupt) || !strings.Contains(err.Error(), k.ID()) {
+				t.Errorf("%s: %s err=%v, want ErrCorrupt naming campaign %s", tc.name, op, err, k.ID())
+			}
+		}
+		_, _, err := s.Load(k)
+		corrupt("Load", err)
+		var buf bytes.Buffer
+		corrupt("ExportJSONL", s.ExportJSONL(k.ID(), &buf))
+		tl, err := s.TallyPrefix(k, len(recs))
+		if tc.tally {
+			corrupt("TallyPrefix", err)
+		} else if err != nil || tl.N != len(recs) {
+			t.Errorf("%s: TallyPrefix = %+v, err=%v", tc.name, tl, err)
+		}
+	}
+}
+
+// FuzzSegmentCursor feeds arbitrary segment bytes and manifest row
+// counts through every cursor path: Tally, a filtered Tally, and
+// Records followed by TallyOf and the String methods. Each must return
+// a value or an error, never panic. Whatever Records accepts must
+// tally identically on both paths and round-trip through
+// encodeColumnar.
+func FuzzSegmentCursor(f *testing.F) {
+	for _, n := range []int{0, 1, 3, 200} {
+		f.Add(encodeColumnar(randomRecords(n, int64(n)+1)), n)
+	}
+	recs := randomRecords(40, 7)
+	f.Add(append(encodeColumnar(recs[:25]), encodeColumnar(recs[25:])...), 40)
+	f.Add(encodeColumnar(recs), 20)
+	sdc := Filter{Outcomes: []Outcome{SDC}, BitRange: true, BitLo: 0, BitHi: 31}
+	f.Fuzz(func(t *testing.T, data []byte, n int) {
+		cursor := func(fl Filter) *Cursor { return newCursor(bytes.NewReader(data), nil, "fuzz", n, fl) }
+		tally, tallyErr := cursor(Filter{}).Tally()
+		filtered, filteredErr := cursor(sdc).Tally()
+		recs, err := cursor(Filter{}).Records()
+		if err != nil {
+			return
+		}
+		var matched []Record
+		for _, r := range recs {
+			_ = r.Layer.String() + r.Outcome.String() + r.FPM.String()
+			if sdc.Match(r) {
+				matched = append(matched, r)
+			}
+		}
+		if want := TallyOf(recs); tallyErr != nil || tally != want {
+			t.Fatalf("Tally = %+v, err=%v; Records gives %+v", tally, tallyErr, want)
+		}
+		if want := TallyOf(matched); filteredErr != nil || filtered != want {
+			t.Fatalf("filtered Tally = %+v, err=%v; Records gives %+v", filtered, filteredErr, want)
+		}
+		back, err := newCursor(bytes.NewReader(encodeColumnar(recs)), nil, "fuzz", len(recs), Filter{}).Records()
+		if err != nil || !slices.Equal(back, recs) {
+			t.Fatalf("re-encoded records do not round-trip: err=%v", err)
+		}
+	})
 }

@@ -74,15 +74,13 @@ type Record struct {
 	// snapshot boundary (or a provably dead definition at the soft
 	// layer) instead of running to completion. Pure provenance: the
 	// outcome is provably the run-to-completion one, and tallies ignore
-	// the flag. omitempty keeps old stores (schema v1) readable — absent
-	// means false.
+	// the flag.
 	EarlyStop bool `json:"es,omitempty"`
 	// Stratum is the equivalence-class label of a stratified campaign's
 	// record (empty for uniform sampling): provenance for the reweighted
 	// estimators, letting stored campaigns be re-aggregated per stratum
 	// without re-deriving the partition. Stored as a dictionary-encoded
-	// column; segments written before schema v2 simply lack it and read
-	// back empty.
+	// column.
 	Stratum string `json:"st,omitempty"`
 	// StaticResolved marks a record classified by the static
 	// demanded-bits analysis alone: the flipped bit provably never
@@ -90,8 +88,7 @@ type Record struct {
 	// any injector run. Pure provenance like EarlyStop — tallies ignore
 	// it, and the outcome is provably the run-to-completion one (the
 	// soundness gate pins this across all benchmarks). Stored as a
-	// schema-v3 bitset column; older segments lack it and read back
-	// false.
+	// bitset column.
 	StaticResolved bool `json:"sr,omitempty"`
 }
 

@@ -1,8 +1,12 @@
 package results
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"vulnstack/internal/micro"
@@ -160,21 +164,75 @@ func TestStoreList(t *testing.T) {
 	}
 }
 
+// TestStoreSchemaVersion pins that the store reads exactly schema-3
+// columnar campaigns: a manifest of an older or newer schema, or of the
+// JSONL format (explicit, or implied by an empty format field in stores
+// from before the columnar plane), fails every read and write loudly,
+// names the campaign, and leaves the store's files untouched.
 func TestStoreSchemaVersion(t *testing.T) {
-	s := testStore(t)
-	k := Key{Layer: "soft", Target: "x", Seed: 1}
-	if err := s.Save(k, []Record{rec(0, Masked, false, 0)}); err != nil {
+	for _, tc := range []struct {
+		schema int
+		format string
+	}{
+		{1, FormatColumnar},
+		{2, FormatColumnar},
+		{99, FormatColumnar},
+		{SchemaVersion, "jsonl"},
+		{SchemaVersion, ""},
+	} {
+		name := fmt.Sprintf("schema %d format %q", tc.schema, tc.format)
+		s := testStore(t)
+		k := Key{Layer: "soft", Target: "x", Seed: 1}
+		if err := s.Save(k, []Record{rec(0, Masked, false, 0)}); err != nil {
+			t.Fatal(err)
+		}
+		m := Manifest{Schema: tc.schema, Key: k, N: 1, Format: tc.format}
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(s.Dir(), k.ID()+".json"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := storeFiles(t, s)
+
+		fail := func(op string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), k.ID()) {
+				t.Errorf("%s: %s err=%v, want an error naming campaign %s", name, op, err, k.ID())
+			}
+		}
+		_, _, err = s.Manifest(k)
+		fail("Manifest", err)
+		_, _, err = s.Load(k)
+		fail("Load", err)
+		_, _, err = s.Cursor(k, Filter{})
+		fail("Cursor", err)
+		_, err = s.TallyPrefix(k, 1)
+		fail("TallyPrefix", err)
+		fail("Append", s.Append(k, []Record{rec(1, SDC, false, 0)}))
+		if after := storeFiles(t, s); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: store files changed:\n before %v\n after  %v", name, before, after)
+		}
+	}
+}
+
+// storeFiles maps every file in the store directory to its contents.
+func storeFiles(t *testing.T, s *Store) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(s.Dir())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the manifest to a future schema: loads must fail loudly,
-	// not silently misaggregate.
-	path := filepath.Join(s.Dir(), k.ID()+".json")
-	if err := os.WriteFile(path, []byte(`{"schema":99,"key":{"layer":"soft","target":"x","seed":1},"n":1}`), 0o644); err != nil {
-		t.Fatal(err)
+	files := make(map[string]string)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(s.Dir(), e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
 	}
-	if _, _, err := s.Load(k); err == nil {
-		t.Fatal("schema mismatch must error")
-	}
+	return files
 }
 
 func TestStoreTruncatedRecords(t *testing.T) {

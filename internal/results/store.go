@@ -7,11 +7,11 @@
 // prefix of the n=2000 campaign, so topping up appends only the missing
 // records and the merged tally is bit-identical to a one-shot run.
 //
-// JSONL is retained as the interchange/debug format: stores written by
-// earlier versions (or via SaveJSONL/ExportJSONL round trips) are
-// migrated to columnar segments losslessly on first touch, and the
-// manifest's Format field records which representation a campaign is
-// currently in.
+// The store reads and writes exactly one format: schema-3 columnar
+// segments. Any other manifest is rejected with an error naming the
+// campaign. JSONL is the interchange/debug format only: ExportJSONL
+// streams a stored campaign out, and WriteJSONL/ReadJSONL convert
+// record slices; the store itself never holds JSONL.
 package results
 
 import (
@@ -30,27 +30,18 @@ import (
 	"vulnstack/internal/colseg"
 )
 
-// SchemaVersion is the on-disk record schema. v2 added the optional
-// per-record stratum column; v3 adds the static-resolution provenance
-// bitset. Older segments stay readable (absent columns read back as
-// zero values). Loads of a newer or unknown version fail loudly rather
-// than silently misaggregating.
+// SchemaVersion is the on-disk record schema: every block carries all
+// fifteen record columns, including the stratum (added in v2) and the
+// static-resolution provenance bitset (added in v3). The store reads
+// only this version; loads of any other fail loudly rather than
+// silently misaggregating.
 const SchemaVersion = 3
 
-// Storage formats a campaign's records may be in on disk. The columnar
-// segment is the native format; JSONL is interchange/debug, kept
-// readable (and migrated on first touch) for stores written before the
-// columnar plane existed.
-const (
-	FormatJSONL    = "jsonl"
-	FormatColumnar = "columnar"
-)
+// FormatColumnar is the only record file format a manifest may name.
+const FormatColumnar = "columnar"
 
-// Record file extensions by format.
-const (
-	JSONLExt = ".jsonl"
-	SegExt   = ".seg"
-)
+// SegExt is the extension of a campaign's columnar segment file.
+const SegExt = ".seg"
 
 // Key is the full identity of one stored campaign. Two runs with equal
 // keys draw identical fault sequences, so their record sets are
@@ -70,8 +61,8 @@ type Key struct {
 	// Mode distinguishes sampling regimes that draw different fault
 	// sequences from the same (layer, target, config, struct, seed) —
 	// e.g. a stratified campaign's plan parameters and partition
-	// fingerprint. Empty for uniform campaigns, keeping pre-v2 IDs (and
-	// their stored records) unchanged.
+	// fingerprint. Empty for uniform campaigns, whose IDs predate the
+	// field and stay unchanged.
 	Mode string `json:"mode,omitempty"`
 }
 
@@ -95,9 +86,7 @@ type Manifest struct {
 	Key    Key `json:"key"`
 	// N is the number of records on disk (grows on top-up).
 	N int `json:"n"`
-	// Format is the record file representation: FormatColumnar for
-	// native segments, FormatJSONL (or empty, in manifests written
-	// before the columnar plane) for the interchange format.
+	// Format is the record file representation, always FormatColumnar.
 	Format string `json:"format,omitempty"`
 }
 
@@ -120,11 +109,11 @@ func OpenStore(dir string) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) manifestPath(id string) string { return filepath.Join(s.dir, id+".json") }
-func (s *Store) jsonlPath(id string) string    { return filepath.Join(s.dir, id+JSONLExt) }
 func (s *Store) segPath(id string) string      { return filepath.Join(s.dir, id+SegExt) }
 
-// readManifest loads a manifest by id; ok=false when absent. Manifests
-// from before the columnar plane carry no format field and mean JSONL.
+// readManifest loads a manifest by id; ok=false when absent. A manifest
+// of any schema but SchemaVersion, or of any format but columnar (JSONL
+// stores from before the columnar plane), is an error.
 func (s *Store) readManifest(id string) (Manifest, bool, error) {
 	data, err := os.ReadFile(s.manifestPath(id))
 	if os.IsNotExist(err) {
@@ -137,14 +126,9 @@ func (s *Store) readManifest(id string) (Manifest, bool, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return Manifest{}, false, fmt.Errorf("results: manifest %s: %w", id, err)
 	}
-	if m.Schema < 1 || m.Schema > SchemaVersion {
-		return Manifest{}, false, fmt.Errorf("results: manifest %s has schema %d, want 1..%d", id, m.Schema, SchemaVersion)
-	}
-	if m.Format == "" {
-		m.Format = FormatJSONL
-	}
-	if m.Format != FormatJSONL && m.Format != FormatColumnar {
-		return Manifest{}, false, fmt.Errorf("results: manifest %s has unknown format %q", id, m.Format)
+	if m.Schema != SchemaVersion || m.Format != FormatColumnar {
+		return Manifest{}, false, fmt.Errorf("results: campaign %s has schema %d format %q; this store reads only schema %d %s",
+			id, m.Schema, m.Format, SchemaVersion, FormatColumnar)
 	}
 	return m, true, nil
 }
@@ -181,45 +165,8 @@ func (s *Store) manifestFor(k Key) (Manifest, bool, error) {
 	return m, true, nil
 }
 
-// migrate converts a legacy JSONL campaign to a columnar segment and
-// returns the updated manifest. Lossless: the segment holds exactly the
-// manifest-promised records (trailing crash-debris JSONL lines are
-// dropped, as loads always dropped them). The segment is renamed into
-// place before the manifest flips format, so a crash mid-migration
-// leaves the campaign readable either way; the JSONL file is removed
-// last, best-effort. Callers hold s.mu.
-func (s *Store) migrate(id string, m Manifest) (Manifest, error) {
-	recs, err := s.readJSONLRecords(id, m.N)
-	if err != nil {
-		return Manifest{}, err
-	}
-	tmp := s.segPath(id) + ".tmp"
-	os.Remove(tmp)
-	if err := os.WriteFile(tmp, encodeColumnar(recs), 0o644); err != nil {
-		return Manifest{}, err
-	}
-	if err := os.Rename(tmp, s.segPath(id)); err != nil {
-		return Manifest{}, err
-	}
-	m.Format = FormatColumnar
-	if err := s.writeManifest(m); err != nil {
-		return Manifest{}, err
-	}
-	os.Remove(s.jsonlPath(id))
-	return m, nil
-}
-
-// native ensures the campaign is in columnar form, migrating legacy
-// JSONL on first touch. Callers hold s.mu.
-func (s *Store) native(id string, m Manifest) (Manifest, error) {
-	if m.Format == FormatColumnar {
-		return m, nil
-	}
-	return s.migrate(id, m)
-}
-
 // cursor opens a streaming cursor over the first n records of a
-// columnar campaign. Callers hold s.mu; the returned cursor is used
+// campaign. Callers hold s.mu; the returned cursor is used
 // (and closed) outside it — safe because writers never rewrite served
 // bytes, they only append past them.
 func (s *Store) cursor(id string, n int, f Filter) (*Cursor, error) {
@@ -261,13 +208,8 @@ func (s *Store) LoadID(id string) (Manifest, []Record, error) {
 	return m, recs, err
 }
 
-// loadRecords materializes a campaign's records, migrating legacy JSONL
-// to columnar on first touch. Callers hold s.mu.
+// loadRecords materializes a campaign's records. Callers hold s.mu.
 func (s *Store) loadRecords(id string, m Manifest) ([]Record, error) {
-	m, err := s.native(id, m)
-	if err != nil {
-		return nil, err
-	}
 	c, err := s.cursor(id, m.N, Filter{})
 	if err != nil {
 		return nil, err
@@ -279,18 +221,13 @@ func (s *Store) loadRecords(id string, m Manifest) ([]Record, error) {
 // Cursor opens a streaming cursor over the stored records for k with
 // the filter pushed down (only the columns the filter and the consumer
 // read are ever decoded); ok=false when the campaign has never been
-// stored. Legacy JSONL campaigns are migrated on first touch. The
-// caller must Close the cursor.
+// stored. The caller must Close the cursor.
 func (s *Store) Cursor(k Key, f Filter) (*Cursor, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m, ok, err := s.manifestFor(k)
 	if err != nil || !ok {
 		return nil, ok, err
-	}
-	m, err = s.native(k.ID(), m)
-	if err != nil {
-		return nil, false, err
 	}
 	c, err := s.cursor(k.ID(), m.N, f)
 	if err != nil {
@@ -310,10 +247,6 @@ func (s *Store) CursorID(id string, f Filter) (Manifest, *Cursor, error) {
 	}
 	if !ok {
 		return Manifest{}, nil, fmt.Errorf("results: no stored campaign %q", id)
-	}
-	m, err = s.native(id, m)
-	if err != nil {
-		return Manifest{}, nil, err
 	}
 	c, err := s.cursor(id, m.N, f)
 	if err != nil {
@@ -337,9 +270,6 @@ func (s *Store) TallyPrefix(k Key, n int) (Tally, error) {
 	}
 	var c *Cursor
 	if err == nil {
-		m, err = s.native(k.ID(), m)
-	}
-	if err == nil {
 		c, err = s.cursor(k.ID(), n, Filter{})
 	}
 	s.mu.Unlock()
@@ -350,31 +280,10 @@ func (s *Store) TallyPrefix(k Key, n int) (Tally, error) {
 	return c.Tally()
 }
 
-// readJSONLRecords reads the first n records of a legacy JSONL campaign
-// file. The manifest is written after record appends, so trailing lines
-// beyond N (a crashed append) are ignored; fewer lines than N is
-// corruption.
-func (s *Store) readJSONLRecords(id string, n int) ([]Record, error) {
-	f, err := os.Open(s.jsonlPath(id))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	recs, err := ReadJSONL(f, n)
-	if err != nil {
-		return nil, fmt.Errorf("results: %s: %w", id, err)
-	}
-	if len(recs) < n {
-		return nil, fmt.Errorf("results: %s has %d records, manifest says %d", id, len(recs), n)
-	}
-	return recs, nil
-}
-
 // segRowsOffset walks a segment's blocks and returns the byte offset
 // just past the block that completes row n. Appends truncate to it
 // first, so a crashed append's torn tail bytes can never corrupt the
-// next append (the columnar analogue of JSONL's ignored trailing
-// lines).
+// next append.
 func segRowsOffset(data []byte, n int) (int, error) {
 	off, rows := 0, 0
 	for rows < n {
@@ -419,8 +328,7 @@ func (s *Store) appendSeg(id string, haveRows int, recs []Record) error {
 	return f.Close()
 }
 
-// Save stores a fresh campaign in the native columnar format, replacing
-// any previous records for k.
+// Save stores a fresh campaign, replacing any previous records for k.
 func (s *Store) Save(k Key, recs []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -433,47 +341,13 @@ func (s *Store) Save(k Key, recs []Record) error {
 	if err := os.Rename(tmp, s.segPath(id)); err != nil {
 		return err
 	}
-	if err := s.writeManifest(Manifest{Schema: SchemaVersion, Key: k, N: len(recs), Format: FormatColumnar}); err != nil {
-		return err
-	}
-	os.Remove(s.jsonlPath(id)) // drop a stale interchange copy, best-effort
-	return nil
-}
-
-// SaveJSONL stores a fresh campaign in the JSONL interchange format
-// (the debug path; Save is the native one). It round-trips losslessly:
-// the first columnar-path touch migrates it.
-func (s *Store) SaveJSONL(k Key, recs []Record) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := k.ID()
-	tmp := s.jsonlPath(id) + ".tmp"
-	os.Remove(tmp)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := WriteJSONL(f, recs); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, s.jsonlPath(id)); err != nil {
-		return err
-	}
-	if err := s.writeManifest(Manifest{Schema: SchemaVersion, Key: k, N: len(recs), Format: FormatJSONL}); err != nil {
-		return err
-	}
-	os.Remove(s.segPath(id))
-	return nil
+	return s.writeManifest(Manifest{Schema: SchemaVersion, Key: k, N: len(recs), Format: FormatColumnar})
 }
 
 // Append tops up a stored campaign with records continuing its
-// pre-drawn fault sequence: recs[0].Index must equal the stored N. A
-// legacy JSONL campaign is migrated to columnar first. The manifest is
-// updated last, so a crash mid-append leaves a loadable prefix.
+// pre-drawn fault sequence: recs[0].Index must equal the stored N. The
+// manifest is updated last, so a crash mid-append leaves a loadable
+// prefix.
 func (s *Store) Append(k Key, recs []Record) error {
 	if len(recs) == 0 {
 		return nil
@@ -491,10 +365,6 @@ func (s *Store) Append(k Key, recs []Record) error {
 	if recs[0].Index != m.N {
 		return fmt.Errorf("results: non-contiguous append: have %d records, next starts at %d", m.N, recs[0].Index)
 	}
-	m, err = s.native(id, m)
-	if err != nil {
-		return err
-	}
 	if err := s.appendSeg(id, m.N, recs); err != nil {
 		return err
 	}
@@ -503,9 +373,7 @@ func (s *Store) Append(k Key, recs []Record) error {
 }
 
 // ExportJSONL streams a stored campaign's records to w in the JSONL
-// interchange format (the export half of the lossless converter; the
-// campaign's on-disk format is untouched). Memory stays bounded by one
-// block.
+// interchange format. Memory stays bounded by one block.
 func (s *Store) ExportJSONL(id string, w io.Writer) error {
 	_, c, err := s.CursorID(id, Filter{})
 	if err != nil {
@@ -525,52 +393,6 @@ func (s *Store) ExportJSONL(id string, w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// CompactStats reports what a Compact pass did.
-type CompactStats struct {
-	// Campaigns is the number of stored campaigns seen.
-	Campaigns int
-	// Migrated is how many legacy JSONL campaigns were converted.
-	Migrated int
-	// JSONLBytes / SegBytes are the record-file sizes before and after
-	// for the migrated campaigns.
-	JSONLBytes int64
-	SegBytes   int64
-}
-
-// Compact migrates every legacy JSONL campaign in the store to the
-// native columnar format (the `vulnstack results compact` verb).
-func (s *Store) Compact() (CompactStats, error) {
-	ms, err := s.List()
-	if err != nil {
-		return CompactStats{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var st CompactStats
-	st.Campaigns = len(ms)
-	for _, m := range ms {
-		if m.Format != FormatJSONL {
-			continue
-		}
-		id := m.Key.ID()
-		before, err := os.Stat(s.jsonlPath(id))
-		if err != nil {
-			return st, err
-		}
-		if _, err := s.migrate(id, m); err != nil {
-			return st, err
-		}
-		after, err := os.Stat(s.segPath(id))
-		if err != nil {
-			return st, err
-		}
-		st.Migrated++
-		st.JSONLBytes += before.Size()
-		st.SegBytes += after.Size()
-	}
-	return st, nil
 }
 
 // ChainExt is the file extension of persisted checkpoint chains. The

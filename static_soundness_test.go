@@ -159,51 +159,84 @@ func TestStaticCampaignTallyEquivalence(t *testing.T) {
 	}
 }
 
-// TestStratStaticFewerLiveInjections pins the efficiency claim: at the
-// same CI bound, the soft-layer stratified campaign with static
-// resolution performs strictly fewer live injections than the
-// stratified baseline, stays within the combined CIs, and reports its
-// resolved strata as exhaustive all-Masked mass.
+// TestStratStaticFewerLiveInjections pins the efficiency claim on fft,
+// qsort and sha: at the same CI bound, the soft-layer stratified
+// campaign with static resolution performs strictly fewer live
+// injections than the stratified baseline on each of them, stays
+// within the combined CIs, and reports its resolved strata as
+// exhaustive all-Masked mass.
 func TestStratStaticFewerLiveInjections(t *testing.T) {
-	mk := func(static bool) StratResult {
-		sys, err := Build(Target{Bench: "sha", Seed: 1}, isa.VSA64)
+	benches := []string{"fft", "qsort", "sha"}
+	base, stat := assertStaticResolutionFloor(t, benches, stratTestOpts)
+	for i, bench := range benches {
+		if stat[i].N >= base[i].N {
+			t.Errorf("%s: static run used %d live injections, baseline %d — no savings", bench, stat[i].N, base[i].N)
+		}
+		if stat[i].Resolved == 0 {
+			t.Errorf("%s: static run resolved no pool sites", bench)
+		}
+		sawResolved := false
+		for _, s := range stat[i].Strata {
+			if !s.Resolved {
+				continue
+			}
+			sawResolved = true
+			if s.Tally.N != s.Size || s.Tally.Outcomes[results.Masked] != s.Size {
+				t.Errorf("%s: resolved stratum %q tally %+v is not exhaustive all-Masked over %d sites",
+					bench, s.Label, s.Tally, s.Size)
+			}
+		}
+		if !sawResolved {
+			t.Errorf("%s: no stratum marked resolved", bench)
+		}
+	}
+}
+
+// assertStaticResolutionFloor runs the soft-layer stratified campaign
+// at opt on each benchmark without and with static resolution, and
+// fails tb unless every pair of estimates agrees within the combined
+// half-widths and a strict majority of the benchmarks performs
+// strictly fewer live injections with static resolution. It returns
+// the baseline and static results in benchmark order.
+func assertStaticResolutionFloor(tb testing.TB, benches []string, opt StratOptions) (base, stat []StratResult) {
+	tb.Helper()
+	// One system per mode: the static flag is baked into the soft
+	// campaign at first use.
+	run := func(bench string, static bool) StratResult {
+		sys, err := Build(Target{Bench: bench, Seed: 1}, isa.VSA64)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		sys.Static = static
-		res, err := sys.StratSVF(stratTestOpts, 2021)
+		res, err := sys.StratSVF(opt, 2021)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatalf("%s (static=%v): %v", bench, static, err)
 		}
 		return res
 	}
-	base := mk(false)
-	stat := mk(true)
+	fewer := 0
+	for _, bench := range benches {
+		b, s := run(bench, false), run(bench, true)
+		if d, hw := s.Split.Total()-b.Split.Total(), b.HalfWidth+s.HalfWidth; d < -hw || d > hw {
+			tb.Errorf("%s: static estimate %.4f vs baseline %.4f differ beyond the combined half-widths ±%.4f",
+				bench, s.Split.Total(), b.Split.Total(), hw)
+		}
+		if s.N < b.N {
+			fewer++
+		}
+		tb.Logf("%s: live injections %d -> %d, %d/%d pool sites resolved", bench, b.N, s.N, s.Resolved, s.Pool)
+		base, stat = append(base, b), append(stat, s)
+	}
+	if 2*fewer <= len(benches) {
+		tb.Errorf("only %d/%d benchmarks performed strictly fewer live injections with static resolution", fewer, len(benches))
+	}
+	return base, stat
+}
 
-	if stat.N >= base.N {
-		t.Errorf("static run used %d live injections, baseline %d — no savings", stat.N, base.N)
+// BenchmarkStaticResolutionFloor is the static-resolution floor at full
+// scale: all ten benchmarks at the paper's ±2.88%/99% bound.
+func BenchmarkStaticResolutionFloor(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		assertStaticResolutionFloor(b, Benchmarks(), StratOptions{CI: DefaultStratCI})
 	}
-	if stat.Resolved == 0 {
-		t.Error("static run resolved no pool sites")
-	}
-	if d := stat.Split.Total() - base.Split.Total(); d < -(base.HalfWidth+stat.HalfWidth) || d > base.HalfWidth+stat.HalfWidth {
-		t.Errorf("static estimate %.4f vs baseline %.4f differ beyond combined half-widths ±%.4f",
-			stat.Split.Total(), base.Split.Total(), base.HalfWidth+stat.HalfWidth)
-	}
-	sawResolved := false
-	for _, s := range stat.Strata {
-		if !s.Resolved {
-			continue
-		}
-		sawResolved = true
-		if s.Tally.N != s.Size || s.Tally.Outcomes[results.Masked] != s.Size {
-			t.Errorf("resolved stratum %q tally %+v is not exhaustive all-Masked over %d sites",
-				s.Label, s.Tally, s.Size)
-		}
-	}
-	if !sawResolved {
-		t.Error("no stratum marked resolved")
-	}
-	t.Logf("live injections %d -> %d, %d/%d pool sites resolved",
-		base.N, stat.N, stat.Resolved, stat.Pool)
 }
