@@ -41,7 +41,7 @@ func TestAblationDominanceChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pvf, err := sys.UniformPVF(60, 3)
+		pvf, err := sys.PVF(micro.FPMNone, 60, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -155,7 +155,7 @@ func (l *Lab) Analyze(ao AnalyzeOptions) (*report.Report, error) {
 			row = append(row, ratio)
 			chainOK = chainOK && bound >= e.dyn.RegACE
 		}
-		upvf, ucell, err := loadPVF(b, func(s *System) results.Key { return s.UniformKey(seed) })
+		upvf, ucell, err := loadPVF(b, func(s *System) results.Key { return s.ArchKey(micro.FPMNone, seed) })
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +255,6 @@ func (l *Lab) AnalyzeBits() (*report.Report, error) {
 			if err != nil {
 				return err
 			}
-			s.Static = true
 			cp, err := s.LLFICampaign()
 			if err != nil {
 				return err

@@ -2,6 +2,8 @@ package vulnstack
 
 import (
 	"testing"
+
+	"vulnstack/internal/isa"
 )
 
 // TestAnalyzeZeroInjections: the static-analysis report is a
@@ -23,10 +25,13 @@ func TestAnalyzeZeroInjections(t *testing.T) {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.systems) == 0 {
-		t.Fatal("analyze built no systems")
-	}
-	for key, s := range l.systems {
+	built := 0
+	for key, c := range l.cells {
+		s, ok := c.val.(*System)
+		if !ok {
+			continue
+		}
+		built++
 		s.mu.Lock()
 		if s.archC != nil {
 			t.Errorf("system %s prepared an arch (PVF) injector", key)
@@ -38,5 +43,39 @@ func TestAnalyzeZeroInjections(t *testing.T) {
 			t.Errorf("system %s prepared a software (LLFI) injector", key)
 		}
 		s.mu.Unlock()
+	}
+	if built == 0 {
+		t.Fatal("analyze built no systems")
+	}
+}
+
+// TestAnalyzeBitsAfterCampaign: AnalyzeBits reads the static verdict
+// without touching the lab's systems, so a lab that already prepared a
+// benchmark's soft (LLFI) campaign reports the same pool-resolved share
+// as a fresh lab.
+func TestAnalyzeBitsAfterCampaign(t *testing.T) {
+	o := DefaultOptions()
+	o.Benches = []string{"sha"}
+	fresh, err := NewLab(o).AnalyzeBits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLab(o)
+	s, err := l.System(Target{Bench: "sha"}, isa.VSA64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.LLFICampaign(); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := l.AnalyzeBits()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := warm.String(), fresh.String(); got != want {
+		t.Errorf("after a prepared soft campaign:\n%s\nfresh lab:\n%s", got, want)
+	}
+	if s.Static {
+		t.Error("AnalyzeBits turned on System.Static")
 	}
 }

@@ -30,7 +30,7 @@ import (
 // benchOpts sizes the harness campaigns. n=24 per structure (x3/x6 on
 // caches), 48 per PVF model, 96 SVF samples.
 func benchOpts() Options {
-	return Options{NAVF: 24, NPVF: 48, NSVF: 96, Seed: 2021, Snapshots: 12}
+	return Options{NAVF: 24, NPVF: 48, NSVF: 96, Seed: 2021}
 }
 
 var (

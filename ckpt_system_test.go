@@ -18,7 +18,7 @@ func ckptSystem(t *testing.T, dir string, mut func(*System)) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Snapshots = 32
+	sys.snapshots = 32
 	st, err := results.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestChainFingerprintGuard(t *testing.T) {
 		name string
 		mut  func(*System)
 	}{
-		{"snapshots", func(s *System) { s.Snapshots = 33 }},
+		{"snapshots", func(s *System) { s.snapshots = 33 }},
 	}
 	for _, v := range variants {
 		cp, err := ckptSystem(t, dir, v.mut).MicroCampaign(cfg)
@@ -84,7 +84,7 @@ func TestChainFingerprintGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedSys.Snapshots = 32
+	seedSys.snapshots = 32
 	st, err := results.OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -8,7 +8,7 @@
 //	vulnstack analyze [-bench a,b] [-seed S] [-store DIR] [-ace=false] [-bits]
 //	vulnstack run -bench sha [-config A72] [-harden]
 //	vulnstack campaign -bench sha -config A72 -struct L2 -n 200 [-store DIR | -reference] [-cpuprofile F] [-memprofile F]
-//	vulnstack campaign -layer soft -bench sha -n 200 [-static] [-store DIR]
+//	vulnstack campaign -layer uniform|soft -bench sha -n 200 [-static] [-store DIR]
 //	vulnstack campaign -strat [-layer micro|arch|soft] [-static] [-ci 0.0288] [-conf 0.99] [-pool 20000] [-n0 N] [-maxnew N] [-store DIR]
 //	vulnstack results [list|show|export] -store DIR [-id ID] [filters]
 package main
@@ -32,6 +32,7 @@ import (
 	"vulnstack/internal/micro"
 	"vulnstack/internal/report"
 	"vulnstack/internal/results"
+	"vulnstack/internal/vuln"
 )
 
 func main() {
@@ -94,7 +95,6 @@ func expFlags(args []string) (*flag.FlagSet, *vulnstack.Options) {
 	fs.IntVar(&o.NPVF, "npvf", o.NPVF, "architecture-level injections per FPM")
 	fs.IntVar(&o.NSVF, "nsvf", o.NSVF, "software-level injections")
 	fs.Int64Var(&o.Seed, "seed", o.Seed, "input and sampling seed")
-	fs.IntVar(&o.Snapshots, "snapshots", o.Snapshots, "golden-run snapshots")
 	fs.IntVar(&o.Workers, "workers", o.Workers, "campaign worker goroutines (0 = all CPUs; tallies are identical for any value)")
 	fs.StringVar(&o.StoreDir, "store", o.StoreDir, "persistent results store directory (reuse + top-up of stored records)")
 	benches := fs.String("bench", "", "comma-separated benchmark subset")
@@ -224,7 +224,7 @@ func cmdCampaign(args []string) error {
 	bench := fs.String("bench", "sha", "benchmark name")
 	cfgName := fs.String("config", "A72", "microarchitecture")
 	stName := fs.String("struct", "RF", "structure (RF, LSQ, L1i, L1d, L2)")
-	layer := fs.String("layer", "micro", "injection layer: micro (structure faults), uniform (register-uniform PVF, the quantity the static/ACE bounds dominate), or — with -strat — arch / soft")
+	layer := fs.String("layer", "micro", "injection layer: micro (structure faults), uniform (register-uniform PVF: the arch layer's FPM-none target, the quantity the static/ACE bounds dominate) or soft (software-level IR faults); with -strat: micro, arch or soft")
 	n := fs.Int("n", 200, "number of injections")
 	strat := fs.Bool("strat", false, "two-level stratified campaign: adaptive per-stratum injection until the reweighted CI meets -ci (replaces -n)")
 	ci := fs.Float64("ci", vulnstack.DefaultStratCI, "stratified target CI half-width (default: the paper's 2.88% margin for 2000 uniform samples)")
@@ -279,10 +279,8 @@ func cmdCampaign(args []string) error {
 	case *strat:
 		opt := vulnstack.StratOptions{CI: *ci, Confidence: *conf, Pool: *pool, N0: *n0, MaxNew: *maxNew}
 		return stratCampaign(sys, *layer, cfg, *stName, *fpmName, *seed, opt)
-	case *layer == "uniform":
-		return uniformCampaign(sys, *n, *seed)
-	case *layer == "soft":
-		return softCampaign(sys, *n, *seed)
+	case *layer != "micro":
+		return splitCampaign(sys, *layer, *n, *seed)
 	}
 	return microCampaign(sys, cfg, *stName, *n, *seed)
 }
@@ -361,60 +359,45 @@ func microCampaign(sys *vulnstack.System, cfg micro.Config, stName string, n int
 	return nil
 }
 
-// uniformCampaign runs a register-uniform PVF campaign: bit flips
-// uniform over (register, bit, dynamic instant). Its failure rate is
-// the measured quantity that the dynamic ACE bound — and transitively
-// the static bound of `vulnstack analyze` — provably dominates.
-func uniformCampaign(sys *vulnstack.System, n int, seed int64) error {
-	stored, err := storedN(sys, sys.UniformKey(seed))
+// splitCampaign runs one uniform-sampled arch or soft campaign and
+// prints its split. -layer uniform is the arch layer's register-uniform
+// target (micro.FPMNone): bit flips uniform over (register, bit, dynamic
+// instant), whose failure rate is the measured quantity that the
+// dynamic ACE bound — and transitively the static bound of `vulnstack
+// analyze` — provably dominates. -layer soft is the software-level
+// (LLFI-style) campaign, optionally with the bit-precise static
+// resolution pass: faults the demanded-bits analysis proves masked are
+// classified without running, with tallies bit-identical to the
+// uninstrumented dynamic baseline.
+func splitCampaign(sys *vulnstack.System, layer string, n int, seed int64) error {
+	k := sys.SoftKey(seed)
+	what := fmt.Sprintf("software-level IR injections (static=%v)", sys.Static)
+	metric := "SVF"
+	measure := func() (vuln.Split, error) { return sys.SVF(n, seed) }
+	if layer == "uniform" {
+		k = sys.ArchKey(micro.FPMNone, seed)
+		what, metric = "register-uniform injections", "uniform PVF"
+		measure = func() (vuln.Split, error) { return sys.PVF(micro.FPMNone, n, seed) }
+	}
+	stored, err := storedN(sys, k)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	sp, err := sys.UniformPVF(n, seed)
+	sp, err := measure()
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Printf("%s (harden=%v), %d register-uniform injections\n", sys.Target.Bench, sys.Target.Harden, n)
+	fmt.Printf("%s (harden=%v), %d %s\n", sys.Target.Bench, sys.Target.Harden, n, what)
 	fmt.Printf("  SDC      %6.2f%%\n", 100*sp.SDC)
 	fmt.Printf("  Crash    %6.2f%%\n", 100*sp.Crash)
 	fmt.Printf("  Detected %6.2f%%\n", 100*sp.Detected)
-	fmt.Printf("  uniform PVF %.2f%%  (±%.2f%% at 99%%)\n", 100*sp.Total(), 100*vulnstackMargin(n))
+	fmt.Printf("  %s %.2f%%  (±%.2f%% at 99%%)\n", metric, 100*sp.Total(), 100*vulnstackMargin(n))
 	if sys.Store != nil {
 		reused := min(stored, n)
 		fmt.Printf("  store: reused %d records, ran %d new (id %s)\n",
-			reused, n-reused, sys.UniformKey(seed).ID())
-	}
-	fmt.Printf("  %d injections in %v (%.1f/s)\n", n, elapsed.Round(time.Millisecond),
-		float64(n)/elapsed.Seconds())
-	return nil
-}
-
-// softCampaign runs a software-level (LLFI-style) uniform campaign,
-// optionally with the bit-precise static resolution pass: faults the
-// demanded-bits analysis proves masked are classified without running,
-// with tallies bit-identical to the uninstrumented dynamic baseline.
-func softCampaign(sys *vulnstack.System, n int, seed int64) error {
-	stored, err := storedN(sys, sys.SoftKey(seed))
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	sp, err := sys.SVF(n, seed)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	fmt.Printf("%s (harden=%v), %d software-level IR injections (static=%v)\n", sys.Target.Bench, sys.Target.Harden, n, sys.Static)
-	fmt.Printf("  SDC      %6.2f%%\n", 100*sp.SDC)
-	fmt.Printf("  Crash    %6.2f%%\n", 100*sp.Crash)
-	fmt.Printf("  Detected %6.2f%%\n", 100*sp.Detected)
-	fmt.Printf("  SVF %.2f%%  (±%.2f%% at 99%%)\n", 100*sp.Total(), 100*vulnstackMargin(n))
-	if sys.Store != nil {
-		reused := min(stored, n)
-		fmt.Printf("  store: reused %d records, ran %d new (id %s)\n",
-			reused, n-reused, sys.SoftKey(seed).ID())
+			reused, n-reused, k.ID())
 	}
 	fmt.Printf("  %d injections in %v (%.1f/s)\n", n, elapsed.Round(time.Millisecond),
 		float64(n)/elapsed.Seconds())

@@ -34,7 +34,7 @@ func TestColumnarEquivalenceAllBenchmarks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sys.Snapshots = 6
+				sys.snapshots = 6
 				sys.Workers = 1
 				sys.Store = st
 				return sys

@@ -52,6 +52,11 @@ func TestCampaignRegression(t *testing.T) {
 	}); got != want {
 		t.Errorf("arch WD tally %+v, want pre-change %+v", got, want)
 	}
+	if got, want := ac.RunCampaign(micro.FPMNone, 60, 7, nil), (arch.Tally{
+		N: 60, Outcomes: [inject.NumOutcomes]int{57, 2, 1, 0},
+	}); got != want {
+		t.Errorf("arch register-uniform tally %+v, want pre-change %+v", got, want)
+	}
 
 	lc, err := sys.LLFICampaign()
 	if err != nil {

@@ -82,7 +82,7 @@ func assertFastMatchesReference(t *testing.T, layers ...equivLayer) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sys.Snapshots = 6
+				sys.snapshots = 6
 				sys.Reference = reference
 				return sys
 			}
@@ -147,7 +147,7 @@ func TestCheckpointChainEquivalenceAllBenchmarks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sys.Snapshots = snapshots
+				sys.snapshots = snapshots
 				if withStore {
 					st, err := results.OpenStore(dir)
 					if err != nil {
@@ -217,8 +217,8 @@ func TestChainDenseMemoryBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Snapshots != DefaultSnapshots {
-		t.Fatalf("default snapshots = %d, want %d", sys.Snapshots, DefaultSnapshots)
+	if sys.snapshots != defaultSnapshots {
+		t.Fatalf("default snapshots = %d, want %d", sys.snapshots, defaultSnapshots)
 	}
 	cp, err := sys.MicroCampaign(micro.ConfigA72())
 	if err != nil {

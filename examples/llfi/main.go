@@ -38,7 +38,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cp, err := llfi.Prepare(module, 1<<20)
+	cp, err := llfi.Prepare(module, 1<<20, false)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,8 +27,6 @@ type Options struct {
 	Seed int64
 	// Benches restricts the workload set (nil = all ten).
 	Benches []string
-	// Snapshots tunes golden-run snapshot counts.
-	Snapshots int
 	// Workers is the campaign fan-out: 0 (the default) uses all CPUs,
 	// 1 forces the serial path. Every tally is bit-identical for every
 	// worker count, so this trades wall clock only. It also gates
@@ -43,7 +41,7 @@ type Options struct {
 
 // DefaultOptions returns the scaled-down study defaults.
 func DefaultOptions() Options {
-	return Options{NAVF: 30, NPVF: 60, NSVF: 120, Seed: 2021, Snapshots: 12}
+	return Options{NAVF: 30, NPVF: 60, NSVF: 120, Seed: 2021}
 }
 
 func (o Options) benches() []string {
@@ -53,20 +51,24 @@ func (o Options) benches() []string {
 	return Benchmarks()
 }
 
+// labSnapshots is the golden-run checkpoint count of every System a Lab
+// builds, sparser than a bare System's defaultSnapshots because a Lab
+// keeps every System, campaign and chain alive for the whole study.
+// Moving the Lab to 192 measured worse on bench/run.sh's fig4-store
+// (2-vCPU host, four runs per side, medians): peak_rss_mb 221 → 324 MiB
+// (+47%, bound 15%) and setup_s 1.72 → 2.22 s (+29%), from
+// inject.prepare_ms 444 → 1,704 and ckpt.chain_mb 4.9 → 46.7.
+const labSnapshots = 12
+
 // Lab caches built systems and measurement results across experiments,
 // so regenerating several figures shares golden runs and campaigns.
 type Lab struct {
 	Opts Options
 
-	mu      sync.Mutex
-	systems map[string]*System
-	memoAVF map[string]avfMemo
-	memoPVF map[string]vuln.Split
-	memoSVF map[string]vuln.Split
-	// flights deduplicates concurrent fills of the same memo key
-	// (single-flight), so cross-bench parallel figure generation never
-	// builds a system or runs a campaign twice.
-	flights map[string]*flight
+	mu sync.Mutex
+	// cells holds every system and measurement the lab has produced, by
+	// memo key (see memo).
+	cells map[string]*cell
 
 	// store backs memo fills with on-disk records when
 	// Options.StoreDir is set (opened lazily, once).
@@ -75,34 +77,33 @@ type Lab struct {
 	storeErr  error
 }
 
-type avfMemo struct {
-	results  []StructResult
-	weighted vuln.Split
-}
-
-type flight struct {
+// cell is one memo entry: done closes once val and err are set.
+type cell struct {
 	done chan struct{}
 	val  any
 	err  error
 }
 
-// once runs fn exactly once per key across concurrent callers; later
-// callers block until the first finishes and share its result. The
-// durable memo maps remain the long-term cache — once only serializes
-// the in-flight window.
-func (l *Lab) once(key string, fn func() (any, error)) (any, error) {
+// memo returns the value cached under key, running fill on the key's
+// first use. Concurrent callers of one key share one fill (single
+// flight), so cross-bench parallel figure generation never builds a
+// system or runs a campaign twice. A failed fill stays cached.
+func memo[T any](l *Lab, key string, fill func() (T, error)) (T, error) {
 	l.mu.Lock()
-	if f, ok := l.flights[key]; ok {
-		l.mu.Unlock()
-		<-f.done
-		return f.val, f.err
+	c, ok := l.cells[key]
+	if !ok {
+		c = &cell{done: make(chan struct{})}
+		l.cells[key] = c
 	}
-	f := &flight{done: make(chan struct{})}
-	l.flights[key] = f
 	l.mu.Unlock()
-	f.val, f.err = fn()
-	close(f.done)
-	return f.val, f.err
+	if ok {
+		<-c.done
+	} else {
+		c.val, c.err = fill()
+		close(c.done)
+	}
+	v, _ := c.val.(T)
+	return v, c.err
 }
 
 // fill runs the given memo-filling closures, fanning them out when the
@@ -151,17 +152,7 @@ func NewLab(o Options) *Lab {
 			o.NSVF = d.NSVF
 		}
 	}
-	if o.Snapshots <= 0 {
-		o.Snapshots = 12
-	}
-	return &Lab{
-		Opts:    o,
-		systems: make(map[string]*System),
-		memoAVF: make(map[string]avfMemo),
-		memoPVF: make(map[string]vuln.Split),
-		memoSVF: make(map[string]vuln.Split),
-		flights: make(map[string]*flight),
-	}
+	return &Lab{Opts: o, cells: make(map[string]*cell)}
 }
 
 // Store returns the lab's persistent record store (nil when
@@ -183,14 +174,7 @@ func (l *Lab) System(t Target, is isa.ISA) (*System, error) {
 	if t.Seed == 0 {
 		t.Seed = l.Opts.Seed
 	}
-	key := t.key() + "/" + is.String()
-	l.mu.Lock()
-	if s, ok := l.systems[key]; ok {
-		l.mu.Unlock()
-		return s, nil
-	}
-	l.mu.Unlock()
-	v, err := l.once("sys/"+key, func() (any, error) {
+	return memo(l, "sys/"+t.key()+"/"+is.String(), func() (*System, error) {
 		st, err := l.Store()
 		if err != nil {
 			return nil, err
@@ -199,113 +183,57 @@ func (l *Lab) System(t Target, is isa.ISA) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Snapshots = l.Opts.Snapshots
+		s.snapshots = labSnapshots
 		s.Workers = l.Opts.Workers
 		s.Store = st
-		l.mu.Lock()
-		l.systems[key] = s
-		l.mu.Unlock()
 		return s, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*System), nil
+}
+
+type avfMemo struct {
+	results  []StructResult
+	weighted vuln.Split
 }
 
 func (l *Lab) avf(t Target, cfg micro.Config) ([]StructResult, vuln.Split, error) {
 	if t.Seed == 0 {
 		t.Seed = l.Opts.Seed
 	}
-	key := fmt.Sprintf("%s/%s/%d", t.key(), cfg.Name, l.Opts.NAVF)
-	l.mu.Lock()
-	if m, ok := l.memoAVF[key]; ok {
-		l.mu.Unlock()
-		return m.results, m.weighted, nil
-	}
-	l.mu.Unlock()
-	v, err := l.once("avf/"+key, func() (any, error) {
+	m, err := memo(l, fmt.Sprintf("avf/%s/%s/%d", t.key(), cfg.Name, l.Opts.NAVF), func() (avfMemo, error) {
 		s, err := l.System(t, cfg.ISA)
 		if err != nil {
-			return nil, err
+			return avfMemo{}, err
 		}
 		res, w, err := s.AVFAll(cfg, l.Opts.NAVF, l.Opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		m := avfMemo{res, w}
-		l.mu.Lock()
-		l.memoAVF[key] = m
-		l.mu.Unlock()
-		return m, nil
+		return avfMemo{res, w}, err
 	})
-	if err != nil {
-		return nil, vuln.Split{}, err
-	}
-	m := v.(avfMemo)
-	return m.results, m.weighted, nil
+	return m.results, m.weighted, err
 }
 
 func (l *Lab) pvf(t Target, is isa.ISA, fpm micro.FPM) (vuln.Split, error) {
 	if t.Seed == 0 {
 		t.Seed = l.Opts.Seed
 	}
-	key := fmt.Sprintf("%s/%v/%v/%d", t.key(), is, fpm, l.Opts.NPVF)
-	l.mu.Lock()
-	if m, ok := l.memoPVF[key]; ok {
-		l.mu.Unlock()
-		return m, nil
-	}
-	l.mu.Unlock()
-	v, err := l.once("pvf/"+key, func() (any, error) {
+	return memo(l, fmt.Sprintf("pvf/%s/%v/%v/%d", t.key(), is, fpm, l.Opts.NPVF), func() (vuln.Split, error) {
 		s, err := l.System(t, is)
 		if err != nil {
-			return nil, err
+			return vuln.Split{}, err
 		}
-		sp, err := s.PVF(fpm, l.Opts.NPVF, l.Opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		l.mu.Lock()
-		l.memoPVF[key] = sp
-		l.mu.Unlock()
-		return sp, nil
+		return s.PVF(fpm, l.Opts.NPVF, l.Opts.Seed)
 	})
-	if err != nil {
-		return vuln.Split{}, err
-	}
-	return v.(vuln.Split), nil
 }
 
 func (l *Lab) svf(t Target) (vuln.Split, error) {
 	if t.Seed == 0 {
 		t.Seed = l.Opts.Seed
 	}
-	key := fmt.Sprintf("%s/%d", t.key(), l.Opts.NSVF)
-	l.mu.Lock()
-	if m, ok := l.memoSVF[key]; ok {
-		l.mu.Unlock()
-		return m, nil
-	}
-	l.mu.Unlock()
-	v, err := l.once("svf/"+key, func() (any, error) {
+	return memo(l, fmt.Sprintf("svf/%s/%d", t.key(), l.Opts.NSVF), func() (vuln.Split, error) {
 		s, err := l.System(t, isa.VSA64)
 		if err != nil {
-			return nil, err
+			return vuln.Split{}, err
 		}
-		sp, err := s.SVF(l.Opts.NSVF, l.Opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		l.mu.Lock()
-		l.memoSVF[key] = sp
-		l.mu.Unlock()
-		return sp, nil
+		return s.SVF(l.Opts.NSVF, l.Opts.Seed)
 	})
-	if err != nil {
-		return vuln.Split{}, err
-	}
-	return v.(vuln.Split), nil
 }
 
 // Experiments lists the reproducible artifacts. "static" is the

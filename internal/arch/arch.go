@@ -52,8 +52,8 @@ type Campaign struct {
 	// Workers is the campaign fan-out; <= 0 selects runtime.NumCPU().
 	// The tally is bit-identical for every worker count.
 	Workers int
-	// reference is PrepareOptions.Reference: step-by-step execution and
-	// no convergence early-stop.
+	// reference selects the reference engine (see Prepare):
+	// step-by-step execution and no convergence early-stop.
 	reference bool
 	// TBParanoid, when non-nil, runs translation-block workers in
 	// paranoid validation mode: every predecoded op's instruction word
@@ -177,29 +177,18 @@ func decodeGolden(b []byte, cp *Campaign) error {
 	return nil
 }
 
-// PrepareOptions configure the campaign's engine.
-type PrepareOptions struct {
-	// Reference selects the reference engine for the golden run and
-	// every faulty run: instruction-at-a-time stepping instead of the
-	// translation-block engine (internal/tb), and faulty runs execute to
-	// halt or Limit without convergence early-stop. Outcomes are
-	// provably identical either way. The golden run goes through the
-	// campaign's own engine, so an engine bug could never corrupt both
-	// sides of the fast-vs-reference equivalence gate.
-	Reference bool
-}
-
-// Prepare runs the golden execution with default options and captures
-// the delta checkpoint chain (boot state only when nsnaps <= 1).
-func Prepare(img *kernel.Image, nsnaps int) (*Campaign, error) {
-	return PrepareWith(img, nsnaps, PrepareOptions{})
-}
-
-// PrepareWith runs the golden execution and captures the delta
-// checkpoint chain (boot state only when nsnaps <= 1).
-func PrepareWith(img *kernel.Image, nsnaps int, opts PrepareOptions) (*Campaign, error) {
+// Prepare runs the golden execution and captures the delta checkpoint
+// chain (boot state only when nsnaps <= 1). reference selects the
+// reference engine for the golden run and every faulty run:
+// instruction-at-a-time stepping instead of the translation-block
+// engine (internal/tb), and faulty runs execute to halt or Limit
+// without convergence early-stop. Outcomes are provably identical
+// either way. The golden run goes through the campaign's own engine, so
+// an engine bug could never corrupt both sides of the fast-vs-reference
+// equivalence gate.
+func Prepare(img *kernel.Image, nsnaps int, reference bool) (*Campaign, error) {
 	run := func(c *emu.CPU) func(uint64) bool {
-		if opts.Reference {
+		if reference {
 			return c.Run
 		}
 		return tb.New(c).Run
@@ -218,7 +207,7 @@ func PrepareWith(img *kernel.Image, nsnaps int, opts PrepareOptions) (*Campaign,
 		GoldenExit:  bus.ExitCode,
 		GoldenInstr: c.Instret,
 		KInstr:      c.KernelInstret,
-		reference:   opts.Reference,
+		reference:   reference,
 	}
 	cp.Limit = 3*cp.GoldenInstr + 100000
 
@@ -344,16 +333,21 @@ func (cp *Campaign) cpuFor(w *worker, k uint64, g int) (*emu.CPU, *dev.Bus) {
 
 // Fault is one architecture-level injection.
 type Fault struct {
-	FPM micro.FPM // WD, WOI or WI
+	FPM micro.FPM // WD, WOI, WI, or FPMNone for register-uniform
 	K   uint64    // dynamic instruction index
 	Bit int
-	// Slot selects among an instruction's operand locations for WD.
+	// Slot selects among an instruction's operand locations for WD, and
+	// is the flipped register for a register-uniform fault.
 	Slot int
 }
 
 // Sample draws a fault for the given FPM, uniform over the dynamic
-// instruction stream.
+// instruction stream. micro.FPMNone draws a register-uniform fault
+// (see sampleUniform).
 func (cp *Campaign) Sample(r *rand.Rand, fpm micro.FPM) Fault {
+	if fpm == micro.FPMNone {
+		return cp.sampleUniform(r)
+	}
 	return Fault{
 		FPM:  fpm,
 		K:    1 + uint64(r.Int63n(cp.sampleSpan())),
@@ -378,27 +372,32 @@ func (cp *Campaign) sampleSpan() int64 {
 // operand-targeted campaigns.
 const UniformTarget = "reg-uniform"
 
-// SampleUniform draws a register-uniform fault: a bit flip in a
+// Target is the record and store-key target of an FPM's campaign: the
+// model's name, or UniformTarget for micro.FPMNone, the register-uniform
+// campaign.
+func Target(fpm micro.FPM) string {
+	if fpm == micro.FPMNone {
+		return UniformTarget
+	}
+	return fpm.String()
+}
+
+// sampleUniform draws a register-uniform fault: a bit flip in a
 // uniformly chosen architectural register (r1..r(N-1); r0 is
 // hard-wired) at a uniformly chosen dynamic instant, with no
 // conditioning on whether the register is about to be consumed. This is
 // the sampling model that ACE analysis upper-bounds: a flip outside a
 // def-to-last-use interval is overwritten before any read and cannot
-// alter the outcome, so P(visible) <= RegACE <= the static bound. The
-// per-FPM Sample path instead corrupts a *consumed* operand, a
-// liveness-conditioned probability that legitimately exceeds ACE.
-func (cp *Campaign) SampleUniform(r *rand.Rand) Fault {
+// alter the outcome, so P(visible) <= RegACE <= the static bound. A WD
+// fault instead corrupts a *consumed* operand, a liveness-conditioned
+// probability that legitimately exceeds ACE.
+func (cp *Campaign) sampleUniform(r *rand.Rand) Fault {
 	return Fault{
 		FPM:  micro.FPMNone,
 		K:    1 + uint64(r.Int63n(cp.sampleSpan())),
 		Bit:  r.Intn(cp.Img.ISA.XLen()),
 		Slot: 1 + r.Intn(cp.Img.ISA.NumRegs()-1),
 	}
-}
-
-// applyUniform flips f.Bit of register f.Slot in place.
-func applyUniform(c *emu.CPU, f Fault) {
-	c.SetReg(f.Slot, c.Reg(f.Slot)^(1<<uint(f.Bit)))
 }
 
 // Run performs one injection and classifies the program-level outcome,
@@ -509,8 +508,14 @@ func (cp *Campaign) convergedAt(c *emu.CPU, bus *dev.Bus, g, j int, w *worker) b
 // For WD it corrupts one of the instruction's source operands in
 // architectural storage (register or loaded memory word); for WOI/WI it
 // flips an operand-field or operation-field bit of the instruction word
-// in memory (persistent, like a corrupted architectural code copy).
+// in memory (persistent, like a corrupted architectural code copy). A
+// register-uniform fault (micro.FPMNone) flips f.Bit of register f.Slot
+// in place, before anything is fetched.
 func (cp *Campaign) apply(c *emu.CPU, f Fault) {
+	if f.FPM == micro.FPMNone {
+		c.SetReg(f.Slot, c.Reg(f.Slot)^(1<<uint(f.Bit)))
+		return
+	}
 	is := c.ISA
 	// Find the next instruction with a suitable target, executing
 	// forward when the current one has none (keeps sampling total).
@@ -611,7 +616,7 @@ type Tally = results.Tally
 func record(f Fault, o inject.Outcome, earlyStop bool) results.Record {
 	return results.Record{
 		Layer:     results.LayerArch,
-		Target:    f.FPM.String(),
+		Target:    Target(f.FPM),
 		Coord:     f.K,
 		Bit:       f.Bit,
 		Slot:      f.Slot,
@@ -704,47 +709,4 @@ func (cp *Campaign) CheckpointPCs() []uint64 {
 		pcs[i] = s.PC
 	}
 	return pcs
-}
-
-// UniformRecords executes register-uniform injections [from, n) of the
-// n-fault sequence pre-drawn from seed (see SampleUniform), with the
-// same absolute indexing and top-up resume discipline as Records.
-func (cp *Campaign) UniformRecords(n, from int, seed int64, progress func(i int, r results.Record)) []results.Record {
-	r := rand.New(rand.NewSource(seed))
-	faults := make([]Fault, n)
-	for i := range faults {
-		faults[i] = cp.SampleUniform(r)
-	}
-	if from < 0 {
-		from = 0
-	}
-	if from >= n {
-		return nil
-	}
-	jobs := make([]campaign.Job, n-from)
-	for i := range jobs {
-		jobs[i] = campaign.Job{Index: i, Group: cp.chain.Find(faults[from+i].K)}
-	}
-	var emit func(i int, rec results.Record)
-	if progress != nil {
-		emit = func(i int, rec results.Record) { progress(from+i, rec) }
-	}
-	return campaign.Run(jobs, cp.Workers,
-		func() *worker { return &worker{src: -1} },
-		func(w *worker, j campaign.Job) results.Record {
-			f := faults[from+j.Index]
-			c, bus := cp.cpuFor(w, f.K, j.Group)
-			o, early := cp.classify(c, bus, j.Group, w, func() { applyUniform(c, f) })
-			return results.Record{
-				Layer:     results.LayerArch,
-				Target:    UniformTarget,
-				Coord:     f.K,
-				Bit:       f.Bit,
-				Slot:      f.Slot,
-				Outcome:   o,
-				EarlyStop: early,
-				Index:     from + j.Index,
-			}
-		},
-		emit)
 }

@@ -18,10 +18,10 @@ import (
 
 func prep(t *testing.T, bench string, is isa.ISA) *Campaign {
 	t.Helper()
-	return prepWith(t, bench, is, PrepareOptions{})
+	return prepWith(t, bench, is, false)
 }
 
-func prepWith(t *testing.T, bench string, is isa.ISA, opts PrepareOptions) *Campaign {
+func prepWith(t *testing.T, bench string, is isa.ISA, reference bool) *Campaign {
 	t.Helper()
 	spec, err := workload.Get(bench)
 	if err != nil {
@@ -39,7 +39,7 @@ func prepWith(t *testing.T, bench string, is isa.ISA, opts PrepareOptions) *Camp
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := PrepareWith(img, 8, opts)
+	cp, err := Prepare(img, 8, reference)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestSampleClampDegenerateGolden(t *testing.T) {
 func TestArchEarlyStopRecordEquivalence(t *testing.T) {
 	const n, seed = 40, 2021
 	on := prep(t, "sha", isa.VSA64).Records(micro.FPMWD, n, 0, seed, nil)
-	off := prepWith(t, "sha", isa.VSA64, PrepareOptions{Reference: true}).Records(micro.FPMWD, n, 0, seed, nil)
+	off := prepWith(t, "sha", isa.VSA64, true).Records(micro.FPMWD, n, 0, seed, nil)
 	stopped := 0
 	for i := range on {
 		if on[i].EarlyStop {

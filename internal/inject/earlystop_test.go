@@ -53,7 +53,7 @@ func trivialImage(t *testing.T) *kernel.Image {
 // the early-stop machinery included.
 func TestTrivialWorkloadCampaign(t *testing.T) {
 	img := trivialImage(t)
-	cp, err := Prepare(img, micro.ConfigA72(), 12, 0)
+	cp, err := Prepare(img, micro.ConfigA72(), 12)
 	if err != nil {
 		t.Fatal(err)
 	}

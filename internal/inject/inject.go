@@ -152,22 +152,22 @@ type Campaign struct {
 // display; read-only).
 func (cp *Campaign) Chain() *ckpt.Chain { return cp.chain }
 
+// goldenMaxCycles bounds Prepare's golden run.
+const goldenMaxCycles = 1 << 28
+
 // Prepare runs the golden execution (twice: once to learn its length,
 // once to capture evenly spaced delta checkpoints) and returns a ready
 // campaign. nsnaps <= 1 keeps only the boot checkpoint. cfg.Reference
 // selects the reference engine for every run of the campaign: no decode
 // memo, and faulty runs execute to halt or Limit without convergence
 // early-stop. Outcomes are provably identical either way.
-func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int, maxCycles uint64) (*Campaign, error) {
+func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int) (*Campaign, error) {
 	if cfg.ISA != img.ISA {
 		return nil, fmt.Errorf("inject: config %s is %v but image is %v", cfg.Name, cfg.ISA, img.ISA)
 	}
-	if maxCycles == 0 {
-		maxCycles = 1 << 28
-	}
 	core := micro.New(cfg, img.NewMemory(), img.Entry)
-	if !core.Run(maxCycles) {
-		return nil, fmt.Errorf("inject: golden run did not finish in %d cycles", maxCycles)
+	if !core.Run(goldenMaxCycles) {
+		return nil, fmt.Errorf("inject: golden run did not finish in %d cycles", goldenMaxCycles)
 	}
 	if core.Bus.Halt != dev.HaltClean {
 		return nil, fmt.Errorf("inject: golden run ended %v (panic code %d)", core.Bus.Halt, core.Bus.PanicCode)

@@ -32,7 +32,7 @@ func shaCampaign(t *testing.T, cfg micro.Config, snaps int) *Campaign {
 	t.Helper()
 	spec, _ := workload.Get("sha")
 	img := image(t, spec.Gen(3, 1), cfg)
-	cp, err := Prepare(img, cfg, snaps, 0)
+	cp, err := Prepare(img, cfg, snaps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestPrepareFromChainMatchesCold(t *testing.T) {
 	cfg := micro.ConfigA72()
 	spec, _ := workload.Get("sha")
 	img := image(t, spec.Gen(3, 1), cfg)
-	cold, err := Prepare(img, cfg, 8, 0)
+	cold, err := Prepare(img, cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

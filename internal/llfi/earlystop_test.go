@@ -35,7 +35,7 @@ func TestSampleClampNoDefs(t *testing.T) {
 func TestDeadFilterEquivalence(t *testing.T) {
 	const n, seed = 80, 2021
 	on := prep(t, "sha").Records(n, 0, seed, nil)
-	off := prepWith(t, "sha", PrepareOptions{Reference: true}).Records(n, 0, seed, nil)
+	off := prepWith(t, "sha", true).Records(n, 0, seed, nil)
 	if len(on) != len(off) {
 		t.Fatalf("record counts differ: %d vs %d", len(on), len(off))
 	}
@@ -80,11 +80,11 @@ func main() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := Prepare(m, 1<<20)
+	cp, err := Prepare(m, 1<<20, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := PrepareWith(m, 1<<20, PrepareOptions{Reference: true})
+	ref, err := Prepare(m, 1<<20, true)
 	if err != nil {
 		t.Fatal(err)
 	}

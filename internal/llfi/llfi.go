@@ -65,32 +65,21 @@ type Campaign struct {
 	// irb is the interprocedural demanded-bits result over cp.M.
 	irb *static.IRBits
 
-	// reference is PrepareOptions.Reference.
+	// reference selects the reference engine (see Prepare).
 	reference bool
 	progOnce  sync.Once
 	prog      *tb.Prog
 }
 
-// PrepareOptions configure the campaign's engine.
-type PrepareOptions struct {
-	// Reference selects the reference engine: no dead-definition filter,
-	// no static resolution, and every faulty run interpreted
-	// instruction-by-instruction with the fault applied via the
-	// definition hook instead of the compiled direct-threaded engine.
-	// Outcomes are provably identical either way. Golden runs always use
-	// the plain interpreter, which the def-use and site tracking
-	// requires; the tracking still runs, so stratified campaigns
-	// partition their pools identically on both engines.
-	Reference bool
-}
-
-// Prepare runs the golden execution with default options.
-func Prepare(m *ir.Module, memSize int) (*Campaign, error) {
-	return PrepareWith(m, memSize, PrepareOptions{})
-}
-
-// PrepareWith runs the golden execution.
-func PrepareWith(m *ir.Module, memSize int, opts PrepareOptions) (*Campaign, error) {
+// Prepare runs the golden execution. reference selects the reference
+// engine: no dead-definition filter, no static resolution, and every
+// faulty run interpreted instruction-by-instruction with the fault
+// applied via the definition hook instead of the compiled
+// direct-threaded engine. Outcomes are provably identical either way.
+// Golden runs always use the plain interpreter, which the def-use and
+// site tracking requires; the tracking still runs, so stratified
+// campaigns partition their pools identically on both engines.
+func Prepare(m *ir.Module, memSize int, reference bool) (*Campaign, error) {
 	ip := ir.NewInterp(m, Width, memSize)
 	ip.MaxSteps = 1 << 32
 	ip.TrackUse = true
@@ -112,7 +101,7 @@ func PrepareWith(m *ir.Module, memSize int, opts PrepareOptions) (*Campaign, err
 		usedDefs:    ip.UsedDefs(),
 		defSites:    append([]int32(nil), ip.DefSites()...),
 		irb:         static.AnalyzeIR(m, "_start", Width),
-		reference:   opts.Reference,
+		reference:   reference,
 	}, nil
 }
 
@@ -154,12 +143,10 @@ func (cp *Campaign) deadDef(f Fault) bool {
 // site is statically undemanded — no chain of uses can carry it into
 // program output, the exit code, a branch, an address, or a syscall
 // operand, so the injected run is observably identical to golden.
-// Always false when Static is off or the campaign runs the reference
-// engine.
+// It is the analysis verdict alone, whatever Static says: Run and
+// RecordsAt act on it only when Static is on and the campaign runs the
+// fast engine.
 func (cp *Campaign) StaticMasked(f Fault) bool {
-	if !cp.Static || cp.reference {
-		return false
-	}
 	if f.Seq >= cp.GoldenDefs {
 		return true
 	}
@@ -178,7 +165,7 @@ func (cp *Campaign) IRBits() *static.IRBits { return cp.irb }
 // a fresh interpreter per call; campaigns use reusable per-worker
 // interpreter arenas in RunCampaign instead.
 func (cp *Campaign) Run(f Fault) inject.Outcome {
-	if cp.StaticMasked(f) || cp.deadDef(f) {
+	if (cp.Static && !cp.reference && cp.StaticMasked(f)) || cp.deadDef(f) {
 		return inject.Masked
 	}
 	return cp.inject(ir.NewInterp(cp.M, Width, cp.MemSize), f)

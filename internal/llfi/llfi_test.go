@@ -11,10 +11,10 @@ import (
 
 func prep(t *testing.T, bench string) *Campaign {
 	t.Helper()
-	return prepWith(t, bench, PrepareOptions{})
+	return prepWith(t, bench, false)
 }
 
-func prepWith(t *testing.T, bench string, opts PrepareOptions) *Campaign {
+func prepWith(t *testing.T, bench string, reference bool) *Campaign {
 	t.Helper()
 	spec, err := workload.Get(bench)
 	if err != nil {
@@ -24,7 +24,7 @@ func prepWith(t *testing.T, bench string, opts PrepareOptions) *Campaign {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := PrepareWith(m, 1<<21, opts)
+	cp, err := Prepare(m, 1<<21, reference)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestStaticHardwareLayersNeverResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Snapshots = 6
+	sys.snapshots = 6
 	sys.Static = true
 
 	res, err := sys.StratMicro(micro.ConfigA72(), micro.StructRF, stratTestOpts, 2021)

@@ -193,7 +193,11 @@ func TestExperimentStoreReuse(t *testing.T) {
 	}
 	lab2.mu.Lock()
 	defer lab2.mu.Unlock()
-	for key, s := range lab2.systems {
+	for key, c := range lab2.cells {
+		s, ok := c.val.(*System)
+		if !ok {
+			continue
+		}
 		s.mu.Lock()
 		if len(s.microC) != 0 || s.archC != nil || s.llfiC != nil {
 			t.Errorf("system %s prepared injectors on a warm store", key)

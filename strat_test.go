@@ -43,7 +43,6 @@ func TestStratifiedEstimateWithinCI(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.Snapshots = 6
 
 			check := func(layer string, uniform vuln.Split, res StratResult, err error) {
 				if err != nil {
@@ -182,7 +181,7 @@ func TestStratifiedResumeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.Snapshots = 6
+		sys.snapshots = 6
 		sys.Workers = workers
 		st, err := results.OpenStore(t.TempDir())
 		if err != nil {

@@ -72,9 +72,9 @@ type System struct {
 	// over staticG (the demanded-bits stratification feature and the
 	// analyze -bits tables).
 	staticB *static.BitFlow
-	// Snapshots controls golden-run snapshot counts for campaign
-	// acceleration.
-	Snapshots int
+	// snapshots is the golden-run checkpoint count of the micro and arch
+	// chains: defaultSnapshots from Build, labSnapshots in a Lab.
+	snapshots int
 	// Workers is the injection-campaign fan-out (<= 0: all CPUs).
 	// Tallies are bit-identical for every worker count.
 	Workers int
@@ -137,17 +137,19 @@ func Build(t Target, is isa.ISA) (*System, error) {
 		IR:        m,
 		Image:     img,
 		microC:    make(map[string]*inject.Campaign),
-		Snapshots: DefaultSnapshots,
+		snapshots: defaultSnapshots,
 	}, nil
 }
 
-// DefaultSnapshots is the default golden-run checkpoint count. Since
+// defaultSnapshots is the default golden-run checkpoint count. Since
 // checkpoints became chunk-granular deltas (internal/ckpt) their memory
 // no longer scales O(snapshots × RAM), so the default is dense — the
 // old full-snapshot default was 12 — which shortens the average
 // restore-and-advance distance per injection and gives convergence
-// early-stop far more boundaries to cut runs at.
-const DefaultSnapshots = 192
+// early-stop far more boundaries to cut runs at. Stratified partitions
+// depend on it: StratMicro and StratPVF key the liveness stratum on the
+// governing checkpoint's PC.
+const defaultSnapshots = 192
 
 // chainFingerprint identifies the checkpoint chain a campaign would
 // capture: every input that shapes the golden run or its checkpoints.
@@ -162,7 +164,7 @@ func (s *System) chainFingerprint(engine, config string) string {
 		fmt.Sprintf("v%d", ckpt.ChainVersion),
 		s.targetKey(),
 		config,
-		fmt.Sprintf("snapshots=%d", s.Snapshots),
+		fmt.Sprintf("snapshots=%d", s.snapshots),
 		fmt.Sprintf("ram=%d", RAMSize),
 	)
 }
@@ -229,7 +231,7 @@ func (s *System) MicroCampaign(cfg micro.Config) (*inject.Campaign, error) {
 		cp, _ = inject.PrepareFromChain(s.Image, cfg, ch)
 	}
 	if cp == nil {
-		if cp, err = inject.Prepare(s.Image, cfg, s.Snapshots, 0); err != nil {
+		if cp, err = inject.Prepare(s.Image, cfg, s.snapshots); err != nil {
 			return nil, err
 		}
 		s.saveChain(fp, cp.Chain())
@@ -251,7 +253,7 @@ func (s *System) ArchCampaign() (*arch.Campaign, error) {
 			cp, _ = arch.PrepareFromChain(s.Image, ch)
 		}
 		if cp == nil {
-			if cp, err = arch.PrepareWith(s.Image, s.Snapshots, arch.PrepareOptions{Reference: s.Reference}); err != nil {
+			if cp, err = arch.Prepare(s.Image, s.snapshots, s.Reference); err != nil {
 				return nil, err
 			}
 			s.saveChain(fp, cp.Chain())
@@ -275,7 +277,7 @@ func (s *System) LLFICampaign() (*llfi.Campaign, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.llfiC == nil {
-		cp, err := llfi.PrepareWith(s.IR, RAMSize, llfi.PrepareOptions{Reference: s.Reference})
+		cp, err := llfi.Prepare(s.IR, RAMSize, s.Reference)
 		if err != nil {
 			return nil, err
 		}
@@ -325,16 +327,11 @@ func tbMode(base string) string {
 	return base + ",tb"
 }
 
-// ArchKey is the store key of one architecture-level (PVF) campaign.
+// ArchKey is the store key of one architecture-level (PVF) campaign;
+// micro.FPMNone keys the register-uniform campaign.
 func (s *System) ArchKey(fpm micro.FPM, seed int64) results.Key {
 	return results.Key{Layer: results.LayerArch.String(), Target: s.targetKey(),
-		Struct: fpm.String(), Seed: seed, Mode: tbMode("")}
-}
-
-// UniformKey is the store key of the register-uniform PVF campaign.
-func (s *System) UniformKey(seed int64) results.Key {
-	return results.Key{Layer: results.LayerArch.String(), Target: s.targetKey(),
-		Struct: arch.UniformTarget, Seed: seed, Mode: tbMode("")}
+		Struct: arch.Target(fpm), Seed: seed, Mode: tbMode("")}
 }
 
 // SoftKey is the store key of the software-level (SVF) campaign.
@@ -454,7 +451,10 @@ func (s *System) AVFAll(cfg micro.Config, nPerStruct int, seed int64) ([]StructR
 }
 
 // PVF measures the architecture-level vulnerability for one FPM,
-// store-aware like MicroTally.
+// store-aware like MicroTally. micro.FPMNone measures the
+// register-uniform PVF: bit flips uniform over (register, bit, dynamic
+// instant), the quantity that dynamic ACE — and therefore the static
+// bound — provably dominates.
 func (s *System) PVF(fpm micro.FPM, n int, seed int64) (vuln.Split, error) {
 	tally, err := s.storeTally(s.ArchKey(fpm, seed), n, func(from int) ([]results.Record, error) {
 		cp, err := s.ArchCampaign()
@@ -462,24 +462,6 @@ func (s *System) PVF(fpm micro.FPM, n int, seed int64) (vuln.Split, error) {
 			return nil, err
 		}
 		return cp.Records(fpm, n, from, seed, nil), nil
-	})
-	if err != nil {
-		return vuln.Split{}, err
-	}
-	return vuln.SplitOf(tally), nil
-}
-
-// UniformPVF measures the register-uniform architecture-level
-// vulnerability: bit flips uniform over (register, bit, dynamic
-// instant), the quantity that dynamic ACE — and therefore the static
-// bound — provably dominates. Store-aware like PVF.
-func (s *System) UniformPVF(n int, seed int64) (vuln.Split, error) {
-	tally, err := s.storeTally(s.UniformKey(seed), n, func(from int) ([]results.Record, error) {
-		cp, err := s.ArchCampaign()
-		if err != nil {
-			return nil, err
-		}
-		return cp.UniformRecords(n, from, seed, nil), nil
 	})
 	if err != nil {
 		return vuln.Split{}, err

@@ -32,7 +32,7 @@ func TestTranslationBlockSMCInvalidation(t *testing.T) {
 			mk := func(reference bool) *System {
 				sys := shaSystem(t)
 				sys.Workers = 2
-				sys.Snapshots = 6
+				sys.snapshots = 6
 				sys.Reference = reference
 				return sys
 			}
@@ -69,7 +69,7 @@ func TestStoreTBProvenanceKeys(t *testing.T) {
 	}{
 		{sys.MicroKey(micro.ConfigA72(), micro.StructRF, 7), "micro/sha/1/0/false/VSA64/A72/RF/seed=7"},
 		{sys.ArchKey(micro.FPMWD, 7), "arch/sha/1/0/false/VSA64//WD/seed=7/mode=tb"},
-		{sys.UniformKey(7), "arch/sha/1/0/false/VSA64//reg-uniform/seed=7/mode=tb"},
+		{sys.ArchKey(micro.FPMNone, 7), "arch/sha/1/0/false/VSA64//reg-uniform/seed=7/mode=tb"},
 		{sys.SoftKey(7), "soft/sha/1/0/false/VSA64///seed=7/mode=tb"},
 	} {
 		if got := c.key.String(); got != c.want {
@@ -89,7 +89,7 @@ func TestReferenceRejectsStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys := shaSystem(t)
-	sys.Snapshots = 6
+	sys.snapshots = 6
 	sys.Reference = true
 	sys.Store = st
 	for name, run := range map[string]func() error{

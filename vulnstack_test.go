@@ -2,6 +2,7 @@ package vulnstack
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"vulnstack/internal/isa"
@@ -10,7 +11,7 @@ import (
 
 // tinyOpts keeps facade tests fast; statistical assertions stay loose.
 func tinyOpts() Options {
-	return Options{NAVF: 8, NPVF: 12, NSVF: 25, Seed: 5, Snapshots: 8,
+	return Options{NAVF: 8, NPVF: 12, NSVF: 25, Seed: 5,
 		Benches: []string{"sha", "qsort"}}
 }
 
@@ -105,6 +106,45 @@ func TestLabCaching(t *testing.T) {
 	}
 	if s1 != s2 {
 		t.Fatal("lab must cache systems")
+	}
+
+	// Single flight: concurrent callers of one key share one fill, a
+	// failed one included.
+	lab = NewLab(tinyOpts())
+	const callers = 8
+	var wg sync.WaitGroup
+	systems := make([]*System, callers)
+	errs := make([]error, callers)
+	for i := range callers {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			systems[i], _ = lab.System(Target{Bench: "sha"}, isa.VSA64)
+		}()
+		go func() {
+			defer wg.Done()
+			_, errs[i] = lab.System(Target{Bench: "nosuch"}, isa.VSA64)
+		}()
+	}
+	wg.Wait()
+	for i := range callers {
+		if systems[i] == nil || systems[i] != systems[0] {
+			t.Errorf("caller %d got system %p, caller 0 got %p", i, systems[i], systems[0])
+		}
+		if errs[i] == nil || errs[i] != errs[0] {
+			t.Errorf("caller %d got error %v, caller 0 got %v", i, errs[i], errs[0])
+		}
+	}
+	lab.mu.Lock()
+	defer lab.mu.Unlock()
+	unknown := 0
+	for key := range lab.cells {
+		if strings.Contains(key, "nosuch") {
+			unknown++
+		}
+	}
+	if unknown != 1 {
+		t.Errorf("unknown benchmark left %d memo cells, want 1", unknown)
 	}
 }
 
