@@ -1,10 +1,13 @@
 package vulnstack
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"vulnstack/internal/ckpt"
+	"vulnstack/internal/inject"
 	"vulnstack/internal/isa"
 	"vulnstack/internal/micro"
 	"vulnstack/internal/results"
@@ -92,6 +95,41 @@ func TestChainFingerprintGuard(t *testing.T) {
 	seedSys.Store = st
 	if cp, err := seedSys.MicroCampaign(cfg); err != nil || cp.Resumed {
 		t.Fatalf("campaign for a different target seed reused the persisted chain (err=%v)", err)
+	}
+}
+
+// TestPreTableChainNotLoaded: a micro chain persisted before golden
+// blobs carried the lifetime table is filed under the chain-format-1
+// fingerprint, which no system computes any more, so a campaign
+// prepares cold instead of resuming without its table.
+func TestPreTableChainNotLoaded(t *testing.T) {
+	dir := t.TempDir()
+	cfg := micro.ConfigA72()
+	sys := ckptSystem(t, dir, nil)
+	cp, err := sys.MicroCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := sys.chainFingerprint(inject.Engine, cfg.Name)
+	old := ckpt.Fingerprint(inject.Engine, "v1", sys.targetKey(), cfg.Name,
+		fmt.Sprintf("snapshots=%d", sys.snapshots), fmt.Sprintf("ram=%d", RAMSize))
+	if old == cur {
+		t.Fatal("the micro chain fingerprint did not change with the chain format")
+	}
+	// File the chain under the old fingerprint only.
+	if err := os.Remove(filepath.Join(dir, cur+results.ChainExt)); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := ckpt.Decode(cp.Chain().Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.Meta.Fingerprint = old
+	if err := sys.Store.SaveChain(old, ch.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if cp, err := ckptSystem(t, dir, nil).MicroCampaign(cfg); err != nil || cp.Resumed {
+		t.Fatalf("campaign resumed from a chain under the pre-table fingerprint (err=%v)", err)
 	}
 }
 

@@ -238,7 +238,7 @@ func cmdCampaign(args []string) error {
 	hard := fs.Bool("harden", false, "apply the fault-tolerance transform")
 	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = all CPUs; tallies are identical for any value)")
 	storeDir := fs.String("store", "", "persistent results store directory (reuse + top-up of stored records)")
-	reference := fs.Bool("reference", false, "run the reference engine: every shortcut off (step engines, no early-stop, no dead-def filter, no decode memo); tallies are identical, records differ only in early-stop provenance; never uses -store")
+	reference := fs.Bool("reference", false, "run the reference engine: every shortcut off (step engines, no lifetime tables, no early-stop, no dead-def filter, no decode memo); tallies are identical, records differ only in early-stop provenance; never uses -store")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (runtime/pprof) to this file")
 	fs.Parse(args)

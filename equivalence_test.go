@@ -9,29 +9,54 @@ import (
 	"vulnstack/internal/results"
 )
 
-// equivLayer runs one layer's campaign on sys and returns its record
-// stream.
+// equivLayer runs one layer's campaign on a system built for ISA is and
+// returns its record stream.
 type equivLayer struct {
 	name string
+	is   isa.ISA
 	run  func(t *testing.T, sys *System, workers int) []results.Record
 }
 
 const equivSeed = 2021
 
+// microLayers returns one equivLayer per structure of cfg's micro
+// campaign, n[s] injections each.
+func microLayers(cfg micro.Config, n [micro.NumStructures]int) []equivLayer {
+	var layers []equivLayer
+	for s := micro.Structure(0); s < micro.NumStructures; s++ {
+		s := s
+		layers = append(layers, equivLayer{"micro " + cfg.Name + " " + s.String(), cfg.ISA, func(t *testing.T, sys *System, workers int) []results.Record {
+			cp, err := sys.MicroCampaign(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp.Workers = workers
+			return cp.Records(s, n[s], 0, equivSeed, nil)
+		}})
+	}
+	return layers
+}
+
 // TestAccelerationEquivalenceAllBenchmarks is the fast-vs-reference
-// gate of the micro layer: convergence early-stop and the micro decode
-// memo must reproduce the reference engine's record stream on every
-// seed benchmark (see assertFastMatchesReference).
+// gate of the micro layer: the lifetime table, convergence early-stop
+// and the micro decode memo must reproduce the reference engine's
+// record stream in all five structures on every seed benchmark (see
+// assertFastMatchesReference), on A72 (VSA64) for half of them and on
+// A9 (VSA32) for the other half. lifetime_breadth_test.go runs every
+// benchmark on all four configs with more faults, without -race.
 func TestAccelerationEquivalenceAllBenchmarks(t *testing.T) {
-	cfg := micro.ConfigA72()
-	assertFastMatchesReference(t, equivLayer{"micro", func(t *testing.T, sys *System, workers int) []results.Record {
-		cp, err := sys.MicroCampaign(cfg)
-		if err != nil {
-			t.Fatal(err)
+	n := [micro.NumStructures]int{10, 4, 4, 4, 6}
+	benches := Benchmarks()
+	var even, odd []string
+	for i, b := range benches {
+		if i%2 == 0 {
+			even = append(even, b)
+		} else {
+			odd = append(odd, b)
 		}
-		cp.Workers = workers
-		return cp.Records(micro.StructRF, 10, 0, equivSeed, nil)
-	}})
+	}
+	assertFastMatchesReference(t, even, microLayers(micro.ConfigA72(), n)...)
+	assertFastMatchesReference(t, odd, microLayers(micro.ConfigA9(), n)...)
 }
 
 // TestTranslationBlockEquivalenceAllBenchmarks is the fast-vs-reference
@@ -43,7 +68,7 @@ func TestAccelerationEquivalenceAllBenchmarks(t *testing.T) {
 // bits in memory, so they exercise code-granule invalidation.
 func TestTranslationBlockEquivalenceAllBenchmarks(t *testing.T) {
 	arch := func(fpm micro.FPM, n int) equivLayer {
-		return equivLayer{"arch " + fpm.String(), func(t *testing.T, sys *System, workers int) []results.Record {
+		return equivLayer{"arch " + fpm.String(), isa.VSA64, func(t *testing.T, sys *System, workers int) []results.Record {
 			cp, err := sys.ArchCampaign()
 			if err != nil {
 				t.Fatal(err)
@@ -52,9 +77,9 @@ func TestTranslationBlockEquivalenceAllBenchmarks(t *testing.T) {
 			return cp.Records(fpm, n, 0, equivSeed, nil)
 		}}
 	}
-	assertFastMatchesReference(t,
+	assertFastMatchesReference(t, Benchmarks(),
 		arch(micro.FPMWD, 16), arch(micro.FPMWOI, 8), arch(micro.FPMWI, 8),
-		equivLayer{"soft", func(t *testing.T, sys *System, workers int) []results.Record {
+		equivLayer{"soft", isa.VSA64, func(t *testing.T, sys *System, workers int) []results.Record {
 			cp, err := sys.LLFICampaign()
 			if err != nil {
 				t.Fatal(err)
@@ -64,21 +89,21 @@ func TestTranslationBlockEquivalenceAllBenchmarks(t *testing.T) {
 		}})
 }
 
-// assertFastMatchesReference runs each layer on every seed benchmark,
+// assertFastMatchesReference runs each layer on each of the benchmarks,
 // for one and several workers, and requires the fast path to reproduce
 // the reference engine's record stream record for record — only the
 // EarlyStop provenance flag may differ. Each engine builds its own
 // golden chain, so an engine bug cannot corrupt both sides of the
 // comparison. The per-layer sample counts are small — the point is
-// breadth (every benchmark exercises different convergence, decode and
-// block patterns), not statistical depth.
-func assertFastMatchesReference(t *testing.T, layers ...equivLayer) {
-	for _, bench := range Benchmarks() {
+// breadth (every benchmark exercises different lifetime, convergence,
+// decode and block patterns), not statistical depth.
+func assertFastMatchesReference(t *testing.T, benches []string, layers ...equivLayer) {
+	for _, bench := range benches {
 		bench := bench
 		t.Run(bench, func(t *testing.T) {
 			t.Parallel()
-			mk := func(reference bool) *System {
-				sys, err := Build(Target{Bench: bench, Seed: 1}, isa.VSA64)
+			mk := func(is isa.ISA, reference bool) *System {
+				sys, err := Build(Target{Bench: bench, Seed: 1}, is)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,8 +111,12 @@ func assertFastMatchesReference(t *testing.T, layers ...equivLayer) {
 				sys.Reference = reference
 				return sys
 			}
-			fast, ref := mk(false), mk(true)
+			built := map[isa.ISA][2]*System{}
 			for _, l := range layers {
+				if _, ok := built[l.is]; !ok {
+					built[l.is] = [2]*System{mk(l.is, false), mk(l.is, true)}
+				}
+				fast, ref := built[l.is][0], built[l.is][1]
 				want := l.run(t, ref, 1)
 				for _, workers := range []int{1, 3} {
 					assertSameRecords(t, fmt.Sprintf("%s layer, %d workers", l.name, workers),

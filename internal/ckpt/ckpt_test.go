@@ -387,6 +387,28 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsGoldenFlip: the digest covers the golden blob, which
+// a warm Prepare trusts instead of rerunning the golden execution (the
+// micro engine's lifetime table rides in it): a flip anywhere in it
+// yields ErrChain.
+func TestDecodeRejectsGoldenFlip(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	ch := chainOf(t, buildImages(r, 3, chunkSize, false), buildImages(r, 3, chunkSize, false))
+	ch.Meta.Golden = []byte("golden summary and lifetime table")
+	data := ch.Encode()
+	at := bytes.Index(data, ch.Meta.Golden)
+	if at < 0 {
+		t.Fatal("golden blob not found in the encoding")
+	}
+	for i := range ch.Meta.Golden {
+		mut := append([]byte(nil), data...)
+		mut[at+i] ^= 0x10
+		if _, err := Decode(mut); !errors.Is(err, ErrChain) {
+			t.Fatalf("flip in golden byte %d: err=%v, want ErrChain", i, err)
+		}
+	}
+}
+
 // TestDeltaMemoryScaling: the acceptance criterion that checkpoint
 // memory is no longer O(checkpoints × image): a 128-checkpoint chain
 // over a sparsely mutating image must store far less than 128 full

@@ -11,7 +11,9 @@ import (
 // ChainVersion is the persisted-chain format version. It participates
 // in the fingerprint (via the engines), so a format bump naturally
 // invalidates older persisted chains instead of misdecoding them.
-const ChainVersion = 1
+// Version 2: the micro engine's golden blob carries the golden run's
+// lifetime table, and the digest covers the golden blob.
+const ChainVersion = 2
 
 // Column ids of the persisted form. The header block (one row) carries
 // the meta and a digest of everything after it; the index block (one
@@ -25,7 +27,7 @@ const (
 	colConfig   = 4 // header: blob
 	colRAMBytes = 5 // header: uvarint
 	colGolden   = 6 // header: blob
-	colDigest   = 7 // header: blob, sha256 of the following blocks
+	colDigest   = 7 // header: blob, sha256 of the golden blob and the following blocks
 	colCoord    = 1 // index: uvarint per checkpoint
 	colProbe    = 2 // index: uvarint
 	colStateLen = 3 // index: uvarint
@@ -44,7 +46,8 @@ var ErrChain = errors.New("ckpt: unusable persisted chain")
 
 // Encode serializes the chain: a header block, an index block, and one
 // delta block per space, with the header carrying a sha256 digest of
-// the following bytes so bit flips are detected, not misrestored.
+// the golden blob and the following bytes so bit flips are detected,
+// not misrestored.
 func (ch *Chain) Encode() []byte {
 	var tail []byte
 	n := len(ch.coords)
@@ -68,7 +71,7 @@ func (ch *Chain) Encode() []byte {
 	tail = appendSpace(tail, ch.ram)
 	tail = appendSpace(tail, ch.state)
 
-	digest := sha256.Sum256(tail)
+	digest := digestOf(ch.Meta.Golden, tail)
 	hdr := colseg.NewBuilder(1)
 	hdr.Uvarint(colVersion, []uint64{ChainVersion})
 	hdr.Blob(colEngine, [][]byte{[]byte(ch.Meta.Engine)})
@@ -77,8 +80,18 @@ func (ch *Chain) Encode() []byte {
 	hdr.Blob(colConfig, [][]byte{[]byte(ch.Meta.Config)})
 	hdr.Uvarint(colRAMBytes, []uint64{uint64(ch.Meta.RAMBytes)})
 	hdr.Blob(colGolden, [][]byte{ch.Meta.Golden})
-	hdr.Blob(colDigest, [][]byte{digest[:]})
+	hdr.Blob(colDigest, [][]byte{digest})
 	return append(hdr.AppendTo(nil), tail...)
+}
+
+// digestOf hashes the golden blob (the engine's summary, which a warm
+// Prepare trusts instead of rerunning the golden execution) and the
+// bytes after the header.
+func digestOf(golden, tail []byte) []byte {
+	h := sha256.New()
+	h.Write(golden)
+	h.Write(tail)
+	return h.Sum(nil)
 }
 
 // appendSpace flattens a delta space in (checkpoint, chunk) order.
@@ -162,9 +175,10 @@ func parseHeader(hdr *colseg.Block) (Meta, error) {
 }
 
 // Decode reconstructs a chain from its persisted form, verifying the
-// digest over everything after the header. Any failure — truncation,
-// bit flips, structural corruption, a format version mismatch — yields
-// ErrChain; callers fall back to a cold golden run.
+// digest over the golden blob and everything after the header. Any
+// failure — truncation, bit flips, structural corruption, a format
+// version mismatch — yields ErrChain; callers fall back to a cold
+// golden run.
 func Decode(data []byte) (*Chain, error) {
 	hdr, n, err := colseg.Parse(data)
 	if err != nil {
@@ -179,8 +193,7 @@ func Decode(data []byte) (*Chain, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrChain, err)
 	}
-	digest := sha256.Sum256(tail)
-	if string(want[0]) != string(digest[:]) {
+	if string(want[0]) != string(digestOf(meta.Golden, tail)) {
 		return nil, fmt.Errorf("%w: digest mismatch", ErrChain)
 	}
 

@@ -63,8 +63,10 @@ type Result struct {
 	// Live is false when the flip was provably dead at injection time.
 	Live bool
 	// EarlyStop reports the run was classified by golden-state
-	// convergence at a checkpoint boundary instead of running to
-	// completion. Provenance only: the outcome is provably identical.
+	// convergence at a checkpoint boundary, or from the lifetime table
+	// (the golden run overwrites or discards the live flipped bit before
+	// any read), instead of running to completion. Provenance only: the
+	// outcome is provably identical.
 	EarlyStop bool
 }
 
@@ -96,7 +98,9 @@ type Golden struct {
 }
 
 // encodeGolden serializes the golden summary into a chain's Meta so a
-// warm load learns the reference run without executing it.
+// warm load learns the reference run without executing it. The fast
+// path's Prepare appends the golden run's lifetime table to it
+// (micro.Core.AppendLifetimes).
 func encodeGolden(g Golden) []byte {
 	b := binary.AppendUvarint(nil, uint64(len(g.Out)))
 	b = append(b, g.Out...)
@@ -106,23 +110,38 @@ func encodeGolden(g Golden) []byte {
 	return binary.AppendUvarint(b, g.KInstr)
 }
 
-func decodeGolden(b []byte) (Golden, error) {
+// decodeGolden decodes a golden blob: the summary, then the lifetime
+// table if any bytes follow it (nil otherwise). Varints must be
+// canonical, so an accepted blob re-encodes byte for byte. The table
+// aliases b.
+func decodeGolden(b []byte) (Golden, *micro.Lifetimes, error) {
 	var g Golden
-	n, k := binary.Uvarint(b)
-	if k <= 0 || uint64(len(b)-k) < n {
-		return g, fmt.Errorf("inject: truncated golden summary")
+	errTrunc := fmt.Errorf("inject: truncated or non-canonical golden summary")
+	n, b, ok := uvarint(b)
+	if !ok || uint64(len(b)) < n {
+		return g, nil, errTrunc
 	}
-	g.Out = append([]byte(nil), b[k:k+int(n)]...)
-	b = b[k+int(n):]
+	g.Out = append([]byte(nil), b[:n]...)
+	b = b[n:]
 	for _, dst := range []*uint64{&g.ExitCode, &g.Cycles, &g.Instret, &g.KInstr} {
-		v, k := binary.Uvarint(b)
-		if k <= 0 {
-			return g, fmt.Errorf("inject: truncated golden summary")
+		if *dst, b, ok = uvarint(b); !ok {
+			return g, nil, errTrunc
 		}
-		*dst = v
-		b = b[k:]
 	}
-	return g, nil
+	if len(b) == 0 {
+		return g, nil, nil
+	}
+	life, err := micro.DecodeLifetimes(b)
+	return g, life, err
+}
+
+// uvarint reads one canonically encoded uvarint.
+func uvarint(b []byte) (uint64, []byte, bool) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || n != len(binary.AppendUvarint(nil, v)) {
+		return 0, b, false
+	}
+	return v, b[n:], true
 }
 
 // Campaign holds everything needed to run injections for one
@@ -146,6 +165,11 @@ type Campaign struct {
 	// Resumed reports the campaign was prepared from a persisted chain:
 	// zero golden-run instructions were executed by Prepare.
 	Resumed bool
+
+	// life is the golden run's lifetime table, which resolves the faults
+	// it decides without a machine (see run). nil on the reference
+	// engine, which never records or reads one.
+	life *micro.Lifetimes
 }
 
 // Chain exposes the campaign's checkpoint chain (for persistence and
@@ -155,17 +179,21 @@ func (cp *Campaign) Chain() *ckpt.Chain { return cp.chain }
 // goldenMaxCycles bounds Prepare's golden run.
 const goldenMaxCycles = 1 << 28
 
-// Prepare runs the golden execution (twice: once to learn its length,
-// once to capture evenly spaced delta checkpoints) and returns a ready
-// campaign. nsnaps <= 1 keeps only the boot checkpoint. cfg.Reference
-// selects the reference engine for every run of the campaign: no decode
-// memo, and faulty runs execute to halt or Limit without convergence
-// early-stop. Outcomes are provably identical either way.
+// Prepare runs the golden execution (twice: once to learn its length
+// and record its lifetime table, once to capture evenly spaced delta
+// checkpoints) and returns a ready campaign. nsnaps <= 1 keeps only the
+// boot checkpoint. cfg.Reference selects the reference engine for every
+// run of the campaign: no decode memo, no lifetime table, and faulty
+// runs execute to halt or Limit without convergence early-stop.
+// Outcomes are provably identical either way.
 func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int) (*Campaign, error) {
 	if cfg.ISA != img.ISA {
 		return nil, fmt.Errorf("inject: config %s is %v but image is %v", cfg.Name, cfg.ISA, img.ISA)
 	}
 	core := micro.New(cfg, img.NewMemory(), img.Entry)
+	if !cfg.Reference {
+		core.RecordLifetimes()
+	}
 	if !core.Run(goldenMaxCycles) {
 		return nil, fmt.Errorf("inject: golden run did not finish in %d cycles", goldenMaxCycles)
 	}
@@ -185,11 +213,22 @@ func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int) (*Campaign, error)
 	}
 	cp.Limit = 3*cp.Golden.Cycles + 50000
 
+	golden := encodeGolden(cp.Golden)
+	if !cfg.Reference {
+		n := len(golden)
+		// The campaign's table aliases the persisted blob, so it is held
+		// once; the clone drops append's spare capacity.
+		golden = bytes.Clone(core.AppendLifetimes(golden))
+		var err error
+		if cp.life, err = micro.DecodeLifetimes(golden[n:]); err != nil {
+			return nil, err
+		}
+	}
 	cp.chain = ckpt.New(ckpt.Meta{
 		Engine:   Engine,
 		Config:   cfg.Name,
 		RAMBytes: int(img.RAM.Size()),
-		Golden:   encodeGolden(cp.Golden),
+		Golden:   golden,
 	})
 	c2 := micro.New(cfg, img.NewMemory(), img.Entry)
 	var sbuf []byte
@@ -227,11 +266,12 @@ func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int) (*Campaign, error)
 
 // PrepareFromChain builds a campaign from a persisted checkpoint chain
 // without executing a single golden-run instruction: the golden
-// summary, watchdog limit and every restore point come from the chain.
-// The caller is responsible for fingerprint-matching the chain to its
-// campaign configuration; this validates engine, image geometry and
-// decodability of the boot checkpoint, returning an error (for a cold
-// Prepare fallback) on any mismatch.
+// summary, lifetime table, watchdog limit and every restore point come
+// from the chain. The caller is responsible for fingerprint-matching
+// the chain to its campaign configuration; this validates engine, image
+// geometry, the lifetime table's geometry (the fast path refuses a
+// chain without one) and decodability of the boot checkpoint, returning
+// an error (for a cold Prepare fallback) on any mismatch.
 func PrepareFromChain(img *kernel.Image, cfg micro.Config, ch *ckpt.Chain) (*Campaign, error) {
 	if cfg.ISA != img.ISA {
 		return nil, fmt.Errorf("inject: config %s is %v but image is %v", cfg.Name, cfg.ISA, img.ISA)
@@ -245,9 +285,14 @@ func PrepareFromChain(img *kernel.Image, cfg micro.Config, ch *ckpt.Chain) (*Cam
 	if ch.Len() == 0 {
 		return nil, fmt.Errorf("inject: empty chain")
 	}
-	g, err := decodeGolden(ch.Meta.Golden)
+	g, life, err := decodeGolden(ch.Meta.Golden)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Reference {
+		life = nil
+	} else if life == nil || !life.Fits(&cfg) {
+		return nil, fmt.Errorf("inject: chain has no lifetime table for config %s", cfg.Name)
 	}
 	// Prove the chain restores on this geometry before committing.
 	trial := micro.New(cfg, mem.New(img.RAM.Size()), img.Entry)
@@ -260,6 +305,7 @@ func PrepareFromChain(img *kernel.Image, cfg micro.Config, ch *ckpt.Chain) (*Cam
 		Golden:  g,
 		chain:   ch,
 		Resumed: true,
+		life:    life,
 	}
 	cp.Limit = 3*cp.Golden.Cycles + 50000
 	return cp, nil
@@ -336,8 +382,24 @@ func (cp *Campaign) Sample(r *rand.Rand, s micro.Structure) Fault {
 // Run performs one injection and classifies its effect, building a
 // throwaway arena; campaigns use the pooled worker path in RunCampaign.
 func (cp *Campaign) Run(f Fault) Result {
-	w := &worker{src: -1}
-	g := cp.chain.Find(f.Cycle)
+	return cp.run(&worker{src: -1}, f, cp.chain.Find(f.Cycle))
+}
+
+// run classifies one fault. A fault the lifetime table decides needs no
+// machine: a dead entry gives the record a restored injection would
+// (Masked, not live), and a live bit the golden run overwrites or
+// discards before any read gives the record of a run that re-equals
+// golden at the overwrite (Masked, no contact), flagged EarlyStop.
+// Every other fault restores w's arena from checkpoint g and runs.
+func (cp *Campaign) run(w *worker, f Fault, g int) Result {
+	if cp.life != nil && f.Cycle < cp.Golden.Cycles {
+		switch cp.life.Fate(f.Struct, f.Entry, f.Bit, f.Cycle) {
+		case micro.FateDead:
+			return Result{Fault: f, Outcome: Masked}
+		case micro.FateMasked:
+			return Result{Fault: f, Outcome: Masked, Live: true, EarlyStop: true}
+		}
+	}
 	return cp.classify(cp.coreFor(w, f.Cycle, g), f, g, w)
 }
 
@@ -489,8 +551,7 @@ func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r R
 	return campaign.Run(jobs, cp.Workers,
 		func() *worker { return &worker{src: -1} },
 		func(w *worker, j campaign.Job) Record {
-			f := faults[j.Index]
-			rec := cp.classify(cp.coreFor(w, f.Cycle, j.Group), f, j.Group, w).Record()
+			rec := cp.run(w, faults[j.Index], j.Group).Record()
 			rec.Index = base + j.Index
 			return rec
 		},

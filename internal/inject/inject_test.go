@@ -1,9 +1,12 @@
 package inject
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"vulnstack/internal/ckpt"
 	"vulnstack/internal/codegen"
 	"vulnstack/internal/kernel"
 	"vulnstack/internal/micro"
@@ -11,7 +14,7 @@ import (
 	"vulnstack/internal/workload"
 )
 
-func image(t *testing.T, src string, cfg micro.Config) *kernel.Image {
+func image(t testing.TB, src string, cfg micro.Config) *kernel.Image {
 	t.Helper()
 	m, err := minic.Compile(src, cfg.ISA.XLen())
 	if err != nil {
@@ -28,7 +31,7 @@ func image(t *testing.T, src string, cfg micro.Config) *kernel.Image {
 	return img
 }
 
-func shaCampaign(t *testing.T, cfg micro.Config, snaps int) *Campaign {
+func shaCampaign(t testing.TB, cfg micro.Config, snaps int) *Campaign {
 	t.Helper()
 	spec, _ := workload.Get("sha")
 	img := image(t, spec.Gen(3, 1), cfg)
@@ -266,22 +269,23 @@ func TestProgressContract(t *testing.T) {
 // TestGoldenRoundTrip: the golden summary survives the chain meta codec.
 func TestGoldenRoundTrip(t *testing.T) {
 	g := Golden{Out: []byte("digest"), ExitCode: 7, Cycles: 123456, Instret: 9999, KInstr: 321}
-	got, err := decodeGolden(encodeGolden(g))
-	if err != nil {
-		t.Fatal(err)
+	got, life, err := decodeGolden(encodeGolden(g))
+	if err != nil || life != nil {
+		t.Fatal(err, life)
 	}
 	if string(got.Out) != string(g.Out) || got.ExitCode != g.ExitCode ||
 		got.Cycles != g.Cycles || got.Instret != g.Instret || got.KInstr != g.KInstr {
 		t.Fatalf("round trip %+v != %+v", got, g)
 	}
-	if _, err := decodeGolden(encodeGolden(g)[:3]); err == nil {
+	if _, _, err := decodeGolden(encodeGolden(g)[:3]); err == nil {
 		t.Fatal("truncated summary must not decode")
 	}
 }
 
 // TestPrepareFromChainMatchesCold: a campaign resumed from the cold
-// campaign's own chain (zero golden-run instructions) must produce a
-// bit-identical tally.
+// campaign's chain, encoded and decoded (zero golden-run instructions),
+// must produce the cold campaign's records in every structure,
+// EarlyStop included: the lifetime table travels with the chain.
 func TestPrepareFromChainMatchesCold(t *testing.T) {
 	cfg := micro.ConfigA72()
 	spec, _ := workload.Get("sha")
@@ -290,7 +294,11 @@ func TestPrepareFromChainMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := PrepareFromChain(img, cfg, cold.Chain())
+	ch, err := ckpt.Decode(cold.Chain().Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := PrepareFromChain(img, cfg, ch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,9 +308,72 @@ func TestPrepareFromChainMatchesCold(t *testing.T) {
 	if warm.Golden.Cycles != cold.Golden.Cycles || string(warm.Golden.Out) != string(cold.Golden.Out) {
 		t.Fatal("golden summary mismatch")
 	}
-	a := cold.RunCampaign(micro.StructRF, 25, 5, nil)
-	b := warm.RunCampaign(micro.StructRF, 25, 5, nil)
-	if a != b {
-		t.Fatalf("cold %+v != warm %+v", a, b)
+	for s := micro.Structure(0); s < micro.NumStructures; s++ {
+		a := cold.Records(s, 25, 0, 5, nil)
+		b := warm.Records(s, 25, 0, 5, nil)
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s: cold records %+v != warm %+v", s, a, b)
+		}
 	}
+}
+
+// TestPrepareFromChainRequiresTable: the fast path refuses a chain
+// whose golden blob carries no lifetime table (the form chains had
+// before the table existed) or one recorded on another geometry, so a
+// warm campaign never silently loses the table; the reference engine,
+// which never reads a table, accepts the table-less chain.
+func TestPrepareFromChainRequiresTable(t *testing.T) {
+	cfg := micro.ConfigA72()
+	cold := shaCampaign(t, cfg, 2)
+	ch, err := ckpt.Decode(cold.Chain().Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch.Meta.Golden = encodeGolden(cold.Golden)
+	if _, err := PrepareFromChain(cold.Img, cfg, ch); err == nil {
+		t.Fatal("fast path loaded a chain without a lifetime table")
+	}
+	ref := cfg
+	ref.Reference = true
+	if cp, err := PrepareFromChain(cold.Img, ref, ch); err != nil || cp.life != nil {
+		t.Fatalf("reference engine: err=%v, table=%v", err, cp != nil && cp.life != nil)
+	}
+	a57 := micro.ConfigA57()
+	if _, err := PrepareFromChain(cold.Img, a57, cold.Chain()); err == nil {
+		t.Fatal("fast path loaded an A72 lifetime table for A57")
+	}
+}
+
+// FuzzGoldenBlob: the micro golden blob decoder (summary plus lifetime
+// table) returns an error on bad input and never panics, a decoded
+// table answers every Fate query without panicking, and an accepted
+// blob re-encodes byte for byte. Seeded from sha/A72's recorded blob.
+func FuzzGoldenBlob(f *testing.F) {
+	cp := shaCampaign(f, micro.ConfigA72(), 2)
+	blob := cp.Chain().Meta.Golden
+	f.Add(blob)
+	f.Add(blob[:len(blob)/2])
+	f.Add(encodeGolden(cp.Golden))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		g, life, err := decodeGolden(b)
+		if err != nil {
+			return
+		}
+		re := encodeGolden(g)
+		if life != nil {
+			re = life.AppendBinary(re)
+			for s := micro.Structure(0); s < micro.NumStructures; s++ {
+				for _, e := range []int{0, 1, 37} {
+					for _, bit := range []int{0, 9, 63, 512, 530, 531} {
+						for _, c := range []uint64{0, 1, 1 << 20, ^uint64(0)} {
+							life.Fate(s, e, bit, c)
+						}
+					}
+				}
+			}
+		}
+		if !bytes.Equal(re, b) {
+			t.Fatalf("accepted blob re-encodes differently:\n got %x\nwant %x", re, b)
+		}
+	})
 }

@@ -120,6 +120,8 @@ type cache struct {
 	// the set. Not to be confused with a line's write-back dirty bit.
 	touchedBits []uint64
 	touched     []int32
+	// rec records line events during a golden run (see lifetime.go).
+	rec *lineLog
 }
 
 func newCache(cfg CacheConfig, lower memLevel) *cache {
@@ -192,7 +194,13 @@ func (c *cache) refill(addr uint64) (int, int) {
 	lat := 0
 	v := &c.sets[set][victim]
 	if v.valid && v.dirty {
+		if c.rec != nil {
+			c.rec.whole(set*c.cfg.Assoc+victim, evLineRead)
+		}
 		c.lower.writeLine(c.lineAddr(set, v.tag), v.data, v.taint)
+	}
+	if c.rec != nil {
+		c.rec.whole(set*c.cfg.Assoc+victim, evLineWrite)
 	}
 	v.valid, v.dirty, v.tag = true, false, tag
 	if v.taint != nil {
@@ -256,6 +264,9 @@ func (c *cache) readLine(addr uint64, dst, taint []byte) int {
 	way, extra := c.refill(addr)
 	l := &c.sets[set][way]
 	c.touch(set, way)
+	if c.rec != nil {
+		c.rec.whole(set*c.cfg.Assoc+way, evLineRead)
+	}
 	copy(dst, l.data)
 	if l.taint != nil {
 		copy(taint, l.taint)
@@ -273,6 +284,9 @@ func (c *cache) writeLine(addr uint64, src []byte, tnt []byte) int {
 	way, extra := c.refill(addr)
 	l := &c.sets[set][way]
 	c.touch(set, way)
+	if c.rec != nil {
+		c.rec.whole(set*c.cfg.Assoc+way, evLineWrite)
+	}
 	l.dirty = true
 	copy(l.data, src)
 	any := false
@@ -303,6 +317,9 @@ func (c *cache) read(addr uint64, n int) (val uint64, taint taintMask, lat int) 
 	way, extra := c.refill(addr)
 	l := &c.sets[set][way]
 	c.touch(set, way)
+	if c.rec != nil {
+		c.rec.span(set*c.cfg.Assoc+way, evRangeRead, off, n)
+	}
 	for i := n - 1; i >= 0; i-- {
 		val = val<<8 | uint64(l.data[off+i])
 	}
@@ -340,6 +357,9 @@ func (c *cache) write(addr uint64, n int, val uint64, tainted bool) int {
 	way, extra := c.refill(addr)
 	l := &c.sets[set][way]
 	c.touch(set, way)
+	if c.rec != nil {
+		c.rec.span(set*c.cfg.Assoc+way, evRangeWrite, off, n)
+	}
 	l.dirty = true
 	for i := 0; i < n; i++ {
 		l.data[off+i] = byte(val >> (8 * i))
@@ -361,6 +381,9 @@ func (c *cache) snoop(addr uint64) (b byte, t taintMask, hit bool) {
 		return 0, 0, false
 	}
 	l := &c.sets[set][w]
+	if c.rec != nil {
+		c.rec.span(set*c.cfg.Assoc+w, evRangeRead, off, 1)
+	}
 	if l.taint != nil {
 		t = l.taint[off]
 	}
@@ -374,6 +397,9 @@ func (c *cache) flushAll() {
 		for w := range c.sets[set] {
 			l := &c.sets[set][w]
 			if l.valid && l.dirty {
+				if c.rec != nil {
+					c.rec.whole(set*c.cfg.Assoc+w, evLineRead)
+				}
 				c.lower.writeLine(c.lineAddr(set, l.tag), l.data, l.taint)
 				l.dirty = false
 				c.mark(set*c.cfg.Assoc + w)

@@ -194,6 +194,10 @@ type Core struct {
 	// encoding (see state.go); enc is StateMatches' encode scratch.
 	prefixLen, tailOff int
 	enc                []byte
+
+	// rec records the lifetime table (see lifetime.go); nil except
+	// during a campaign's golden run.
+	rec *recorder
 }
 
 // ringEnt identifies a scheduled completion; seq guards against a
@@ -269,6 +273,7 @@ func (c *Core) dmaTaint(t taintMask) {
 // --- helpers ---
 
 func (c *Core) freePhys(p int) {
+	c.regEvent(p, evFree)
 	c.freeList = append(c.freeList, p)
 }
 
@@ -278,10 +283,12 @@ func (c *Core) allocPhys() (int, bool) {
 	}
 	p := c.freeList[len(c.freeList)-1]
 	c.freeList = c.freeList[:len(c.freeList)-1]
+	c.regEvent(p, evAlloc)
 	return p, true
 }
 
 func (c *Core) writePhys(p int, v uint64, tainted bool) {
+	c.regEvent(p, evWrite)
 	c.prf[p] = v & c.IS.Mask()
 	c.prfReady[p] = true
 	c.prfTaint[p] = tainted
@@ -504,6 +511,7 @@ func (c *Core) srcVal(p int) (uint64, bool) {
 	if p < 0 {
 		return 0, false
 	}
+	c.regEvent(p, evRead)
 	return c.prf[p], c.prfTaint[p]
 }
 

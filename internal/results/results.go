@@ -72,9 +72,11 @@ type Record struct {
 	Live    bool      `json:"live,omitempty"`
 	// EarlyStop marks a run classified by golden-state convergence at a
 	// snapshot boundary (or a provably dead definition at the soft
-	// layer) instead of running to completion. Pure provenance: the
-	// outcome is provably the run-to-completion one, and tallies ignore
-	// the flag.
+	// layer, or a micro fault whose flipped bit the golden run
+	// overwrites or discards before any read, resolved from its
+	// lifetime table) instead of running to completion. Pure
+	// provenance: the outcome is provably the run-to-completion one,
+	// and tallies ignore the flag.
 	EarlyStop bool `json:"es,omitempty"`
 	// Stratum is the equivalence-class label of a stratified campaign's
 	// record (empty for uniform sampling): provenance for the reweighted
