@@ -221,10 +221,16 @@ func Prepare(img *kernel.Image, nsnaps int, reference bool) (*Campaign, error) {
 		if step == 0 {
 			step = 1
 		}
-		bus2 := dev.NewBus(img.NewMemory())
+		// The capture machine tracks its dirty pages, so each checkpoint
+		// compares only the RAM the interval wrote. The state blob is
+		// small (one chunk) and re-encoded whole.
+		m2 := img.NewMemory()
+		m2.EnableTracking()
+		bus2 := dev.NewBus(m2)
 		c2 := emu.New(img.ISA, bus2, img.Entry)
 		run2 := run(c2)
 		var sbuf []byte
+		var pages, chunks []int
 		for next := uint64(0); next < cp.GoldenInstr; next += step {
 			run2(next)
 			if n := cp.chain.Len(); n > 0 && c2.Instret <= cp.chain.Coord(n-1) {
@@ -232,25 +238,27 @@ func Prepare(img *kernel.Image, nsnaps int, reference bool) (*Campaign, error) {
 			}
 			s := c2.Save()
 			sbuf = appendArchState(sbuf[:0], s, bus2)
-			cp.chain.Add(c2.Instret, archProbe(s), bus2.Mem.Bytes(), sbuf, kinstrAux(s.KInstr))
+			pages = m2.TakeDirtyPages(pages[:0])
+			chunks = ckpt.AppendChunks(chunks[:0], 0, len(sbuf))
+			cp.chain.Add(c2.Instret, archProbe(s), m2.Bytes(), pages, sbuf, chunks, kinstrAux(s.KInstr))
 		}
 	} else {
 		// Keep one boot-state checkpoint so worker arenas always have a
 		// restore source.
 		boot := emu.Snapshot{PC: img.Entry, Mode: isa.Kernel}
 		blob := appendArchState(nil, boot, &dev.Bus{})
-		cp.chain.Add(0, archProbe(boot), img.RAM.Bytes(), blob, kinstrAux(0))
+		cp.chain.Add(0, archProbe(boot), img.RAM.Bytes(), nil, blob, nil, kinstrAux(0))
 	}
-	cp.chain.Finish()
 	return cp, nil
 }
 
 // PrepareFromChain builds a campaign from a persisted checkpoint chain
 // without executing a single golden-run instruction. The caller is
 // responsible for fingerprint-matching the chain to its campaign
-// configuration; this validates engine, image geometry and
-// decodability of the boot checkpoint, returning an error (for a cold
-// Prepare fallback) on any mismatch. The campaign runs the fast path:
+// configuration; this validates engine, image geometry, every
+// checkpoint's claimed state length and decodability of the boot
+// checkpoint, returning an error (for a cold Prepare fallback) on any
+// mismatch. The campaign runs the fast path:
 // the reference engine never resumes from a persisted chain.
 func PrepareFromChain(img *kernel.Image, ch *ckpt.Chain) (*Campaign, error) {
 	if ch.Meta.Engine != Engine {
@@ -265,6 +273,17 @@ func PrepareFromChain(img *kernel.Image, ch *ckpt.Chain) (*Campaign, error) {
 	cp := &Campaign{Img: img, chain: ch, Resumed: true}
 	if err := decodeGolden(ch.Meta.Golden, cp); err != nil {
 		return nil, err
+	}
+	// A digest proves only that the bytes are the ones written: refuse a
+	// claimed state length outside the codec's layout before any
+	// checkpoint is materialized. At a golden checkpoint the output
+	// stream is a prefix of the golden output, and the debug console
+	// holds at most one byte per executed instruction.
+	lo, hi := dev.DeviceLenRange(uint64(len(cp.GoldenOut)) + cp.GoldenInstr)
+	for i := range ch.Len() {
+		if n := uint64(ch.StateLen(i)); n < archFixedLen+lo || n-archFixedLen > hi {
+			return nil, fmt.Errorf("arch: checkpoint %d claims a %d-byte state, whose device section is not %d to %d bytes", i, n, lo, hi)
+		}
 	}
 	if _, err := decodeArchState(ch.StateAt(0, nil, -1)); err != nil {
 		return nil, err

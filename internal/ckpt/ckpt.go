@@ -5,8 +5,15 @@
 // image and the engine's canonically encoded machine-state blob, only
 // the 4 KiB chunks whose contents changed since the previous checkpoint
 // are stored. Memory is therefore O(base + Σ deltas) instead of
-// O(checkpoints × RAM), which is what lets `-snapshots` grow from ~12
-// full copies to hundreds of deltas in comparable memory.
+// O(checkpoints × RAM), which is what lets the engines keep hundreds of
+// checkpoints per golden run in the memory a dozen full copies took.
+//
+// Capture costs O(changed state) too. Add compares the base in full
+// against zero, but every later checkpoint only on the chunks its
+// caller hints can have changed (the golden machine's dirty RAM pages,
+// the state chunks an incremental encoder rewrote) plus the chunks a
+// length change spans, each against the chain's own latest stored
+// version: no full image is kept or compared at capture time.
 //
 // The chain answers four questions for an engine:
 //
@@ -91,7 +98,6 @@ type deltaSpace struct {
 	chunks  [][]chunkVer
 	lens    []int
 	perCkpt [][]int32 // chunk indices stored at each checkpoint
-	last    []byte    // previous full image, capture-time only
 }
 
 func chunkOf(img []byte, c int) []byte {
@@ -108,6 +114,25 @@ func chunkOf(img []byte, c int) []byte {
 
 func numChunks(n int) int { return (n + chunkSize - 1) >> ChunkShift }
 
+// AppendChunks appends to dst the indices of the chunks overlapping the
+// bytes [lo, hi) of an image, skipping one that repeats dst's last
+// element: how a capture turns the byte ranges it rewrote into Add's
+// hint.
+func AppendChunks(dst []int, lo, hi int) []int {
+	if lo >= hi {
+		return dst
+	}
+	for c := lo >> ChunkShift; c<<ChunkShift < hi; c++ {
+		if n := len(dst); n == 0 || dst[n-1] != c {
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// chunkLen is the length of chunk c of an n-byte image (0 past its end).
+func chunkLen(n, c int) int { return min(max(n-c<<ChunkShift, 0), chunkSize) }
+
 func isZero(b []byte) bool {
 	for len(b) >= 8 {
 		if string(b[:8]) != "\x00\x00\x00\x00\x00\x00\x00\x00" {
@@ -123,25 +148,42 @@ func isZero(b []byte) bool {
 	return true
 }
 
-// add captures the next checkpoint's full image, storing only changed
-// chunks. The base (first) image is compared against all-zeroes.
-func (d *deltaSpace) add(img []byte) {
+// add captures the next checkpoint's image, storing only the chunks
+// whose contents changed. It compares the hinted chunks, which must
+// include every chunk whose contents can differ from the previous
+// image, and the chunks a length change spans, which need no hint:
+// for the base, whose previous image is empty, that is every chunk,
+// compared against all-zeroes; later, each against the space's latest
+// stored version. Hints may repeat and come in any order; those past
+// both images' ends are ignored.
+func (d *deltaSpace) add(img []byte, hint []int) {
 	idx := len(d.lens)
-	nc := numChunks(len(img))
-	if prev := numChunks(len(d.last)); prev > nc && d.last != nil {
-		nc = prev // shrunk tail chunks store empty versions
+	prev := 0
+	if idx > 0 {
+		prev = d.lens[idx-1]
 	}
+	lo := min(prev, len(img)) >> ChunkShift
+	nc := max(numChunks(len(img)), numChunks(prev)) // shrunk tail chunks store empty versions
+	cand := make([]int, 0, len(hint)+nc-lo)
+	for _, c := range hint {
+		if c >= 0 && c < nc {
+			cand = append(cand, c)
+		}
+	}
+	for c := lo; c < nc; c++ {
+		cand = append(cand, c)
+	}
+	slices.Sort(cand)
+	cand = slices.Compact(cand)
 	for len(d.chunks) < nc {
 		d.chunks = append(d.chunks, nil)
 	}
 	var stored []int32
-	for c := 0; c < nc; c++ {
+	for _, c := range cand {
 		cur := chunkOf(img, c)
-		var changed bool
-		if idx == 0 {
-			changed = !isZero(cur)
-		} else {
-			changed = !bytes.Equal(cur, chunkOf(d.last, c))
+		changed := !isZero(cur)
+		if idx > 0 {
+			changed = !bytes.Equal(cur, d.get(idx-1, c))
 		}
 		if changed {
 			d.chunks[c] = append(d.chunks[c], chunkVer{idx: int32(idx), data: append([]byte(nil), cur...)})
@@ -150,21 +192,14 @@ func (d *deltaSpace) add(img []byte) {
 	}
 	d.lens = append(d.lens, len(img))
 	d.perCkpt = append(d.perCkpt, stored)
-	d.last = append(d.last[:0], img...)
 }
-
-// finish releases the capture-time rolling image.
-func (d *deltaSpace) finish() { d.last = nil }
 
 // get returns the contents of chunk c at checkpoint i (zeroes when no
 // version is stored; empty beyond the image length).
 func (d *deltaSpace) get(i, c int) []byte {
-	need := d.lens[i] - c<<ChunkShift
-	if need <= 0 {
+	need := chunkLen(d.lens[i], c)
+	if need == 0 {
 		return nil
-	}
-	if need > chunkSize {
-		need = chunkSize
 	}
 	if c < len(d.chunks) {
 		vers := d.chunks[c]
@@ -226,20 +261,23 @@ func New(meta Meta) *Chain {
 // Add captures one checkpoint: its boundary coordinate (cycle or
 // instruction count, strictly ascending), the engine's cheap scalar
 // probe of the state, the full RAM image, the canonical machine-state
-// blob, and optional restore-only aux bytes.
-func (ch *Chain) Add(coord, probe uint64, ram, state, aux []byte) {
+// blob, and optional restore-only aux bytes. ramChunks and stateChunks
+// list the chunks of each image that can have changed since the
+// previous checkpoint — the golden machine's dirty pages, the chunks an
+// incremental encoder rewrote — and only those, plus the chunks a
+// length change spans, are compared; the first checkpoint is compared
+// in full. A hint that misses a changed chunk corrupts the chain, so a
+// caller without one passes every chunk index.
+func (ch *Chain) Add(coord, probe uint64, ram []byte, ramChunks []int, state []byte, stateChunks []int, aux []byte) {
 	if n := len(ch.coords); n > 0 && coord <= ch.coords[n-1] {
 		panic("ckpt: checkpoint coordinates must be strictly ascending")
 	}
 	ch.coords = append(ch.coords, coord)
 	ch.probes = append(ch.probes, probe)
 	ch.aux = append(ch.aux, append([]byte(nil), aux...))
-	ch.ram.add(ram)
-	ch.state.add(state)
+	ch.ram.add(ram, ramChunks)
+	ch.state.add(state, stateChunks)
 }
-
-// Finish releases capture-time buffers once all checkpoints are added.
-func (ch *Chain) Finish() { ch.ram.finish(); ch.state.finish() }
 
 // Len returns the number of checkpoints.
 func (ch *Chain) Len() int { return len(ch.coords) }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"vulnstack/internal/colseg"
 	"vulnstack/internal/mem"
 )
 
@@ -42,13 +44,16 @@ func buildImages(r *rand.Rand, n, size int, resize bool) [][]byte {
 	return imgs
 }
 
-func chainOf(t *testing.T, ramImgs, stateImgs [][]byte) *Chain {
+// every lists every chunk index of img: the hint of a caller that does
+// not know which chunks changed.
+func every(img []byte) []int { return AppendChunks(nil, 0, len(img)) }
+
+func chainOf(t testing.TB, ramImgs, stateImgs [][]byte) *Chain {
 	t.Helper()
 	ch := New(Meta{Engine: "test", RAMBytes: len(ramImgs[0]), Golden: []byte("g")})
 	for i := range ramImgs {
-		ch.Add(uint64(i*10), uint64(i)*7919, ramImgs[i], stateImgs[i], []byte{byte(i)})
+		ch.Add(uint64(i*10), uint64(i)*7919, ramImgs[i], every(ramImgs[i]), stateImgs[i], every(stateImgs[i]), []byte{byte(i)})
 	}
-	ch.Finish()
 	return ch
 }
 
@@ -264,9 +269,8 @@ func TestFindMatchesLinearScan(t *testing.T) {
 	for _, at := range cases {
 		ch := New(Meta{})
 		for _, a := range at {
-			ch.Add(a, 0, nil, nil, nil)
+			ch.Add(a, 0, nil, nil, nil, nil, nil)
 		}
-		ch.Finish()
 		for coord := uint64(0); coord < at[len(at)-1]+3; coord++ {
 			want := 0
 			for i, a := range at {
@@ -290,8 +294,8 @@ func TestAddRejectsNonAscending(t *testing.T) {
 		}
 	}()
 	ch := New(Meta{})
-	ch.Add(5, 0, nil, nil, nil)
-	ch.Add(5, 0, nil, nil, nil)
+	ch.Add(5, 0, nil, nil, nil, nil, nil)
+	ch.Add(5, 0, nil, nil, nil, nil, nil)
 }
 
 // TestEncodeDecodeRoundTrip: a persisted chain must decode to a chain
@@ -428,9 +432,8 @@ func TestDeltaMemoryScaling(t *testing.T) {
 			cur[r.Intn(size)] ^= byte(1 + r.Intn(255))
 		}
 		r.Read(state[:chunkSize])
-		ch.Add(uint64(i), 0, cur, state, nil)
+		ch.Add(uint64(i), 0, cur, every(cur), state, every(state), nil)
 	}
-	ch.Finish()
 	st := ch.Stats()
 	if st.Checkpoints != 128 {
 		t.Fatalf("checkpoints %d", st.Checkpoints)
@@ -464,6 +467,193 @@ func TestFingerprintSensitivity(t *testing.T) {
 	for i, parts := range variants {
 		if Fingerprint(parts...) == base {
 			t.Fatalf("variant %d collides with base", i)
+		}
+	}
+}
+
+// changedHint lists the chunks whose contents differ between two
+// images, leaving out those a length change spans (from min(len(a),
+// len(b)) on): the least a capture can hint.
+func changedHint(a, b []byte) []int {
+	var hint []int
+	for c := 0; c < min(len(a), len(b))>>ChunkShift; c++ {
+		if !bytes.Equal(chunkOf(a, c), chunkOf(b, c)) {
+			hint = append(hint, c)
+		}
+	}
+	return hint
+}
+
+// TestAddHintsMatchFullCompare: a chain captured with only the changed
+// chunks hinted, never those a length change spans, must encode byte
+// for byte like one whose every chunk was compared, across growth and
+// shrink over chunk boundaries; unordered, repeated and out-of-range
+// hints change nothing.
+func TestAddHintsMatchFullCompare(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	ramImgs := buildImages(r, 24, 4*chunkSize, false)
+	stateImgs := buildImages(r, 24, 3*chunkSize+100, true)
+	full := chainOf(t, ramImgs, stateImgs)
+	hinted := New(full.Meta)
+	noisy := New(full.Meta)
+	resized := 0
+	for i := range ramImgs {
+		var rh, sh []int
+		if i > 0 {
+			rh, sh = changedHint(ramImgs[i-1], ramImgs[i]), changedHint(stateImgs[i-1], stateImgs[i])
+			if len(stateImgs[i]) != len(stateImgs[i-1]) {
+				resized++
+			}
+		}
+		hinted.Add(uint64(i*10), uint64(i)*7919, ramImgs[i], rh, stateImgs[i], sh, []byte{byte(i)})
+		rev := append(slices.Clone(sh), 1<<20, -3)
+		slices.Reverse(rev)
+		noisy.Add(uint64(i*10), uint64(i)*7919, ramImgs[i], append(rh, rh...), stateImgs[i], rev, []byte{byte(i)})
+	}
+	if resized < 4 {
+		t.Fatalf("only %d length changes; the length-change chunks are barely exercised", resized)
+	}
+	want := full.Encode()
+	if !bytes.Equal(hinted.Encode(), want) {
+		t.Fatal("a chain hinted with only the changed chunks encodes differently from a full compare")
+	}
+	if !bytes.Equal(noisy.Encode(), want) {
+		t.Fatal("unordered, repeated or out-of-range hints changed the chain")
+	}
+	for i, img := range stateImgs {
+		if !bytes.Equal(hinted.StateAt(i, nil, -1), img) {
+			t.Fatalf("checkpoint %d: StateAt differs from the captured image", i)
+		}
+	}
+}
+
+// TestAddComparesLengthChangeChunks: with empty hints, the chunks a
+// length change spans are still compared and stored, so growth and
+// shrink across and within chunks restore exactly; a chunk changed
+// below the shorter length is not (the hint's job), which shows the
+// comparison is limited to hints and length-change chunks.
+func TestAddComparesLengthChangeChunks(t *testing.T) {
+	imgs := [][]byte{
+		bytes.Repeat([]byte{1}, chunkSize+10),   // base
+		bytes.Repeat([]byte{2}, 3*chunkSize+5),  // grow over two boundaries
+		bytes.Repeat([]byte{3}, 3*chunkSize+70), // grow inside the last chunk
+		bytes.Repeat([]byte{4}, 2*chunkSize),    // shrink to a boundary
+		bytes.Repeat([]byte{5}, chunkSize/2),    // shrink across one
+	}
+	ch := New(Meta{})
+	for i, img := range imgs {
+		ch.Add(uint64(i), 0, nil, nil, img, nil, nil)
+	}
+	for i, img := range imgs {
+		got := ch.StateAt(i, nil, -1)
+		if len(got) != len(img) {
+			t.Fatalf("checkpoint %d: %d bytes, want %d", i, len(got), len(img))
+		}
+		// Below min(previous, current) length only the base (or a hint)
+		// writes; from there on every byte is the checkpoint's own.
+		from := 0
+		if i > 0 {
+			from = min(len(imgs[i-1]), len(img)) &^ (chunkSize - 1)
+		}
+		if !bytes.Equal(got[from:], img[from:]) {
+			t.Fatalf("checkpoint %d: bytes from %d (the length-change chunks) not captured", i, from)
+		}
+	}
+	if got := ch.StateAt(1, nil, -1); got[0] != 1 {
+		t.Fatal("an unhinted chunk below both lengths was compared: hints are not limiting the comparison")
+	}
+}
+
+// TestDecodeRejectsRowsOutsideImages: a stored row must lie inside its
+// checkpoint's image (or the previous one's, for a shrink's empty
+// version) and hold exactly that chunk's length; rows ascend by
+// checkpoint and chunk. Each forgery is digest-valid.
+func TestDecodeRejectsRowsOutsideImages(t *testing.T) {
+	build := func() *Chain {
+		r := rand.New(rand.NewSource(9))
+		return chainOf(t, buildImages(r, 4, 2*chunkSize, false), buildImages(r, 4, 2*chunkSize+100, false))
+	}
+	if _, err := Decode(build().Encode()); err != nil {
+		t.Fatal(err)
+	}
+	forgeries := map[string]func(ch *Chain){
+		"chunk past both images": func(ch *Chain) {
+			ch.state.chunks = append(ch.state.chunks, []chunkVer{{idx: 2, data: make([]byte, chunkSize)}})
+			ch.state.perCkpt[2] = append(ch.state.perCkpt[2], int32(len(ch.state.chunks)-1))
+		},
+		"short last chunk": func(ch *Chain) {
+			v := &ch.state.chunks[2][0]
+			v.data = v.data[:len(v.data)-1]
+		},
+		"long last chunk": func(ch *Chain) {
+			v := &ch.state.chunks[2][0]
+			v.data = append(v.data, 0)
+		},
+		"rows out of order": func(ch *Chain) {
+			slices.Reverse(ch.ram.perCkpt[0])
+		},
+		"resize without a row": func(ch *Chain) {
+			ch.state.lens[3] += 10
+			for c, vers := range ch.state.chunks {
+				if n := len(vers); n > 0 && vers[n-1].idx == 3 {
+					ch.state.chunks[c] = vers[:n-1]
+				}
+			}
+			ch.state.perCkpt[3] = nil
+		},
+	}
+	for name, forge := range forgeries {
+		ch := build()
+		forge(ch)
+		if _, err := Decode(ch.Encode()); !errors.Is(err, ErrChain) {
+			t.Errorf("%s: err=%v, want ErrChain", name, err)
+		}
+	}
+}
+
+// TestDecodeRejectsNonCanonical: Decode accepts exactly the bytes
+// Encode writes, so a varint widened without changing its value is
+// refused even under a valid digest.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	r := rand.New(rand.NewSource(10))
+	ch := chainOf(t, buildImages(r, 3, chunkSize, false), buildImages(r, 3, chunkSize, false))
+	data := ch.Encode()
+	_, n, err := colseg.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Append a trailing block after the state block.
+	extra := colseg.NewBuilder(0).AppendTo(nil)
+	if _, err := Decode(reseal(append(slices.Clone(data), extra...))); !errors.Is(err, ErrChain) {
+		t.Fatalf("trailing block: err=%v, want ErrChain", err)
+	}
+	// Widen the index block's frame length varint (5 bytes past its
+	// magic and version): same value, one byte longer.
+	at := n + 5
+	if data[at] >= 0x80 {
+		t.Skip("frame length already spans several bytes")
+	}
+	wide := append(slices.Clone(data[:at]), data[at]|0x80, 0)
+	wide = append(wide, data[at+1:]...)
+	if _, err := Decode(reseal(wide)); !errors.Is(err, ErrChain) {
+		t.Fatalf("widened varint: err=%v, want ErrChain", err)
+	}
+	if _, err := Decode(reseal(data)); err != nil {
+		t.Fatalf("re-sealing the pristine chain broke it: %v", err)
+	}
+}
+
+// TestDecodeRejectsHugeRAM: a header claiming more RAM than 32-bit
+// physical addresses reach is refused; at 2^63 and above the size
+// would turn negative as an int and lift every bound checked against
+// it.
+func TestDecodeRejectsHugeRAM(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	ch := chainOf(t, buildImages(r, 2, 300, false), buildImages(r, 2, 90, false))
+	for _, n := range []int{1<<32 + 1, -1} {
+		ch.Meta.RAMBytes = n
+		if _, err := Decode(ch.Encode()); !errors.Is(err, ErrChain) {
+			t.Errorf("RAMBytes %d: err=%v, want ErrChain", n, err)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package ckpt
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 
 	"vulnstack/internal/colseg"
 )
@@ -38,6 +40,10 @@ const (
 	colData     = 3 // delta: blob, the chunk contents
 )
 
+// maxRAMBytes bounds a chain's RAM image: physical addresses are 32-bit,
+// and RAM lies below the device window.
+const maxRAMBytes = 1 << 32
+
 // ErrChain reports an unusable persisted chain (corrupt, truncated,
 // version-mismatched, or digest-failed). Loaders treat every flavor the
 // same way — ignore the chain and fall back to a cold Prepare — so one
@@ -49,9 +55,14 @@ var ErrChain = errors.New("ckpt: unusable persisted chain")
 // the golden blob and the following bytes so bit flips are detected,
 // not misrestored.
 func (ch *Chain) Encode() []byte {
-	var tail []byte
-	n := len(ch.coords)
+	tail := ch.appendTail(nil)
+	return append(ch.appendHeader(nil, digestOf(ch.Meta.Golden, tail)), tail...)
+}
 
+// appendTail appends everything after the header: the index block and
+// the two delta blocks.
+func (ch *Chain) appendTail(dst []byte) []byte {
+	n := len(ch.coords)
 	idx := colseg.NewBuilder(n)
 	idx.Uvarint(colCoord, ch.coords)
 	idx.Uvarint(colProbe, ch.probes)
@@ -66,12 +77,13 @@ func (ch *Chain) Encode() []byte {
 	}
 	idx.Uvarint(colRAMLen, rlens)
 	idx.Blob(colAux, ch.aux)
-	tail = idx.AppendTo(tail)
+	dst = idx.AppendTo(dst)
+	dst = appendSpace(dst, ch.ram)
+	return appendSpace(dst, ch.state)
+}
 
-	tail = appendSpace(tail, ch.ram)
-	tail = appendSpace(tail, ch.state)
-
-	digest := digestOf(ch.Meta.Golden, tail)
+// appendHeader appends the header block carrying the meta and digest.
+func (ch *Chain) appendHeader(dst, digest []byte) []byte {
 	hdr := colseg.NewBuilder(1)
 	hdr.Uvarint(colVersion, []uint64{ChainVersion})
 	hdr.Blob(colEngine, [][]byte{[]byte(ch.Meta.Engine)})
@@ -81,7 +93,7 @@ func (ch *Chain) Encode() []byte {
 	hdr.Uvarint(colRAMBytes, []uint64{uint64(ch.Meta.RAMBytes)})
 	hdr.Blob(colGolden, [][]byte{ch.Meta.Golden})
 	hdr.Blob(colDigest, [][]byte{digest})
-	return append(hdr.AppendTo(nil), tail...)
+	return hdr.AppendTo(dst)
 }
 
 // digestOf hashes the golden blob (the engine's summary, which a warm
@@ -165,6 +177,9 @@ func parseHeader(hdr *colseg.Block) (Meta, error) {
 	if err != nil {
 		return Meta{}, fmt.Errorf("%w: %v", ErrChain, err)
 	}
+	if rb[0] > maxRAMBytes {
+		return Meta{}, fmt.Errorf("%w: %d bytes of RAM", ErrChain, rb[0])
+	}
 	m.RAMBytes = int(rb[0])
 	g, err := hdr.Blob(colGolden)
 	if err != nil {
@@ -175,10 +190,16 @@ func parseHeader(hdr *colseg.Block) (Meta, error) {
 }
 
 // Decode reconstructs a chain from its persisted form, verifying the
-// digest over the golden blob and everything after the header. Any
-// failure — truncation, bit flips, structural corruption, a format
+// digest over the golden blob and everything after the header. It
+// accepts exactly the bytes Encode writes: a stored chunk must lie
+// inside its checkpoint's image (or the previous one's, for a chunk a
+// shrink emptied) and hold that chunk's length, rows must ascend by
+// checkpoint and chunk, and the input must be Encode's canonical form.
+// Any failure — truncation, bit flips, structural corruption, a format
 // version mismatch — yields ErrChain; callers fall back to a cold
-// golden run.
+// golden run. Decode bounds the state images only loosely: the engines
+// check each claimed length against their own layout before
+// materializing one.
 func Decode(data []byte) (*Chain, error) {
 	hdr, n, err := colseg.Parse(data)
 	if err != nil {
@@ -197,11 +218,11 @@ func Decode(data []byte) (*Chain, error) {
 		return nil, fmt.Errorf("%w: digest mismatch", ErrChain)
 	}
 
-	idx, n, err := colseg.Parse(tail)
+	idx, k, err := colseg.Parse(tail)
 	if err != nil {
 		return nil, fmt.Errorf("%w: index: %v", ErrChain, err)
 	}
-	tail = tail[n:]
+	rest := tail[k:]
 	ch := New(meta)
 	nck := idx.Rows()
 	if ch.coords, err = idx.Uvarint(colCoord); err != nil {
@@ -232,18 +253,28 @@ func Decode(data []byte) (*Chain, error) {
 		ch.aux[i] = append([]byte(nil), aux[i]...)
 	}
 
-	if ch.ram, tail, err = parseSpace(tail, rlens, meta.RAMBytes); err != nil {
+	if ch.ram, rest, err = parseSpace(rest, rlens, meta.RAMBytes); err != nil {
 		return nil, err
 	}
-	if ch.state, _, err = parseSpace(tail, slens, 1<<31); err != nil {
+	if ch.state, _, err = parseSpace(rest, slens, 1<<31); err != nil {
 		return nil, err
+	}
+	// Every field above parsed; what colseg leaves free (varint widths,
+	// column order, extra columns, trailing bytes) must match Encode's
+	// choice, so a chain has one persisted form. Comparing the tail and
+	// header apart, instead of calling Encode, skips a second hash.
+	if !bytes.Equal(ch.appendTail(make([]byte, 0, len(tail))), tail) || !bytes.Equal(ch.appendHeader(nil, want[0]), data[:n]) {
+		return nil, fmt.Errorf("%w: non-canonical encoding", ErrChain)
 	}
 	return ch, nil
 }
 
 // parseSpace reconstructs one delta space from its block. maxLen bounds
-// sane image lengths against structural corruption the digest already
-// makes unlikely.
+// the image lengths. A row must store a chunk inside its checkpoint's
+// image, or inside the previous checkpoint's for the empty version a
+// shrink leaves, with exactly that chunk's length at its checkpoint;
+// rows ascend by checkpoint, then chunk, as Encode writes them; and a
+// checkpoint that changes a chunk's length stores it.
 func parseSpace(data []byte, lens []uint64, maxLen int) (*deltaSpace, []byte, error) {
 	blk, n, err := colseg.Parse(data)
 	if err != nil {
@@ -271,19 +302,44 @@ func parseSpace(data []byte, lens []uint64, maxLen int) (*deltaSpace, []byte, er
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrChain, err)
 	}
+	prevI, prevC := -1, -1
 	for r := range idxs {
-		i, c := int(idxs[r]), int(chunks[r])
-		if i >= len(lens) || c > maxLen>>ChunkShift || len(datas[r]) > chunkSize {
-			return nil, nil, fmt.Errorf("%w: delta row %d out of range", ErrChain, r)
+		if idxs[r] >= uint64(len(lens)) {
+			return nil, nil, fmt.Errorf("%w: delta row %d checkpoint out of range", ErrChain, r)
 		}
+		i := int(idxs[r])
+		span := d.lens[i]
+		if i > 0 {
+			span = max(span, d.lens[i-1])
+		}
+		if chunks[r] >= uint64(numChunks(span)) {
+			return nil, nil, fmt.Errorf("%w: delta row %d chunk outside its image", ErrChain, r)
+		}
+		c := int(chunks[r])
+		if len(datas[r]) != chunkLen(d.lens[i], c) {
+			return nil, nil, fmt.Errorf("%w: delta row %d holds %d bytes, chunk has %d", ErrChain, r, len(datas[r]), chunkLen(d.lens[i], c))
+		}
+		if i < prevI || i == prevI && c <= prevC {
+			return nil, nil, fmt.Errorf("%w: delta rows out of order", ErrChain)
+		}
+		prevI, prevC = i, c
 		for len(d.chunks) <= c {
 			d.chunks = append(d.chunks, nil)
 		}
-		if vs := d.chunks[c]; len(vs) > 0 && int(vs[len(vs)-1].idx) >= i {
-			return nil, nil, fmt.Errorf("%w: non-ascending chunk versions", ErrChain)
-		}
 		d.chunks[c] = append(d.chunks[c], chunkVer{idx: int32(i), data: append([]byte(nil), datas[r]...)})
 		d.perCkpt[i] = append(d.perCkpt[i], int32(c))
+	}
+	// A chunk whose length changes changes contents, so capture stores
+	// it; without that version a restore would read a stale length.
+	// Every chunk checked here consumes a row, so a chain claiming
+	// absurd length swings fails fast.
+	for i := 1; i < len(lens); i++ {
+		a, b := d.lens[i-1], d.lens[i]
+		for c := min(a, b) >> ChunkShift; c < numChunks(max(a, b)); c++ {
+			if _, ok := slices.BinarySearch(d.perCkpt[i], int32(c)); !ok && chunkLen(a, c) != chunkLen(b, c) {
+				return nil, nil, fmt.Errorf("%w: checkpoint %d resizes chunk %d without storing it", ErrChain, i, c)
+			}
+		}
 	}
 	return d, data[n:], nil
 }

@@ -85,7 +85,8 @@ var (
 
 // Builder assembles one block. Columns are appended in call order; ids
 // must be unique within a block and every column must cover exactly the
-// row count the builder was created with.
+// row count the builder was created with. Payloads are written straight
+// into one buffer, and AppendTo copies it once more, into dst.
 type Builder struct {
 	rows int
 	dir  []byte // id, enc, size triples (sizes uvarint-encoded)
@@ -98,43 +99,50 @@ func NewBuilder(rows int) *Builder {
 	return &Builder{rows: rows}
 }
 
-func (b *Builder) add(id uint8, enc Enc, payload []byte) {
+// add records the directory entry of the column whose payload was
+// appended to b.pay from offset start on.
+func (b *Builder) add(id uint8, enc Enc, start int) {
 	b.dir = append(b.dir, id, uint8(enc))
-	b.dir = binary.AppendUvarint(b.dir, uint64(len(payload)))
-	b.pay = append(b.pay, payload...)
+	b.dir = binary.AppendUvarint(b.dir, uint64(len(b.pay)-start))
 	b.n++
 }
 
 // U8 adds a one-byte-per-row column. len(vals) must equal the row count.
-func (b *Builder) U8(id uint8, vals []uint8) { b.add(id, EncU8, vals) }
+func (b *Builder) U8(id uint8, vals []uint8) {
+	start := len(b.pay)
+	b.pay = append(b.pay, vals...)
+	b.add(id, EncU8, start)
+}
 
 // Bits adds a boolean column stored as a bitset.
 func (b *Builder) Bits(id uint8, vals []bool) {
-	set := make([]byte, (len(vals)+7)/8)
+	start := len(b.pay)
+	b.pay = append(b.pay, make([]byte, (len(vals)+7)/8)...)
+	set := b.pay[start:]
 	for i, v := range vals {
 		if v {
 			set[i>>3] |= 1 << (i & 7)
 		}
 	}
-	b.add(id, EncBits, set)
+	b.add(id, EncBits, start)
 }
 
 // Uvarint adds an unsigned varint column.
 func (b *Builder) Uvarint(id uint8, vals []uint64) {
-	p := make([]byte, 0, len(vals))
+	start := len(b.pay)
 	for _, v := range vals {
-		p = binary.AppendUvarint(p, v)
+		b.pay = binary.AppendUvarint(b.pay, v)
 	}
-	b.add(id, EncUvarint, p)
+	b.add(id, EncUvarint, start)
 }
 
 // Zigzag adds a signed varint column (zigzag-folded).
 func (b *Builder) Zigzag(id uint8, vals []int64) {
-	p := make([]byte, 0, len(vals))
+	start := len(b.pay)
 	for _, v := range vals {
-		p = binary.AppendUvarint(p, zigzag(v))
+		b.pay = binary.AppendUvarint(b.pay, zigzag(v))
 	}
-	b.add(id, EncZigzag, p)
+	b.add(id, EncZigzag, start)
 }
 
 // Dict adds a dictionary-coded string column. The dictionary is built
@@ -142,46 +150,52 @@ func (b *Builder) Zigzag(id uint8, vals []int64) {
 func (b *Builder) Dict(id uint8, vals []string) {
 	idx := make(map[string]uint64, 4)
 	var dict []string
-	var p []byte
 	for _, v := range vals {
 		if _, ok := idx[v]; !ok {
 			idx[v] = uint64(len(dict))
 			dict = append(dict, v)
 		}
 	}
-	p = binary.AppendUvarint(p, uint64(len(dict)))
+	start := len(b.pay)
+	b.pay = binary.AppendUvarint(b.pay, uint64(len(dict)))
 	for _, d := range dict {
-		p = binary.AppendUvarint(p, uint64(len(d)))
-		p = append(p, d...)
+		b.pay = binary.AppendUvarint(b.pay, uint64(len(d)))
+		b.pay = append(b.pay, d...)
 	}
 	for _, v := range vals {
-		p = binary.AppendUvarint(p, idx[v])
+		b.pay = binary.AppendUvarint(b.pay, idx[v])
 	}
-	b.add(id, EncDict, p)
+	b.add(id, EncDict, start)
 }
 
 // Blob adds an opaque per-row byte-blob column (length-prefixed rows).
 func (b *Builder) Blob(id uint8, vals [][]byte) {
-	var p []byte
+	n := 0
 	for _, v := range vals {
-		p = binary.AppendUvarint(p, uint64(len(v)))
-		p = append(p, v...)
+		n += binary.MaxVarintLen64 + len(v)
 	}
-	b.add(id, EncBlob, p)
+	b.pay = slices.Grow(b.pay, n)
+	start := len(b.pay)
+	for _, v := range vals {
+		b.pay = binary.AppendUvarint(b.pay, uint64(len(v)))
+		b.pay = append(b.pay, v...)
+	}
+	b.add(id, EncBlob, start)
 }
 
-// AppendTo appends the framed block to dst and returns the result.
+// AppendTo appends the framed block to dst and returns the result,
+// growing dst at most once.
 func (b *Builder) AppendTo(dst []byte) []byte {
-	var body []byte
-	body = binary.AppendUvarint(body, uint64(b.rows))
-	body = binary.AppendUvarint(body, uint64(b.n))
-	body = append(body, b.dir...)
-	body = append(body, b.pay...)
-
-	dst = append(dst, magic[:]...)
-	dst = append(dst, Version)
-	dst = binary.AppendUvarint(dst, uint64(len(body)))
-	return append(dst, body...)
+	var counts, frame [2 * binary.MaxVarintLen64]byte
+	c := binary.AppendUvarint(counts[:0], uint64(b.rows))
+	c = binary.AppendUvarint(c, uint64(b.n))
+	body := len(c) + len(b.dir) + len(b.pay)
+	f := binary.AppendUvarint(append(append(frame[:0], magic[:]...), Version), uint64(body))
+	dst = slices.Grow(dst, len(f)+body)
+	dst = append(dst, f...)
+	dst = append(dst, c...)
+	dst = append(dst, b.dir...)
+	return append(dst, b.pay...)
 }
 
 // col is one directory entry of a parsed block.

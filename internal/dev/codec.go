@@ -3,7 +3,21 @@ package dev
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
+
+// deviceFixedLen is the length of the device encoding's fixed-width
+// fields: halt kind, exit, detect and panic codes, DMA source and
+// length, and the DMA error flag.
+const deviceFixedLen = 6*8 + 1
+
+// DeviceLenRange returns the least and the greatest length of an
+// AppendDevice encoding whose output and debug streams hold at most
+// streams bytes in all (the greatest saturates at math.MaxUint64).
+func DeviceLenRange(streams uint64) (lo, hi uint64) {
+	const fixed = deviceFixedLen + 2*binary.MaxVarintLen64
+	return deviceFixedLen + 2, fixed + min(streams, math.MaxUint64-fixed)
+}
 
 // AppendDevice appends a canonical encoding of the device-side state —
 // exactly the StateEqual comparison set (halt ports, DMA registers and
@@ -13,7 +27,7 @@ import (
 // relies on. Fixed-width fields come first so their chunk offsets are
 // stable across checkpoints; the variable-length streams trail.
 func (b *Bus) AppendDevice(dst []byte) []byte {
-	var fixed [49]byte
+	var fixed [deviceFixedLen]byte
 	binary.LittleEndian.PutUint64(fixed[0:], uint64(b.Halt))
 	binary.LittleEndian.PutUint64(fixed[8:], b.ExitCode)
 	binary.LittleEndian.PutUint64(fixed[16:], b.DetectCode)
@@ -36,7 +50,7 @@ func (b *Bus) AppendDevice(dst []byte) []byte {
 // restores its own memory and keeps its own snooper attached. It
 // returns the remaining bytes after the encoding.
 func (b *Bus) SetDevice(data []byte) ([]byte, error) {
-	if len(data) < 49 {
+	if len(data) < deviceFixedLen {
 		return nil, fmt.Errorf("dev: device state truncated (%d bytes)", len(data))
 	}
 	b.Halt = HaltKind(binary.LittleEndian.Uint64(data[0:]))
@@ -46,7 +60,7 @@ func (b *Bus) SetDevice(data []byte) ([]byte, error) {
 	b.dmaSrc = binary.LittleEndian.Uint64(data[32:])
 	b.dmaLen = binary.LittleEndian.Uint64(data[40:])
 	b.DMAErr = data[48] != 0
-	data = data[49:]
+	data = data[deviceFixedLen:]
 	for _, dst := range []*[]byte{&b.Out, &b.Dbg} {
 		l, n := binary.Uvarint(data)
 		if n <= 0 || uint64(len(data)-n) < l {

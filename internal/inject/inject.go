@@ -230,14 +230,21 @@ func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int) (*Campaign, error)
 		RAMBytes: int(img.RAM.Size()),
 		Golden:   golden,
 	})
-	c2 := micro.New(cfg, img.NewMemory(), img.Entry)
+	// The capture machine tracks its dirty pages and encodes
+	// incrementally: each checkpoint costs O(state changed since the
+	// previous one).
+	m2 := img.NewMemory()
+	m2.EnableTracking()
+	c2 := micro.New(cfg, m2, img.Entry)
 	var sbuf []byte
+	var pages, chunks []int
 	capture := func() {
 		if n := cp.chain.Len(); n > 0 && c2.Cycle <= cp.chain.Coord(n-1) {
 			return
 		}
-		sbuf = c2.EncodeState(sbuf[:0])
-		cp.chain.Add(c2.Cycle, c2.StateProbe(), c2.Bus.Mem.Bytes(), sbuf, nil)
+		sbuf, chunks = c2.EncodeStateDelta(sbuf, chunks[:0])
+		pages = m2.TakeDirtyPages(pages[:0])
+		cp.chain.Add(c2.Cycle, c2.StateProbe(), m2.Bytes(), pages, sbuf, chunks, nil)
 	}
 	if nsnaps > 1 {
 		step := cp.Golden.Cycles / uint64(nsnaps)
@@ -260,7 +267,6 @@ func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int) (*Campaign, error)
 		// worker arenas always have a restore source.
 		capture()
 	}
-	cp.chain.Finish()
 	return cp, nil
 }
 
@@ -270,8 +276,9 @@ func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int) (*Campaign, error)
 // from the chain. The caller is responsible for fingerprint-matching
 // the chain to its campaign configuration; this validates engine, image
 // geometry, the lifetime table's geometry (the fast path refuses a
-// chain without one) and decodability of the boot checkpoint, returning
-// an error (for a cold Prepare fallback) on any mismatch.
+// chain without one), every checkpoint's claimed state length and
+// decodability of the boot checkpoint, returning an error (for a cold
+// Prepare fallback) on any mismatch.
 func PrepareFromChain(img *kernel.Image, cfg micro.Config, ch *ckpt.Chain) (*Campaign, error) {
 	if cfg.ISA != img.ISA {
 		return nil, fmt.Errorf("inject: config %s is %v but image is %v", cfg.Name, cfg.ISA, img.ISA)
@@ -293,6 +300,17 @@ func PrepareFromChain(img *kernel.Image, cfg micro.Config, ch *ckpt.Chain) (*Cam
 		life = nil
 	} else if life == nil || !life.Fits(&cfg) {
 		return nil, fmt.Errorf("inject: chain has no lifetime table for config %s", cfg.Name)
+	}
+	// A digest proves only that the bytes are the ones written: refuse a
+	// claimed state length outside this geometry's layout before any
+	// checkpoint is materialized. At a golden checkpoint the output
+	// stream is a prefix of the golden output, and the debug console
+	// holds at most one byte per committed instruction.
+	lo, hi := micro.StateLenRange(cfg, img.RAM.Size(), uint64(len(g.Out))+g.Instret)
+	for i := range ch.Len() {
+		if n := uint64(ch.StateLen(i)); n < lo || n > hi {
+			return nil, fmt.Errorf("inject: checkpoint %d claims a %d-byte state, outside [%d, %d] for config %s", i, n, lo, hi, cfg.Name)
+		}
 	}
 	// Prove the chain restores on this geometry before committing.
 	trial := micro.New(cfg, mem.New(img.RAM.Size()), img.Entry)

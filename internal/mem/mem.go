@@ -227,15 +227,18 @@ func (m *Memory) Tracking() bool { return m.track }
 // until the next write/restore and must not be mutated.
 func (m *Memory) DirtyPageList() []uint32 { return m.dirtyPages }
 
-// TakeDirtyPages returns a copy of the dirty-page list and clears the
-// dirty set, re-baselining tracking at the current contents. Used by
-// golden-run preparation to capture which pages each snapshot interval
-// wrote without restoring anything.
-func (m *Memory) TakeDirtyPages() []uint32 {
-	pages := make([]uint32, len(m.dirtyPages))
-	copy(pages, m.dirtyPages)
+// TakeDirtyPages appends the pages written since the last take (or
+// restore) to dst, in first-write order, and clears the dirty set,
+// re-baselining tracking at the current contents. Golden-run checkpoint
+// capture uses it to learn which pages each checkpoint interval wrote
+// without restoring anything: pages are exactly the ckpt chain's RAM
+// chunks.
+func (m *Memory) TakeDirtyPages(dst []int) []int {
+	for _, p := range m.dirtyPages {
+		dst = append(dst, int(p))
+	}
 	m.clearDirty()
-	return pages
+	return dst
 }
 
 // Page returns the contents of page p as a subslice of the backing

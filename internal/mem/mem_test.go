@@ -228,9 +228,9 @@ func TestPageEqualAndDirtyTracking(t *testing.T) {
 	}
 	m.Write(5<<PageShift, 8, 1)
 	m.Write(9<<PageShift, 8, 1)
-	got := m.TakeDirtyPages()
-	if len(got) != 2 || got[0] != 5 || got[1] != 9 {
-		t.Fatalf("TakeDirtyPages = %v, want [5 9]", got)
+	got := m.TakeDirtyPages([]int{-1})
+	if len(got) != 3 || got[0] != -1 || got[1] != 5 || got[2] != 9 {
+		t.Fatalf("TakeDirtyPages = %v, want [-1 5 9]", got)
 	}
 	if len(m.DirtyPageList()) != 0 {
 		t.Fatal("take must re-baseline the dirty set")

@@ -212,18 +212,15 @@ const ringSize = 1024
 // New builds a core over a loaded memory image, booting at entry in
 // kernel mode.
 func New(cfg Config, m *mem.Memory, entry uint64) *Core {
-	c := &Core{Cfg: cfg, IS: cfg.ISA, mode: isa.Kernel, fetchPC: entry}
+	c := newFixed(cfg)
+	c.mode, c.fetchPC = isa.Kernel, entry
 	c.Bus = dev.NewBus(m)
 	c.ram = newRAMLevel(m, cfg.MemLat)
 	c.l2 = newCache(cfg.L2, c.ram)
 	c.l1i = newCache(cfg.L1I, c.l2)
 	c.l1d = newCache(cfg.L1D, c.l2)
-	c.bp = newBranchPred(&cfg)
 	c.Bus.Reader = (*dmaSnooper)(c)
 
-	c.prf = make([]uint64, cfg.PhysRegs)
-	c.prfReady = make([]bool, cfg.PhysRegs)
-	c.prfTaint = make([]bool, cfg.PhysRegs)
 	n := c.IS.NumRegs()
 	for i := 0; i < n; i++ {
 		c.retRAT[i] = i
@@ -233,12 +230,26 @@ func New(cfg Config, m *mem.Memory, entry uint64) *Core {
 	for p := n; p < cfg.PhysRegs; p++ {
 		c.freeList = append(c.freeList, p)
 	}
-	c.rob = make([]robe, cfg.ROBSize)
-	c.lq = make([]lsqEntry, cfg.LQSize)
-	c.sq = make([]lsqEntry, cfg.SQSize)
 	c.ring = make([][]ringEnt, ringSize)
 	c.setLayout()
 	return c
+}
+
+// newFixed allocates the config-sized arrays of the state encoding's
+// prefix (register file, ROB, load/store queues, branch predictor):
+// everything the prefix's length depends on, and none of the caches.
+func newFixed(cfg Config) *Core {
+	return &Core{
+		Cfg:      cfg,
+		IS:       cfg.ISA,
+		bp:       newBranchPred(&cfg),
+		prf:      make([]uint64, cfg.PhysRegs),
+		prfReady: make([]bool, cfg.PhysRegs),
+		prfTaint: make([]bool, cfg.PhysRegs),
+		rob:      make([]robe, cfg.ROBSize),
+		lq:       make([]lsqEntry, cfg.LQSize),
+		sq:       make([]lsqEntry, cfg.SQSize),
+	}
 }
 
 // dmaSnooper implements dev.DMAReader over the cache hierarchy so the

@@ -100,17 +100,21 @@ func TestTouchedSetComplete(t *testing.T) {
 func TestDecodeStateDeltaMatchesFull(t *testing.T) {
 	for _, cfg := range Configs() {
 		img := shaImage(t, cfg)
-		golden := New(cfg, img.NewMemory(), img.Entry)
+		gm := img.NewMemory()
+		gm.EnableTracking()
+		golden := New(cfg, gm, img.Entry)
 		chain := ckpt.New(ckpt.Meta{Engine: "test"})
 		var blobs [][]byte
+		var blob []byte
+		var pages, chunks []int
 		for len(blobs) < 16 && !golden.Bus.Halted() {
-			blob := golden.EncodeState(nil)
-			chain.Add(golden.Cycle, golden.StateProbe(), golden.Bus.Mem.Bytes(), blob, nil)
-			blobs = append(blobs, blob)
+			blob, chunks = golden.EncodeStateDelta(blob, chunks[:0])
+			pages = gm.TakeDirtyPages(pages[:0])
+			chain.Add(golden.Cycle, golden.StateProbe(), gm.Bytes(), pages, blob, chunks, nil)
+			blobs = append(blobs, bytes.Clone(blob))
 			for stop := golden.Cycle + 1500; golden.Cycle < stop && golden.Step(); {
 			}
 		}
-		chain.Finish()
 
 		m := mem.New(img.RAM.Size())
 		m.EnableTracking()
@@ -186,4 +190,64 @@ func TestStateMatchesChunkLines(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEncodeStateDeltaMatchesFull: along golden-style runs with flips
+// in all five structures, captures at uneven spacing and tail-length
+// changes, every incremental encode must equal a full EncodeState, and
+// the chunks it returns must include every chunk that differs from the
+// previous blob (every chunk of the first), the hint a checkpoint chain
+// compares on.
+func TestEncodeStateDeltaMatchesFull(t *testing.T) {
+	for _, cfg := range Configs() {
+		img := shaImage(t, cfg)
+		core := New(cfg, img.NewMemory(), img.Entry)
+		r := rand.New(rand.NewSource(19))
+		var blob, prev []byte
+		var chunks []int
+		resized := 0
+		for capture := 0; capture < 40; capture++ {
+			if core.Bus.Halted() {
+				// A flip crashed the run: capture a fresh one from boot.
+				core = New(cfg, img.NewMemory(), img.Entry)
+				blob, prev = blob[:0], nil
+			}
+			if len(prev) > 0 {
+				// Uneven spacing: back-to-back captures, short and long
+				// stretches, with flips in every structure on some.
+				if r.Intn(3) == 0 {
+					flipAndStep(core, r, 1, r.Intn(40))
+				}
+				for n := []int{0, 1, 7, 300, 2500}[r.Intn(5)]; n > 0 && core.Step(); n-- {
+				}
+			}
+			blob, chunks = core.EncodeStateDelta(blob, chunks[:0])
+			full := core.EncodeState(nil)
+			if !bytes.Equal(blob, full) {
+				t.Fatalf("%s: capture %d: incremental encode differs from EncodeState", cfg.Name, capture)
+			}
+			listed := map[int]bool{}
+			for _, k := range chunks {
+				listed[k] = true
+			}
+			for k := 0; k<<ckpt.ChunkShift < max(len(prev), len(full)); k++ {
+				if !bytes.Equal(chunkAt(prev, k), chunkAt(full, k)) && !listed[k] {
+					t.Fatalf("%s: capture %d: chunk %d changed but is not listed", cfg.Name, capture, k)
+				}
+			}
+			if len(prev) > 0 && len(prev) != len(full) {
+				resized++
+			}
+			prev = full
+		}
+		if resized < 10 {
+			t.Fatalf("%s: %d of 40 captures changed the blob's length, too few to exercise the tail", cfg.Name, resized)
+		}
+	}
+}
+
+// chunkAt returns ckpt chunk k of blob (empty past its end).
+func chunkAt(blob []byte, k int) []byte {
+	lo := min(k<<ckpt.ChunkShift, len(blob))
+	return blob[lo:min(lo+1<<ckpt.ChunkShift, len(blob))]
 }

@@ -3,9 +3,11 @@ package micro
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"vulnstack/internal/ckpt"
+	"vulnstack/internal/dev"
 	"vulnstack/internal/isa"
 )
 
@@ -88,9 +90,41 @@ func (c *Core) setLayout() {
 	off := c.prefixLen
 	for _, ch := range c.caches() {
 		ch.stateOff = off
-		off += 8 + ch.cfg.Lines()*(lineHdr+2*ch.cfg.LineBytes)
+		off += cacheStateLen(ch.cfg)
 	}
 	c.tailOff = off
+}
+
+// cacheStateLen is the length of a cache's section: its tick, the line
+// records, then the line data.
+func cacheStateLen(cc CacheConfig) int { return 8 + cc.Lines()*(lineHdr+2*cc.LineBytes) }
+
+// StateLenRange returns the least and the greatest length of an
+// EncodeState blob on cfg's geometry with ramBytes of RAM whose device
+// streams (output and debug console) hold at most streams bytes in all.
+// The fixed sections end at the tail offset, and each tail section is
+// bounded by the limit DecodeState accepts for it. It builds no caches
+// and no RAM, so a loader can vet the lengths a persisted chain claims
+// before it allocates a machine.
+func StateLenRange(cfg Config, ramBytes, streams uint64) (lo, hi uint64) {
+	tailOff := len(newFixed(cfg).appendPrefix(nil))
+	for _, cc := range []CacheConfig{cfg.L1I, cfg.L1D, cfg.L2} {
+		tailOff += cacheStateLen(cc)
+	}
+	const uv = binary.MaxVarintLen64
+	var fe fetchEntry
+	queues := uv + (4*cfg.PhysRegs+64)*uv + // free list
+		uv + (4*cfg.ROBSize+64)*uv + // issue queue
+		uv + (16*cfg.FetchWidth+64)*len(appendFetch(nil, &fe)) + // fetch queue
+		ringSize*(uv+(4*cfg.ROBSize+64)*2*uv) + // completion ring
+		uv // RAM taint count
+	// RAM taints: an address and a mask byte each, at most one per RAM
+	// byte (plus readTail's slack).
+	fixed := uint64(tailOff+queues) + (ramBytes+64)*(uv+1)
+	devLo, devHi := dev.DeviceLenRange(streams)
+	// Each tail section and ring bucket takes at least a one-byte count;
+	// the greatest length saturates rather than wraps.
+	return uint64(tailOff+4+ringSize) + devLo, fixed + min(devHi, math.MaxUint64-fixed)
 }
 
 func (c *Core) caches() [3]*cache { return [3]*cache{c.l1i, c.l1d, c.l2} }
@@ -112,6 +146,51 @@ func (c *Core) EncodeState(dst []byte) []byte {
 		dst = ch.appendState(dst)
 	}
 	return c.appendTail(dst)
+}
+
+// EncodeStateDelta is EncodeState for a golden-run capture that
+// encodes the same core again and again: blob holds the encoding this
+// core returned from its previous call, or is empty on the first call,
+// which encodes in full. Later calls rewrite in place only what can
+// have changed since: the prefix, each cache's tick, the record and
+// data of every touched line, and the tail, truncated or extended at
+// tailOff. It returns the new blob, bytes-equal to EncodeState(nil),
+// and chunks with the indices of the ckpt chunks it wrote appended
+// (every chunk of the blob on the first call), then clears the touched
+// sets. That is exact because every line mutation marks its line
+// touched (the invariant DecodeStateDelta and StateMatches rest on): a
+// line untouched since the previous call still holds the bytes the
+// previous blob has for it.
+//
+// It must never run on a worker arena: clearing the touched sets would
+// hide the lines a faulty run touched from StateMatches and
+// DecodeStateDelta. Nor may the core be decoded between two calls.
+func (c *Core) EncodeStateDelta(blob []byte, chunks []int) ([]byte, []int) {
+	if len(blob) == 0 {
+		blob = c.EncodeState(blob)
+		chunks = ckpt.AppendChunks(chunks, 0, len(blob))
+	} else {
+		old := len(blob)
+		c.appendPrefix(blob[:0])
+		chunks = ckpt.AppendChunks(chunks, 0, c.prefixLen)
+		for _, ch := range c.caches() {
+			binary.LittleEndian.PutUint64(blob[ch.stateOff:], uint64(ch.tick))
+			chunks = ckpt.AppendChunks(chunks, ch.stateOff, ch.stateOff+8)
+			for _, li := range ch.touched {
+				l, rec, data := ch.line(int(li)), ch.recOff(int(li)), ch.dataOff(int(li))
+				appendLine(blob[rec:rec], l)
+				copy(blob[data:], l.data)
+				chunks = ckpt.AppendChunks(chunks, rec, ch.recOff(int(li)+1))
+				chunks = ckpt.AppendChunks(chunks, data, data+len(l.data))
+			}
+		}
+		blob = c.appendTail(blob[:c.tailOff])
+		chunks = ckpt.AppendChunks(chunks, c.tailOff, max(old, len(blob)))
+	}
+	for _, ch := range c.caches() {
+		ch.clearTouched()
+	}
+	return blob, chunks
 }
 
 // appendPrefix encodes the fixed-size sections before the caches.

@@ -2,8 +2,10 @@ package micro
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
+	"vulnstack/internal/dev"
 	"vulnstack/internal/mem"
 	"vulnstack/internal/workload"
 )
@@ -115,5 +117,27 @@ func TestStateCodecCanonical(t *testing.T) {
 	// Trailing garbage must error too.
 	if err := twin.DecodeState(append(append([]byte(nil), blob...), 0xFF)); err == nil {
 		t.Fatal("blob with trailing bytes decoded without error")
+	}
+}
+
+// TestStateLenRange: the layout StateLenRange derives without building
+// caches or RAM must put the tail where a built core's setLayout does,
+// and a mid-run core's encoding must fall inside the range.
+func TestStateLenRange(t *testing.T) {
+	for _, cfg := range Configs() {
+		core := midpointCore(t, cfg)
+		blob := core.EncodeState(nil)
+		ram := core.Bus.Mem.Size()
+		lo, hi := StateLenRange(cfg, ram, uint64(len(core.Bus.Out))+core.Instret)
+		devLo, _ := dev.DeviceLenRange(0)
+		if want := uint64(core.tailOff+4+ringSize) + devLo; lo != want {
+			t.Fatalf("%s: least length %d, want tailOff %d plus the minimal tail (%d)", cfg.Name, lo, core.tailOff, want)
+		}
+		if n := uint64(len(blob)); n < lo || n > hi {
+			t.Fatalf("%s: a %d-byte mid-run encoding falls outside [%d, %d]", cfg.Name, n, lo, hi)
+		}
+		if _, hi := StateLenRange(cfg, ram, math.MaxUint64); hi != math.MaxUint64 {
+			t.Fatalf("%s: an unbounded stream bound gives %d, want saturation", cfg.Name, hi)
+		}
 	}
 }
