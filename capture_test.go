@@ -10,15 +10,20 @@ import (
 	"vulnstack/internal/dev"
 	"vulnstack/internal/emu"
 	"vulnstack/internal/inject"
+	"vulnstack/internal/ir"
 	"vulnstack/internal/isa"
 	"vulnstack/internal/kernel"
+	"vulnstack/internal/llfi"
 	"vulnstack/internal/micro"
 	"vulnstack/internal/tb"
 )
 
-// captureDensities are the two checkpoint densities a chain is built at:
-// a bare System's and a Lab's.
+// captureDensities are the two checkpoint densities a hardware chain is
+// built at: a bare System's and a Lab's.
 var captureDensities = []int{defaultSnapshots, labSnapshots}
+
+// softCaptureDensities are the soft chain's density and a sparse one.
+var softCaptureDensities = []int{softSnapshots, 12}
 
 // every lists every chunk index of img: the hint of a capture that
 // compares everything.
@@ -115,6 +120,52 @@ func fullArchChain(img *kernel.Image, nsnaps int, meta ckpt.Meta, instrs uint64)
 	return ch
 }
 
+// fullSoftChain is the full-capture oracle of llfi.Prepare's chain: an
+// independent compiled golden run checkpointed at the same definition
+// counts, comparing the whole state blob and RAM image at every
+// checkpoint.
+func fullSoftChain(t *testing.T, m *ir.Module, nsnaps int, meta ckpt.Meta, defs uint64) *ckpt.Chain {
+	ip := ir.NewInterp(m, llfi.Width, RAMSize)
+	p, err := tb.CompileIR(m, ip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := p.NewMachine(ip)
+	if err := mc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	ch := ckpt.New(meta)
+	step := defs
+	if nsnaps > 1 {
+		step /= uint64(nsnaps)
+	}
+	step = max(step, 1)
+	for next := uint64(0); next == 0 || next < defs; next += step {
+		if paused, err := mc.Run(next); !paused {
+			t.Fatalf("compiled golden run ended before definition %d: %v", next, err)
+		}
+		ram, blob := ip.Mem.Bytes(), mc.AppendState(nil)
+		ch.Add(next, mc.Probe(), ram, every(ram), blob, every(blob), nil)
+	}
+	return ch
+}
+
+// assertSoftCapture is assertMicroCapture for llfi.Prepare, at the soft
+// chain's densities.
+func assertSoftCapture(t *testing.T, m *ir.Module) {
+	t.Helper()
+	for _, n := range softCaptureDensities {
+		cp, err := llfi.Prepare(m, RAMSize, n, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fullSoftChain(t, m, n, cp.Chain().Meta, cp.GoldenDefs)
+		if !bytes.Equal(cp.Chain().Encode(), want.Encode()) {
+			t.Errorf("soft at %d checkpoints: the prepared chain differs from a full capture", n)
+		}
+	}
+}
+
 // assertMicroCapture checks inject.Prepare's chain on one benchmark and
 // config at every capture density against the full-capture oracle, byte
 // for byte in persisted form.
@@ -147,27 +198,28 @@ func assertArchCapture(t *testing.T, img *kernel.Image) {
 	}
 }
 
-// assertCaptureMatchesFull runs both oracles on each benchmark: micro on
-// the given configs, arch on VSA64.
+// assertCaptureMatchesFull runs the three oracles on each benchmark:
+// micro on the given configs, arch and soft on VSA64.
 func assertCaptureMatchesFull(t *testing.T, benches []string, cfgs []micro.Config) {
 	for _, bench := range benches {
 		t.Run(bench, func(t *testing.T) {
 			t.Parallel()
-			imgs := map[isa.ISA]*kernel.Image{}
-			img := func(is isa.ISA) *kernel.Image {
-				if imgs[is] == nil {
-					sys, err := Build(Target{Bench: bench, Seed: 1}, is)
+			systems := map[isa.ISA]*System{}
+			sys := func(is isa.ISA) *System {
+				if systems[is] == nil {
+					s, err := Build(Target{Bench: bench, Seed: 1}, is)
 					if err != nil {
 						t.Fatal(err)
 					}
-					imgs[is] = sys.Image
+					systems[is] = s
 				}
-				return imgs[is]
+				return systems[is]
 			}
 			for _, cfg := range cfgs {
-				assertMicroCapture(t, img(cfg.ISA), cfg)
+				assertMicroCapture(t, sys(cfg.ISA).Image, cfg)
 			}
-			assertArchCapture(t, img(isa.VSA64))
+			assertArchCapture(t, sys(isa.VSA64).Image)
+			assertSoftCapture(t, sys(isa.VSA64).IR)
 		})
 	}
 }
@@ -185,7 +237,8 @@ func smallCacheA9() micro.Config {
 
 // TestChainCaptureMatchesFull: the race-enabled subset of the capture
 // gate (TestChainCaptureFullBreadth): sha on A72, A9 and A9 with small
-// caches, and arch sha, each at both densities.
+// caches, arch sha, each at both densities, and soft sha at 48 and 12
+// checkpoints.
 func TestChainCaptureMatchesFull(t *testing.T) {
 	assertCaptureMatchesFull(t, []string{"sha"}, []micro.Config{micro.ConfigA72(), micro.ConfigA9(), smallCacheA9()})
 }

@@ -38,7 +38,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cp, err := llfi.Prepare(module, 1<<20, false)
+	// 48 checkpoints along the golden run: each injection starts at the
+	// nearest one and stops once it converges to golden.
+	cp, err := llfi.Prepare(module, 1<<20, 48, false)
 	if err != nil {
 		log.Fatal(err)
 	}

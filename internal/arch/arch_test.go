@@ -16,12 +16,12 @@ import (
 	"vulnstack/internal/workload"
 )
 
-func prep(t *testing.T, bench string, is isa.ISA) *Campaign {
+func prep(t testing.TB, bench string, is isa.ISA) *Campaign {
 	t.Helper()
 	return prepWith(t, bench, is, false)
 }
 
-func prepWith(t *testing.T, bench string, is isa.ISA, reference bool) *Campaign {
+func prepWith(t testing.TB, bench string, is isa.ISA, reference bool) *Campaign {
 	t.Helper()
 	spec, err := workload.Get(bench)
 	if err != nil {

@@ -1,12 +1,13 @@
 // Package ckpt implements the generic delta-checkpoint chain shared by
 // the execution-driven injection engines (internal/inject at the micro
-// layer, internal/arch at the architecture layer). A chain is a base
-// full snapshot plus per-checkpoint delta records: for both the RAM
-// image and the engine's canonically encoded machine-state blob, only
-// the 4 KiB chunks whose contents changed since the previous checkpoint
-// are stored. Memory is therefore O(base + Σ deltas) instead of
-// O(checkpoints × RAM), which is what lets the engines keep hundreds of
-// checkpoints per golden run in the memory a dozen full copies took.
+// layer, internal/arch at the architecture layer, internal/llfi at the
+// software layer). A chain is a base full snapshot plus per-checkpoint
+// delta records: for both the RAM image and the engine's canonically
+// encoded machine-state blob, only the 4 KiB chunks whose contents
+// changed since the previous checkpoint are stored. Memory is therefore
+// O(base + Σ deltas) instead of O(checkpoints × RAM), which is what
+// lets the engines keep hundreds of checkpoints per golden run in the
+// memory a dozen full copies took.
 //
 // Capture costs O(changed state) too. Add compares the base in full
 // against zero, but every later checkpoint only on the chunks its
@@ -64,8 +65,11 @@ var zeroChunk [chunkSize]byte
 
 // Meta identifies a chain and carries the engine's golden-run summary.
 type Meta struct {
-	// Engine names the owning injector ("micro" or "arch"): a chain
-	// restores engine-specific state and is never cross-loaded.
+	// Engine names the owning injector ("micro", "arch" or "soft"): a
+	// chain restores engine-specific state and is never cross-loaded.
+	// Soft chains (the compiled IR engine's, coordinates in definition
+	// counts) are captured afresh by every llfi.Prepare and never
+	// persisted.
 	Engine string
 	// Fingerprint keys the chain to the exact campaign configuration —
 	// target/seed, machine config, snapshot density, RAM size, format
@@ -133,20 +137,9 @@ func AppendChunks(dst []int, lo, hi int) []int {
 // chunkLen is the length of chunk c of an n-byte image (0 past its end).
 func chunkLen(n, c int) int { return min(max(n-c<<ChunkShift, 0), chunkSize) }
 
-func isZero(b []byte) bool {
-	for len(b) >= 8 {
-		if string(b[:8]) != "\x00\x00\x00\x00\x00\x00\x00\x00" {
-			return false
-		}
-		b = b[8:]
-	}
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
+// isZero reports whether chunk b (at most chunkSize bytes) is all
+// zeroes.
+func isZero(b []byte) bool { return bytes.Equal(b, zeroChunk[:len(b)]) }
 
 // add captures the next checkpoint's image, storing only the chunks
 // whose contents changed. It compares the hinted chunks, which must

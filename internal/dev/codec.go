@@ -48,10 +48,16 @@ func (b *Bus) AppendDevice(dst []byte) []byte {
 // SetDevice decodes an AppendDevice encoding into this bus, replacing
 // its device-side state; RAM and Reader are untouched, since the caller
 // restores its own memory and keeps its own snooper attached. It
-// returns the remaining bytes after the encoding.
+// returns the remaining bytes after the encoding. Only AppendDevice's
+// canonical bytes are accepted: an error flag other than 0 or 1, or a
+// stream length not in its shortest varint form, is refused like a
+// truncation.
 func (b *Bus) SetDevice(data []byte) ([]byte, error) {
 	if len(data) < deviceFixedLen {
 		return nil, fmt.Errorf("dev: device state truncated (%d bytes)", len(data))
+	}
+	if data[48] > 1 {
+		return nil, fmt.Errorf("dev: DMA error flag %d", data[48])
 	}
 	b.Halt = HaltKind(binary.LittleEndian.Uint64(data[0:]))
 	b.ExitCode = binary.LittleEndian.Uint64(data[8:])
@@ -65,6 +71,9 @@ func (b *Bus) SetDevice(data []byte) ([]byte, error) {
 		l, n := binary.Uvarint(data)
 		if n <= 0 || uint64(len(data)-n) < l {
 			return nil, fmt.Errorf("dev: device stream truncated")
+		}
+		if n > 1 && data[n-1] == 0 {
+			return nil, fmt.Errorf("dev: device stream length not in shortest form")
 		}
 		*dst = append((*dst)[:0], data[n:n+int(l)]...)
 		data = data[n+int(l):]

@@ -111,11 +111,11 @@ func TestHardenedDetectsInjectedFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := llfi.Prepare(m, 1<<21, false)
+	base, err := llfi.Prepare(m, 1<<21, 48, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := llfi.Prepare(h, 1<<21, false)
+	hard, err := llfi.Prepare(h, 1<<21, 48, false)
 	if err != nil {
 		t.Fatal(err)
 	}

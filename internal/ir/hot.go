@@ -3,7 +3,7 @@ package ir
 // This file exports the interpreter's frame, memory, and kernel-ABI
 // primitives for the compiled direct-threaded engine (internal/tb),
 // which replays call()'s per-op semantics over flattened op arrays and
-// must match them bit-exactly — including dirty-page tracking (Reset
+// must match them bit-exactly — including dirty-page tracking (restore
 // correctness), address-check errors, and syscall edge cases.
 
 // SP returns the current stack pointer.
@@ -23,7 +23,7 @@ func (ip *Interp) MemLoad(addr int64, n int, unsigned bool) (int64, error) {
 }
 
 // MemStore performs a store with full interpreter semantics (address
-// check, Reset dirty-page tracking).
+// check, Mem's dirty-page tracking).
 func (ip *Interp) MemStore(addr int64, n int, val int64) error {
 	return ip.store(addr, n, val)
 }

@@ -30,7 +30,12 @@ type Interp struct {
 	M     *Module
 	Width int // 32 or 64: the target word width
 
-	Mem        []byte
+	// Mem is the interpreter's RAM: globals from the bottom, the stack
+	// growing down from the top. Enabling its dirty tracking makes the
+	// interpreter a reusable arena (Reset, or a checkpoint chain's
+	// RestoreRAM).
+	Mem        *mem.Memory
+	data       []byte // Mem's bytes
 	globalAddr map[string]int64
 	heapEnd    int64
 	sp         int64
@@ -69,21 +74,7 @@ type Interp struct {
 	siteBase   map[*Func][]int32
 
 	mask uint64
-
-	// Reusable-arena support (EnableReset/Reset): init holds the
-	// pristine [0, heapEnd) image, dirtyBit/dirtyPages track pages
-	// written by store so Reset restores only what a run touched.
-	track      bool
-	init       []byte
-	dirtyBit   []uint64
-	dirtyPages []int32
 }
-
-// Page granularity of the Reset dirty tracking.
-const (
-	pageShift = 12
-	pageSize  = 1 << pageShift
-)
 
 // NewInterp prepares an interpreter with the given memory size (0
 // selects 1 MiB). Globals are laid out from the bottom; the stack grows
@@ -95,9 +86,10 @@ func NewInterp(m *Module, width int, memSize int) *Interp {
 	ip := &Interp{
 		M:        m,
 		Width:    width,
-		Mem:      make([]byte, memSize),
+		Mem:      mem.New(uint64(memSize)),
 		MaxSteps: 1 << 32,
 	}
+	ip.data = ip.Mem.Bytes()
 	if width == 32 {
 		ip.mask = 0xFFFFFFFF
 	} else {
@@ -108,7 +100,7 @@ func NewInterp(m *Module, width int, memSize int) *Interp {
 	for _, g := range m.Globals {
 		addr = (addr + 7) &^ 7
 		ip.globalAddr[g.Name] = addr
-		copy(ip.Mem[addr:], g.Init)
+		copy(ip.data[addr:], g.Init)
 		addr += int64(g.Size)
 	}
 	ip.heapEnd = (addr + 7) &^ 7
@@ -116,49 +108,14 @@ func NewInterp(m *Module, width int, memSize int) *Interp {
 	return ip
 }
 
-// EnableReset turns the interpreter into a reusable arena: memory
-// writes are tracked at page granularity so Reset can restore the
-// just-constructed state by touching only the pages a run dirtied,
-// instead of reallocating (and re-zeroing) the whole memory.
-func (ip *Interp) EnableReset() {
-	if ip.track {
-		return
-	}
-	ip.track = true
-	ip.init = append([]byte(nil), ip.Mem[:ip.heapEnd]...)
-	pages := (len(ip.Mem) + pageSize - 1) >> pageShift
-	ip.dirtyBit = make([]uint64, (pages+63)/64)
-}
-
-func (ip *Interp) markPage(p int64) {
-	if ip.dirtyBit[p>>6]&(1<<(p&63)) == 0 {
-		ip.dirtyBit[p>>6] |= 1 << (p & 63)
-		ip.dirtyPages = append(ip.dirtyPages, int32(p))
-	}
-}
-
-// Reset restores the interpreter to its just-constructed state: global
-// images back in place, dirtied stack/heap pages zeroed, counters and
-// output cleared, Hook removed. Requires EnableReset.
-func (ip *Interp) Reset() {
-	for _, p := range ip.dirtyPages {
-		ip.dirtyBit[p>>6] &^= 1 << (p & 63)
-		lo := int64(p) << pageShift
-		hi := lo + pageSize
-		if hi > int64(len(ip.Mem)) {
-			hi = int64(len(ip.Mem))
-		}
-		n := int64(0)
-		if lo < int64(len(ip.init)) {
-			n = int64(copy(ip.Mem[lo:hi], ip.init[lo:]))
-		}
-		zero := ip.Mem[lo+n : hi]
-		for i := range zero {
-			zero[i] = 0
-		}
-	}
-	ip.dirtyPages = ip.dirtyPages[:0]
-	ip.sp = int64(len(ip.Mem))
+// Reset restores the interpreter to its just-constructed state: memory
+// back to img, a pristine copy of a just-constructed interpreter's
+// memory, by restoring only the pages written since the last Reset
+// (Mem must track its dirty pages, and equal img outside them), then
+// counters and output cleared and Hook removed.
+func (ip *Interp) Reset(img *mem.Memory) {
+	ip.Mem.RestoreDirty(img)
+	ip.sp = int64(len(ip.data))
 	ip.Out = ip.Out[:0]
 	ip.Exited, ip.ExitCode = false, 0
 	ip.Detected, ip.DetectCode = false, 0
@@ -464,7 +421,7 @@ func b2i(b bool) int64 {
 func (ip *Interp) checkAddr(addr int64, n int) (uint64, error) {
 	a := uint64(addr) & ip.mask
 	end := a + uint64(n)
-	if a < guardTop || end > uint64(len(ip.Mem)) || end < a {
+	if a < guardTop || end > uint64(len(ip.data)) || end < a {
 		return 0, fmt.Errorf("%w: %#x", ErrBadAddress, uint64(addr))
 	}
 	if a&uint64(n-1) != 0 {
@@ -478,7 +435,7 @@ func (ip *Interp) load(addr int64, n int, unsigned bool) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	v := mem.LoadLE(ip.Mem[a:], n)
+	v := mem.LoadLE(ip.data[a:], n)
 	if !unsigned {
 		shift := uint(64 - 8*n)
 		return ip.wrap(int64(v<<shift) >> shift), nil
@@ -491,12 +448,7 @@ func (ip *Interp) store(addr int64, n int, val int64) error {
 	if err != nil {
 		return err
 	}
-	if ip.track {
-		// Stores are size-aligned (checkAddr), so they never straddle a
-		// page boundary.
-		ip.markPage(int64(a >> pageShift))
-	}
-	mem.StoreLE(ip.Mem[a:], n, uint64(val))
+	ip.Mem.Write(a, n, uint64(val))
 	return nil
 }
 
@@ -530,10 +482,10 @@ func (ip *Interp) syscallV(num, a0, a1 int64) (int64, error) {
 		if n < 0 || n > 1<<20 {
 			return -1, nil
 		}
-		if int64(buf) < guardTop || int64(buf)+n > int64(len(ip.Mem)) {
+		if int64(buf) < guardTop || int64(buf)+n > int64(len(ip.data)) {
 			return 0, fmt.Errorf("%w: write(%#x, %d)", ErrBadAddress, buf, n)
 		}
-		ip.Out = append(ip.Out, ip.Mem[buf:int64(buf)+n]...)
+		ip.Out = append(ip.Out, ip.data[buf:int64(buf)+n]...)
 		return n, nil
 	case 3: // read
 		return 0, nil

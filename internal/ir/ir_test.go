@@ -139,7 +139,7 @@ func TestGlobalsLayoutAndString(t *testing.T) {
 	if a < 0x1000 || b <= a || b%8 != 0 {
 		t.Fatalf("layout: a=%#x b=%#x", a, b)
 	}
-	if ip.Mem[a] != 1 || ip.Mem[a+2] != 3 {
+	if b := ip.Mem.Bytes(); b[a] != 1 || b[a+2] != 3 {
 		t.Fatal("init bytes")
 	}
 	s := m.String()

@@ -80,11 +80,11 @@ func main() int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := Prepare(m, 1<<20, false)
+	cp, err := Prepare(m, 1<<20, testSnapshots, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Prepare(m, 1<<20, true)
+	ref, err := Prepare(m, 1<<20, testSnapshots, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"vulnstack/internal/campaign"
+	"vulnstack/internal/ckpt"
 	"vulnstack/internal/inject"
 	"vulnstack/internal/ir"
+	"vulnstack/internal/mem"
 	"vulnstack/internal/results"
 	"vulnstack/internal/static"
 	"vulnstack/internal/tb"
@@ -24,6 +25,9 @@ import (
 // Width is the only word width LLFI-style injection supports (the
 // paper notes LLFI cannot target 32-bit ISAs).
 const Width = 64
+
+// Engine is this injector's name in its checkpoint chains.
+const Engine = "soft"
 
 // Campaign prepares SVF injections for one IR module.
 type Campaign struct {
@@ -67,19 +71,30 @@ type Campaign struct {
 
 	// reference selects the reference engine (see Prepare).
 	reference bool
-	progOnce  sync.Once
-	prog      *tb.Prog
+	// prog is the compiled module the fast path runs, and chain the
+	// checkpoint chain along its golden run: the compiled state blob and
+	// the RAM at definition counts GoldenDefs/nsnaps apart. Both are nil
+	// on the reference engine, whose runs reset to image, a
+	// just-constructed interpreter's memory.
+	prog  *tb.Prog
+	chain *ckpt.Chain
+	image *mem.Memory
 }
 
-// Prepare runs the golden execution. reference selects the reference
-// engine: no dead-definition filter, no static resolution, and every
-// faulty run interpreted instruction-by-instruction with the fault
-// applied via the definition hook instead of the compiled
-// direct-threaded engine. Outcomes are provably identical either way.
-// Golden runs always use the plain interpreter, which the def-use and
-// site tracking requires; the tracking still runs, so stratified
-// campaigns partition their pools identically on both engines.
-func Prepare(m *ir.Module, memSize int, reference bool) (*Campaign, error) {
+// Prepare runs the golden execution and, on the fast path, captures
+// the checkpoint chain (the start state alone when nsnaps <= 1).
+// reference selects the reference engine: no dead-definition filter, no
+// static resolution, no chain, and every faulty run interpreted from
+// _start instruction-by-instruction with the fault applied via the
+// definition hook. The fast path compiles the module once (a module the
+// compiler rejects is an error) and starts each faulty run at the
+// nearest checkpoint at or below its definition number, ending it as
+// Masked once it converges to golden at a later checkpoint. Outcomes
+// are provably identical either way. The golden tracking run always
+// uses the plain interpreter, which the def-use and site tracking
+// requires; the tracking still runs on the reference engine, so
+// stratified campaigns partition their pools identically on both.
+func Prepare(m *ir.Module, memSize, nsnaps int, reference bool) (*Campaign, error) {
 	ip := ir.NewInterp(m, Width, memSize)
 	ip.MaxSteps = 1 << 32
 	ip.TrackUse = true
@@ -90,7 +105,7 @@ func Prepare(m *ir.Module, memSize int, reference bool) (*Campaign, error) {
 	if !ip.Exited {
 		return nil, errors.New("llfi: golden run did not exit")
 	}
-	return &Campaign{
+	cp := &Campaign{
 		M:           m,
 		GoldenOut:   append([]byte(nil), ip.Out...),
 		GoldenExit:  ip.ExitCode,
@@ -102,7 +117,72 @@ func Prepare(m *ir.Module, memSize int, reference bool) (*Campaign, error) {
 		defSites:    append([]int32(nil), ip.DefSites()...),
 		irb:         static.AnalyzeIR(m, "_start", Width),
 		reference:   reference,
-	}, nil
+	}
+	if reference {
+		cp.image = ir.NewInterp(m, Width, memSize).Mem
+		return cp, nil
+	}
+	if err := cp.capture(nsnaps); err != nil {
+		return nil, err
+	}
+	return cp, nil
+}
+
+// capture compiles the module and replays the golden run on the
+// compiled engine, checkpointing it every GoldenDefs/nsnaps
+// definitions: the canonical state blob, the scalar probe and the RAM,
+// whose capture compares only the pages the interval wrote and the
+// rewritten blob's chunks. The compiled run must end exactly as the
+// interpreter's golden run did.
+func (cp *Campaign) capture(nsnaps int) error {
+	ip := ir.NewInterp(cp.M, Width, cp.MemSize)
+	p, err := tb.CompileIR(cp.M, ip)
+	if err != nil {
+		return fmt.Errorf("llfi: %w", err)
+	}
+	ip.Mem.EnableTracking()
+	mc := p.NewMachine(ip)
+	mc.MaxSteps = cp.Limit
+	if err := mc.Start(); err != nil {
+		return fmt.Errorf("llfi: compiled golden run: %w", err)
+	}
+	ch := ckpt.New(ckpt.Meta{Engine: Engine, RAMBytes: cp.MemSize})
+	step := cp.GoldenDefs
+	if nsnaps > 1 {
+		step /= uint64(nsnaps)
+	}
+	step = max(step, 1)
+	var blob []byte
+	var pages, chunks []int
+	for next := uint64(0); next == 0 || next < cp.GoldenDefs; next += step {
+		if paused, err := mc.Run(next); !paused {
+			return fmt.Errorf("llfi: compiled golden run ended before definition %d: %v", next, err)
+		}
+		blob = mc.AppendState(blob[:0])
+		pages = ip.Mem.TakeDirtyPages(pages[:0])
+		chunks = ckpt.AppendChunks(chunks[:0], 0, len(blob))
+		ch.Add(next, mc.Probe(), ip.Mem.Bytes(), pages, blob, chunks, nil)
+	}
+	if _, err := mc.Run(tb.NoStop); err != nil || !ip.Exited || ip.ExitCode != cp.GoldenExit ||
+		!bytes.Equal(ip.Out, cp.GoldenOut) || mc.Steps() != cp.GoldenSteps || mc.DefSeq() != cp.GoldenDefs {
+		return fmt.Errorf("llfi: the compiled golden run differs from the interpreter's (err %v)", err)
+	}
+	cp.prog, cp.chain = p, ch
+	return nil
+}
+
+// Chain exposes the fast path's checkpoint chain (read-only; nil on the
+// reference engine).
+func (cp *Campaign) Chain() *ckpt.Chain { return cp.chain }
+
+// CkptFor returns the index of the checkpoint a fault at definition seq
+// restores from: the one at or below seq (0 on the reference engine,
+// which has no chain).
+func (cp *Campaign) CkptFor(seq uint64) int {
+	if cp.chain == nil {
+		return 0
+	}
+	return cp.chain.Find(seq)
 }
 
 // Fault selects a dynamic defining instruction and a bit of its result.
@@ -161,64 +241,100 @@ func (cp *Campaign) StaticMasked(f Fault) bool {
 // stratified campaigns key strata on its per-site verdicts.
 func (cp *Campaign) IRBits() *static.IRBits { return cp.irb }
 
-// Run performs one injection and classifies the outcome. It allocates
-// a fresh interpreter per call; campaigns use reusable per-worker
-// interpreter arenas in RunCampaign instead.
+// Run performs one injection and classifies the outcome on a
+// throwaway arena; campaigns reuse per-worker arenas in RecordsAt.
 func (cp *Campaign) Run(f Fault) inject.Outcome {
 	if (cp.Static && !cp.reference && cp.StaticMasked(f)) || cp.deadDef(f) {
 		return inject.Masked
 	}
-	return cp.inject(ir.NewInterp(cp.M, Width, cp.MemSize), f)
+	o, _ := cp.inject(cp.newWorker(), f, cp.CkptFor(f.Seq))
+	return o
 }
 
-// compiled returns the direct-threaded compiled form of cp.M, building
-// it once per campaign, or nil when the campaign runs interpreted
-// (the reference engine, or a module the compiler cannot handle —
-// execution then falls back to the interpreter with identical outcomes).
-func (cp *Campaign) compiled() *tb.Prog {
-	if cp.reference {
-		return nil
+// worker is the reusable per-worker arena: an interpreter whose memory
+// tracks its dirty pages and, on the fast path, a compiled machine over
+// it, restored in place for every injection.
+type worker struct {
+	ip *ir.Interp
+	mc *tb.Machine // nil on the reference engine
+	// src is the checkpoint the arena was last restored from; state
+	// holds its materialized blob, and cmp is the convergence test's
+	// encode scratch.
+	src   int
+	state []byte
+	cmp   []byte
+}
+
+// newWorker builds an arena. Its memory is a just-constructed
+// interpreter's, which is checkpoint 0's RAM (and the reference
+// engine's image); its empty state buffer makes the first restore
+// materialize a whole blob.
+func (cp *Campaign) newWorker() *worker {
+	ip := ir.NewInterp(cp.M, Width, cp.MemSize)
+	ip.Mem.EnableTracking()
+	w := &worker{ip: ip}
+	if cp.prog != nil {
+		w.mc = cp.prog.NewMachine(ip)
 	}
-	cp.progOnce.Do(func() {
-		// The throwaway interpreter only supplies the global address
-		// layout, which is identical for every interpreter over the
-		// same module and memory size.
-		if p, err := tb.CompileIR(cp.M, ir.NewInterp(cp.M, Width, cp.MemSize)); err == nil {
-			cp.prog = p
+	return w
+}
+
+// inject runs fault f on worker w through the active engine: on the
+// fast path from checkpoint g, the one at or below f.Seq. earlyStop
+// reports a run ended by convergence.
+func (cp *Campaign) inject(w *worker, f Fault, g int) (o inject.Outcome, earlyStop bool) {
+	if w.mc == nil {
+		return cp.runReference(w.ip, f), false
+	}
+	return cp.runFrom(w, f, g)
+}
+
+// runFrom restores checkpoint g into the worker's arena (the state blob
+// and RAM by delta walk from the arena's last checkpoint, the output as
+// golden's prefix), arms the fault, and runs to the end, pausing at
+// every later checkpoint to test for convergence: a scalar probe gates
+// the full compare of output, RAM and state blob. A run equal to golden
+// there (frames, registers, steps, stack pointer, output and memory) is
+// golden from then on, watchdog budget included, so it is Masked.
+func (cp *Campaign) runFrom(w *worker, f Fault, g int) (o inject.Outcome, earlyStop bool) {
+	ch, ip, mc := cp.chain, w.ip, w.mc
+	w.state = ch.StateAt(g, w.state, w.src)
+	ch.RestoreRAM(ip.Mem, w.src, g)
+	w.src = g
+	if err := mc.SetState(w.state, ch.Coord(g), cp.GoldenOut); err != nil {
+		// Unreachable: every checkpoint was encoded by this program's
+		// machine.
+		panic(fmt.Sprintf("llfi: checkpoint %d restore: %v", g, err))
+	}
+	mc.MaxSteps = cp.Limit
+	mc.SetFault(f.Seq, f.Bit)
+	for j := g + 1; j < ch.Len(); j++ {
+		paused, err := mc.Run(ch.Coord(j))
+		if !paused {
+			return cp.outcome(ip, err), false
 		}
-	})
-	return cp.prog
-}
-
-// inject runs one fault on a ready (fresh or Reset) interpreter
-// through the active engine.
-func (cp *Campaign) inject(ip *ir.Interp, f Fault) inject.Outcome {
-	if p := cp.compiled(); p != nil {
-		return cp.runTB(p, ip, f)
+		if mc.Probe() != ch.Probe(j) {
+			continue
+		}
+		if len(ip.Out) > len(cp.GoldenOut) || !bytes.Equal(ip.Out, cp.GoldenOut[:len(ip.Out)]) {
+			break // output is append-only: this run can never converge
+		}
+		if ch.RAMEqual(ip.Mem, g, j) {
+			w.cmp = mc.AppendState(w.cmp[:0])
+			if ch.StateEqual(j, w.cmp) {
+				return inject.Masked, true
+			}
+		}
 	}
-	return cp.runOn(ip, f)
+	_, err := mc.Run(tb.NoStop)
+	return cp.outcome(ip, err), false
 }
 
-// runTB performs one injection via the compiled engine: same
-// classification as runOn, with the flip-at-sequence fault inlined in
-// the compiled dispatch instead of a per-definition hook closure.
-func (cp *Campaign) runTB(p *tb.Prog, ip *ir.Interp, f Fault) inject.Outcome {
-	ip.MaxSteps = cp.Limit
-	err := p.RunFault(ip, f.Seq, f.Bit)
-	switch {
-	case err != nil:
-		return inject.Crash // bad address, stack overflow, watchdog
-	case ip.Detected:
-		return inject.Detected
-	case ip.Exited && ip.ExitCode == cp.GoldenExit && bytes.Equal(ip.Out, cp.GoldenOut):
-		return inject.Masked
-	default:
-		return inject.SDC
-	}
-}
-
-// runOn performs one injection on a ready (fresh or Reset) interpreter.
-func (cp *Campaign) runOn(ip *ir.Interp, f Fault) inject.Outcome {
+// runReference performs one injection on the reference engine: the
+// interpreter reset to its start and run from _start, the fault applied
+// by the definition hook.
+func (cp *Campaign) runReference(ip *ir.Interp, f Fault) inject.Outcome {
+	ip.Reset(cp.image)
 	ip.MaxSteps = cp.Limit
 	ip.Hook = func(seq uint64, in *ir.Instr, v int64) int64 {
 		if seq == f.Seq {
@@ -226,7 +342,12 @@ func (cp *Campaign) runOn(ip *ir.Interp, f Fault) inject.Outcome {
 		}
 		return v
 	}
-	err := ip.Run("_start")
+	return cp.outcome(ip, ip.Run("_start"))
+}
+
+// outcome classifies an ended run from its error and the interpreter's
+// exit and output state.
+func (cp *Campaign) outcome(ip *ir.Interp, err error) inject.Outcome {
 	switch {
 	case err != nil:
 		return inject.Crash // bad address, stack overflow, watchdog
@@ -305,7 +426,7 @@ func (cp *Campaign) UsedDef(seq uint64) bool {
 func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r results.Record)) []results.Record {
 	jobs := make([]campaign.Job, len(faults))
 	for i := range jobs {
-		jobs[i] = campaign.Job{Index: i}
+		jobs[i] = campaign.Job{Index: i, Group: cp.CkptFor(faults[i].Seq)}
 	}
 	var emit func(i int, rec results.Record)
 	if progress != nil {
@@ -332,21 +453,17 @@ func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r r
 			return results.Record{}, false
 		}
 	}
-	return campaign.RunResolved(jobs, cp.Workers, resolveOK,
-		func() *ir.Interp {
-			ip := ir.NewInterp(cp.M, Width, cp.MemSize)
-			ip.EnableReset()
-			return ip
-		},
-		func(ip *ir.Interp, j campaign.Job) results.Record {
+	return campaign.RunResolved(jobs, cp.Workers, resolveOK, cp.newWorker,
+		func(w *worker, j campaign.Job) results.Record {
 			f := faults[j.Index]
 			var rec results.Record
 			if cp.deadDef(f) {
 				rec = record(f, inject.Masked)
 				rec.EarlyStop = true
 			} else {
-				ip.Reset()
-				rec = record(f, cp.inject(ip, f))
+				o, early := cp.inject(w, f, j.Group)
+				rec = record(f, o)
+				rec.EarlyStop = early
 			}
 			rec.Index = base + j.Index
 			return rec

@@ -9,12 +9,15 @@ import (
 	"vulnstack/internal/workload"
 )
 
+// testSnapshots is the checkpoint count of the tests' campaigns.
+const testSnapshots = 48
+
 func prep(t *testing.T, bench string) *Campaign {
 	t.Helper()
 	return prepWith(t, bench, false)
 }
 
-func prepWith(t *testing.T, bench string, reference bool) *Campaign {
+func prepWith(t testing.TB, bench string, reference bool) *Campaign {
 	t.Helper()
 	spec, err := workload.Get(bench)
 	if err != nil {
@@ -24,7 +27,7 @@ func prepWith(t *testing.T, bench string, reference bool) *Campaign {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := Prepare(m, 1<<21, reference)
+	cp, err := Prepare(m, 1<<21, testSnapshots, reference)
 	if err != nil {
 		t.Fatal(err)
 	}

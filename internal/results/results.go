@@ -70,11 +70,13 @@ type Record struct {
 	FPM     micro.FPM `json:"f,omitempty"`
 	Contact uint64    `json:"cc,omitempty"`
 	Live    bool      `json:"live,omitempty"`
-	// EarlyStop marks a run classified by golden-state convergence at a
-	// snapshot boundary (or a provably dead definition at the soft
-	// layer, or a micro fault whose flipped bit the golden run
-	// overwrites or discards before any read, resolved from its
-	// lifetime table) instead of running to completion. Pure
+	// EarlyStop marks a run classified without running to completion:
+	// by golden-state convergence at a checkpoint boundary, at every
+	// layer (soft runs converge at a definition-count checkpoint with
+	// frames, registers, steps, stack pointer, output and RAM equal to
+	// golden's); by a provably dead definition at the soft layer; or by
+	// a micro fault whose flipped bit the golden run overwrites or
+	// discards before any read, resolved from its lifetime table. Pure
 	// provenance: the outcome is provably the run-to-completion one,
 	// and tallies ignore the flag.
 	EarlyStop bool `json:"es,omitempty"`

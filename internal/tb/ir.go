@@ -1,6 +1,8 @@
 package tb
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"vulnstack/internal/ir"
@@ -10,10 +12,14 @@ import (
 // compiled once per campaign into flat per-function op arrays — branch
 // targets resolved to op indices, call targets to function indices,
 // global symbols to addresses, binop kinds and destination presence
-// folded into opcodes — and faulty runs execute the compiled form with
+// folded into opcodes — and a Machine executes the compiled form with
 // the single-bit-flip-at-sequence fault inlined as a compare, instead
-// of the interpreter's per-definition hook closure. Golden runs (which
-// need def-use and site tracking) stay on the plain interpreter.
+// of the interpreter's per-definition hook closure. Calls push frames
+// on one explicit stack over one shared register file, so a run can
+// pause at a definition count, be encoded canonically, and resume from
+// a decoded state: the soft layer's checkpoint chain captures and
+// restores through it. Golden tracking runs (which need def-use and
+// site tracking) stay on the plain interpreter, which never resumes.
 //
 // The compiled engine is specialized to the 64-bit word width (the only
 // width LLFI-style injection supports), where the interpreter's wrap
@@ -67,8 +73,7 @@ type Prog struct {
 // CompileIR compiles m for the 64-bit width. ip supplies the global
 // address layout (identical for every interpreter over the same module
 // and memory size); it is not otherwise touched. An unresolvable
-// symbol or a non-64-bit interpreter returns an error and the caller
-// falls back to the plain interpreter.
+// symbol or a non-64-bit interpreter returns an error.
 func CompileIR(m *ir.Module, ip *ir.Interp) (*Prog, error) {
 	if ip.Width != 64 {
 		return nil, fmt.Errorf("tb: compiled IR engine supports only width 64, got %d", ip.Width)
@@ -165,77 +170,189 @@ func compileArgs(args []int) []int32 {
 	return out
 }
 
-// irRun is the per-run state of one compiled execution.
-type irRun struct {
-	p        *Prog
-	ip       *ir.Interp
-	faultSeq uint64
-	faultBit int64 // XOR mask
-	steps    uint64
-	maxSteps uint64
-	defSeq   uint64
+// NoStop is the Run bound of a run that goes on until it ends.
+const NoStop = ^uint64(0)
+
+// noEvent is a definition number no run reaches.
+const noEvent = ^uint64(0)
+
+// frame is one live activation of a Machine's explicit call stack. Its
+// registers are regs[regs:regs+numVReg] of the machine's shared
+// register file and its slot addresses slots[slots:slots+len(slots)];
+// both bases follow from the frame order.
+type frame struct {
+	fn int32 // function index
+	// pc is the index of the frame's next op: in a caller, the op after
+	// its pending call, whose destination receives the return value.
+	pc int32
+	// sp is the stack pointer at entry, before the frame's slots were
+	// allocated: the value a return restores, and the base its slot
+	// addresses are derived from.
+	sp    int64
+	regs  int32
+	slots int32
 }
 
-// RunFault executes the compiled program on a ready (fresh or Reset)
-// interpreter with a single-bit flip injected into dynamic definition
-// faultSeq — the compiled equivalent of runOn's DefHook. Exit/output
-// state lands in ip exactly as ip.Run would have left it.
-func (p *Prog) RunFault(ip *ir.Interp, faultSeq uint64, faultBit uint) error {
-	r := irRun{
-		p:        p,
-		ip:       ip,
-		faultSeq: faultSeq,
-		faultBit: int64(uint64(1) << faultBit),
-		maxSteps: ip.MaxSteps,
-	}
-	ret, err := r.call(p.entry, nil)
-	ip.Steps, ip.DefSeq = r.steps, r.defSeq
-	if err != nil {
-		return err
-	}
-	if !ip.Exited && !ip.Detected {
-		ip.Exited = true
-		ip.ExitCode = ret
+// Machine is one compiled execution over an interpreter's memory,
+// output and stack pointer: a reusable arena whose calls push frames on
+// one explicit stack instead of recursing, so a run can pause at any
+// definition count and resume from a decoded state. The interpreter's
+// memory is the caller's to restore; Start and SetState set everything
+// else.
+type Machine struct {
+	p  *Prog
+	ip *ir.Interp
+
+	frames []frame
+	regs   []int64
+	slots  []int64
+
+	steps  uint64
+	defSeq uint64
+	// MaxSteps is the watchdog: a run that has executed MaxSteps IR
+	// instructions in all, counted from the start state, ends with
+	// ir.ErrWatchdog.
+	MaxSteps uint64
+
+	faultSeq uint64 // armed fault's definition number, or noEvent
+	faultBit int64  // its XOR mask
+	stop     uint64 // Run's pause bound
+	next     uint64 // the next event's definition number (nextEvent)
+
+	done bool
+	err  error
+}
+
+// NewMachine binds a machine to ip, an interpreter over the module p
+// was compiled from (same memory size). Call Start or SetState before
+// Run.
+func (p *Prog) NewMachine(ip *ir.Interp) *Machine {
+	return &Machine{p: p, ip: ip, MaxSteps: 1 << 32, faultSeq: noEvent, done: true, err: errNotStarted}
+}
+
+// errNotStarted is a run before Start or SetState.
+var errNotStarted = errors.New("tb: IR machine not started")
+
+// Start resets the run to the start state: no output, the stack
+// pointer at the top of memory, zero steps and definitions, and the
+// entry function's frame pushed. It disarms the fault. The memory is
+// not touched.
+func (m *Machine) Start() error {
+	ip := m.ip
+	ip.SetSP(int64(ip.Mem.Size()))
+	m.reset(0)
+	ip.Out = ip.Out[:0]
+	if err := m.push(m.p.entry, 0, 0); err != nil {
+		return m.end(err)
 	}
 	return nil
 }
 
-func (r *irRun) call(fi int, args []int64) (int64, error) {
-	f := &r.p.funcs[fi]
-	regs := make([]int64, f.numVReg)
-	copy(regs, args)
-	ip := r.ip
+// reset clears the run state ahead of a start or a restore at
+// definition count defSeq.
+func (m *Machine) reset(defSeq uint64) {
+	ip := m.ip
+	ip.Exited, ip.ExitCode = false, 0
+	ip.Detected, ip.DetectCode = false, 0
+	m.frames = m.frames[:0]
+	m.steps, m.defSeq = 0, defSeq
+	ip.Steps, ip.DefSeq = 0, defSeq
+	m.faultSeq = noEvent
+	m.done, m.err = false, nil
+}
 
-	// Frame slots on the descending stack, interp.call layout exactly.
-	savedSP := ip.SP()
-	defer ip.SetSP(savedSP)
-	var slotAddr []int64
-	if len(f.slots) > 0 {
-		slotAddr = make([]int64, len(f.slots))
-		sp := savedSP
-		for i := range f.slots {
-			s := &f.slots[i]
-			a := int64(8)
-			if s.Align > 8 {
-				a = int64(s.Align)
-			}
-			sp = (sp - int64(s.Size)) &^ (a - 1)
-			slotAddr[i] = sp
+// push enters function fn with its registers at rb and its slot
+// addresses at sb, exactly as the interpreter's call does: registers
+// zeroed, slots allocated on the descending stack, and a stack pointer
+// below the static data area reported as an overflow.
+func (m *Machine) push(fn int, rb, sb int32) error {
+	f := &m.p.funcs[fn]
+	if n := int(rb) + f.numVReg; n > len(m.regs) {
+		m.regs = append(m.regs, make([]int64, n-len(m.regs))...)
+	}
+	clear(m.regs[rb : int(rb)+f.numVReg])
+	if n := int(sb) + len(f.slots); n > len(m.slots) {
+		m.slots = append(m.slots, make([]int64, n-len(m.slots))...)
+	}
+	saved := m.ip.SP()
+	m.frames = append(m.frames, frame{fn: int32(fn), sp: saved, regs: rb, slots: sb})
+	sp := allocSlots(f.slots, saved, m.slots[sb:])
+	m.ip.SetSP(sp)
+	if sp < m.ip.HeapEnd() {
+		return ir.ErrStackOverflow
+	}
+	return nil
+}
+
+// allocSlots lays slots out below sp, interp.call's layout exactly,
+// writing each slot's address to addr, and returns the new stack
+// pointer.
+func allocSlots(slots []ir.FrameSlot, sp int64, addr []int64) int64 {
+	for i := range slots {
+		s := &slots[i]
+		a := int64(8)
+		if s.Align > 8 {
+			a = int64(s.Align)
 		}
-		ip.SetSP(sp)
+		sp = (sp - int64(s.Size)) &^ (a - 1)
+		addr[i] = sp
 	}
-	if ip.SP() < ip.HeapEnd() {
-		return 0, ir.ErrStackOverflow
-	}
+	return sp
+}
 
-	ops := f.ops
-	pc := 0
+// SetFault arms a single-bit flip of dynamic definition seq: the
+// compiled equivalent of the interpreter's DefHook fault, applied
+// before the value is written. A definition the run has already passed
+// is never flipped.
+func (m *Machine) SetFault(seq uint64, bit uint) {
+	m.faultSeq, m.faultBit = seq, int64(uint64(1)<<bit)
+}
+
+// Steps returns the IR instructions executed since the start state.
+func (m *Machine) Steps() uint64 { return m.steps }
+
+// DefSeq returns the definitions sequenced since the start state.
+func (m *Machine) DefSeq() uint64 { return m.defSeq }
+
+// nextEvent is the definition number of the run's next event from d
+// on: the armed fault, or the last definition before the pause bound.
+// The run loop compares each definition against it alone.
+func (m *Machine) nextEvent(d uint64) uint64 {
+	e := m.stop - 1
+	if m.faultSeq >= d && m.faultSeq < e {
+		e = m.faultSeq
+	}
+	return e
+}
+
+// Run executes until stop definitions have been sequenced, and then
+// pauses (paused is true) at that instruction boundary, or until the
+// run ends: paused is false, err is nil on a clean exit, a detection or
+// a return from the entry function, with the interpreter's exit and
+// output state set exactly as ir.Interp.Run leaves it, and err is the
+// interpreter's error on a crash (bad address, stack overflow,
+// watchdog). A run already at stop pauses at once; an ended run
+// returns its end again.
+func (m *Machine) Run(stop uint64) (paused bool, err error) {
+	if m.done {
+		return false, m.err
+	}
+	if m.defSeq >= stop {
+		return true, nil
+	}
+	m.stop = stop
+	m.next = m.nextEvent(m.defSeq)
+	// The loop keeps only the innermost frame's ops, registers, slot
+	// addresses and pc in locals; the counters live in m, as a spilled
+	// local would anyway.
+	ip := m.ip
+	ops, regs, slots, pc := m.top()
 	for {
-		if r.steps >= r.maxSteps {
-			return 0, ir.ErrWatchdog
+		if m.steps >= m.MaxSteps {
+			return false, m.end(ir.ErrWatchdog)
 		}
 		op := &ops[pc]
-		r.steps++
+		m.steps++
 		pc++
 		var def int64
 
@@ -249,43 +366,30 @@ func (r *irRun) call(fi int, args []int64) (int64, error) {
 		case cGlobal:
 			def = op.imm
 		case cFrame:
-			def = slotAddr[op.imm]
+			def = slots[op.imm]
 		case cLoad:
 			v, err := ip.MemLoad(regs[op.a], int(op.size), false)
 			if err != nil {
-				return 0, err
+				return false, m.end(err)
 			}
 			def = v
 		case cLoadU:
 			v, err := ip.MemLoad(regs[op.a], int(op.size), true)
 			if err != nil {
-				return 0, err
+				return false, m.end(err)
 			}
 			def = v
 		case cStore:
 			if err := ip.MemStore(regs[op.a], int(op.size), regs[op.b]); err != nil {
-				return 0, err
+				return false, m.end(err)
 			}
 			continue
 		case cCall:
-			var cargs []int64
-			if len(op.args) > 0 {
-				cargs = make([]int64, len(op.args))
-				for i, a := range op.args {
-					cargs[i] = regs[a]
-				}
+			if err := m.call(op, pc, regs); err != nil {
+				return false, m.end(err)
 			}
-			v, err := r.call(int(op.imm), cargs)
-			if err != nil {
-				return 0, err
-			}
-			if ip.Exited || ip.Detected {
-				return 0, nil
-			}
-			if op.dst < 0 {
-				continue
-			}
-			def = v
+			ops, regs, slots, pc = m.top()
+			continue
 		case cSyscall:
 			var a0, a1 int64
 			if len(op.args) > 0 {
@@ -296,19 +400,32 @@ func (r *irRun) call(fi int, args []int64) (int64, error) {
 			}
 			v, err := ip.SyscallV(regs[op.a], a0, a1)
 			if err != nil {
-				return 0, err
+				return false, m.end(err)
 			}
-			// An exiting/detecting syscall returns before its definition
-			// is sequenced (interp.call order).
+			// An exiting/detecting syscall ends the run before its
+			// definition is sequenced (interp.call order).
 			if ip.Exited || ip.Detected {
-				return 0, nil
+				return false, m.end(nil)
 			}
 			def = v
 		case cRet:
+			var v int64
 			if op.a >= 0 {
-				return regs[op.a], nil
+				v = regs[op.a]
 			}
-			return 0, nil
+			if !m.ret() {
+				// Falling off the entry function is an implicit exit
+				// with its return value.
+				ip.Exited, ip.ExitCode = true, v
+				return false, m.end(nil)
+			}
+			ops, regs, slots, pc = m.top()
+			// The pending call's definition is the return value.
+			op = &ops[pc-1]
+			if op.dst < 0 {
+				continue
+			}
+			def = v
 		case cBr:
 			pc = int(op.imm)
 			continue
@@ -321,16 +438,220 @@ func (r *irRun) call(fi int, args []int64) (int64, error) {
 			continue
 		}
 
-		// Definition sequencing with the fault inlined: at width 64 the
-		// interpreter's wrap of the hooked value is the identity.
-		if r.defSeq == r.faultSeq {
-			def ^= r.faultBit
+		// Definition sequencing. One compare finds both events: the
+		// fault, flipped before the write (at width 64 the
+		// interpreter's wrap of the hooked value is the identity), and
+		// the pause, once stop definitions are sequenced.
+		if m.defSeq == m.next {
+			var pause bool
+			if def, pause = m.event(def); pause {
+				m.defSeq++
+				if op.dst >= 0 {
+					regs[op.dst] = def
+				}
+				m.frames[len(m.frames)-1].pc = int32(pc)
+				ip.Steps, ip.DefSeq = m.steps, m.defSeq
+				return true, nil
+			}
 		}
-		r.defSeq++
+		m.defSeq++
 		if op.dst >= 0 {
 			regs[op.dst] = def
 		}
 	}
+}
+
+// top returns the innermost frame's ops, registers, slot addresses and
+// pc.
+func (m *Machine) top() (ops []cop, regs, slots []int64, pc int) {
+	fr := &m.frames[len(m.frames)-1]
+	f := &m.p.funcs[fr.fn]
+	return f.ops, m.regs[fr.regs : int(fr.regs)+f.numVReg], m.slots[fr.slots : int(fr.slots)+len(f.slots)], int(fr.pc)
+}
+
+// call performs op, a call from the innermost frame (whose registers
+// are caller, and whose next op is pc): it records pc, pushes the
+// callee's frame above the caller's and passes the arguments.
+func (m *Machine) call(op *cop, pc int, caller []int64) error {
+	fr := &m.frames[len(m.frames)-1]
+	fr.pc = int32(pc)
+	f := &m.p.funcs[fr.fn]
+	rb, sb := fr.regs+int32(f.numVReg), fr.slots+int32(len(f.slots))
+	err := m.push(int(op.imm), rb, sb)
+	// caller may still alias the register file from before push grew
+	// it; its values there are current.
+	callee := m.regs[rb : int(rb)+m.p.funcs[op.imm].numVReg]
+	for i, a := range op.args[:min(len(op.args), len(callee))] {
+		callee[i] = caller[a]
+	}
+	return err
+}
+
+// ret pops the innermost frame, restoring the stack pointer it saved,
+// and reports whether a caller's frame is left.
+func (m *Machine) ret() bool {
+	n := len(m.frames) - 1
+	m.ip.SetSP(m.frames[n].sp)
+	m.frames = m.frames[:n]
+	return n > 0
+}
+
+// event handles the next event at definition m.defSeq, whose value is
+// def: it flips the armed fault's bit, reports whether the run pauses
+// after this definition, and finds the next event.
+func (m *Machine) event(def int64) (int64, bool) {
+	d := m.defSeq
+	if d == m.faultSeq {
+		def ^= m.faultBit
+		m.faultSeq = noEvent
+	}
+	if d+1 == m.stop {
+		return def, true
+	}
+	m.next = m.nextEvent(d + 1)
+	return def, false
+}
+
+// end records the end of a run and returns its error.
+func (m *Machine) end(err error) error {
+	m.ip.Steps, m.ip.DefSeq = m.steps, m.defSeq
+	m.done, m.err = true, err
+	return err
+}
+
+// The canonical state blob of a paused run, little-endian: a header of
+// the step count, the stack pointer, the output length and the frame
+// count (8 bytes each), then per frame, outermost first, its function
+// index and op index (4 bytes each), its saved SP (8) and its registers
+// (8 each). The definition count is the checkpoint's coordinate and the
+// output bytes are a prefix of the golden output, so neither is in the
+// blob. Every field is stored whole, so two paused runs of one program
+// are in the same state, memory aside, exactly when their blobs are
+// bytes-equal.
+const (
+	stateHeaderLen = 4 * 8
+	frameHeaderLen = 4 + 4 + 8
+)
+
+// AppendState appends the canonical state blob of a paused run to dst.
+func (m *Machine) AppendState(dst []byte) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, m.steps)
+	dst = le.AppendUint64(dst, uint64(m.ip.SP()))
+	dst = le.AppendUint64(dst, uint64(len(m.ip.Out)))
+	dst = le.AppendUint64(dst, uint64(len(m.frames)))
+	for _, fr := range m.frames {
+		dst = le.AppendUint32(dst, uint32(fr.fn))
+		dst = le.AppendUint32(dst, uint32(fr.pc))
+		dst = le.AppendUint64(dst, uint64(fr.sp))
+		for _, r := range m.regs[fr.regs : int(fr.regs)+m.p.funcs[fr.fn].numVReg] {
+			dst = le.AppendUint64(dst, uint64(r))
+		}
+	}
+	return dst
+}
+
+// Probe folds a paused run's scalar state (steps, stack pointer, output
+// length, frame count and the innermost frame's position) into a cheap
+// gate for the convergence test: a run whose control flow or output
+// differs from golden's fails it without an encode.
+func (m *Machine) Probe() uint64 {
+	h := uint64(1469598103934665603)
+	mix := func(v uint64) { h ^= v; h *= 1099511628211 }
+	mix(m.steps)
+	mix(uint64(m.ip.SP()))
+	mix(uint64(len(m.ip.Out)))
+	mix(uint64(len(m.frames)))
+	if n := len(m.frames); n > 0 {
+		top := m.frames[n-1]
+		mix(uint64(top.fn)<<32 | uint64(uint32(top.pc)))
+	}
+	return h
+}
+
+// errState reports a state blob this program's runs cannot produce.
+var errState = errors.New("tb: bad IR state blob")
+
+// SetState restores a paused run from a canonical state blob: defSeq
+// definitions sequenced (the blob's checkpoint coordinate), the output
+// the blob's length of out (the golden output), and the frames,
+// registers, steps and stack pointer from the blob. It disarms the
+// fault. The memory is the caller's to restore. A blob no paused run
+// of this program encodes is refused with an error: frames outside the
+// program, a caller not paused after a call to the next frame's
+// function, stack pointers that do not chain from the top of memory,
+// an overflowed stack, an output longer than out, or a length that does
+// not match the frames.
+func (m *Machine) SetState(b []byte, defSeq uint64, out []byte) error {
+	le := binary.LittleEndian
+	m.reset(defSeq)
+	m.done, m.err = true, errState // until the blob is accepted
+	if len(b) < stateHeaderLen {
+		return fmt.Errorf("%w: %d-byte header", errState, len(b))
+	}
+	steps, sp, outLen, n := le.Uint64(b), int64(le.Uint64(b[8:])), le.Uint64(b[16:]), le.Uint64(b[24:])
+	if outLen > uint64(len(out)) {
+		return fmt.Errorf("%w: output length %d past the golden output's %d", errState, outLen, len(out))
+	}
+	b = b[stateHeaderLen:]
+	if n == 0 || n > uint64(len(b)/frameHeaderLen) {
+		return fmt.Errorf("%w: %d frames in %d bytes", errState, n, len(b))
+	}
+	ip := m.ip
+	top := int64(ip.Mem.Size())
+	var rb, sb int32
+	for k := uint64(0); k < n; k++ {
+		if len(b) < frameHeaderLen {
+			return fmt.Errorf("%w: frame %d truncated", errState, k)
+		}
+		fn, pc, fsp := le.Uint32(b), le.Uint32(b[4:]), int64(le.Uint64(b[8:]))
+		b = b[frameHeaderLen:]
+		switch {
+		case fn >= uint32(len(m.p.funcs)):
+			return fmt.Errorf("%w: frame %d in function %d of %d", errState, k, fn, len(m.p.funcs))
+		case k == 0 && int(fn) != m.p.entry:
+			return fmt.Errorf("%w: outermost frame not the entry function", errState)
+		case k > 0 && int64(m.p.funcs[m.frames[k-1].fn].ops[m.frames[k-1].pc-1].imm) != int64(fn):
+			return fmt.Errorf("%w: frame %d is not its caller's callee", errState, k)
+		case fsp != top:
+			return fmt.Errorf("%w: frame %d saved SP %#x, want %#x", errState, k, fsp, top)
+		}
+		f := &m.p.funcs[fn]
+		if uint64(pc) >= uint64(len(f.ops)) || k+1 < n && (pc == 0 || f.ops[pc-1].code != cCall) {
+			return fmt.Errorf("%w: frame %d paused at op %d", errState, k, pc)
+		}
+		if len(b) < 8*f.numVReg {
+			return fmt.Errorf("%w: frame %d registers truncated", errState, k)
+		}
+		if need := int(rb) + f.numVReg; need > len(m.regs) {
+			m.regs = append(m.regs, make([]int64, need-len(m.regs))...)
+		}
+		for i := range f.numVReg {
+			m.regs[int(rb)+i] = int64(le.Uint64(b[8*i:]))
+		}
+		b = b[8*f.numVReg:]
+		if need := int(sb) + len(f.slots); need > len(m.slots) {
+			m.slots = append(m.slots, make([]int64, need-len(m.slots))...)
+		}
+		top = allocSlots(f.slots, fsp, m.slots[sb:])
+		if top < ip.HeapEnd() {
+			return fmt.Errorf("%w: frame %d overflows the stack", errState, k)
+		}
+		m.frames = append(m.frames, frame{fn: int32(fn), pc: int32(pc), sp: fsp, regs: rb, slots: sb})
+		rb += int32(f.numVReg)
+		sb += int32(len(f.slots))
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", errState, len(b))
+	}
+	if sp != top {
+		return fmt.Errorf("%w: SP %#x, want %#x", errState, sp, top)
+	}
+	ip.SetSP(sp)
+	ip.Out = append(ip.Out[:0], out[:outLen]...)
+	m.steps, ip.Steps = steps, steps
+	m.done, m.err = false, nil
+	return nil
 }
 
 // binop64 is ir.Interp.binop specialized to Width 64 (wrap is the

@@ -151,6 +151,24 @@ func Build(t Target, is isa.ISA) (*System, error) {
 // governing checkpoint's PC.
 const defaultSnapshots = 192
 
+// softSnapshots is the checkpoint count of the soft layer's chain, in a
+// bare System and in a Lab alike. Soft chains are captured in about a
+// millisecond per benchmark and never persisted. Sized at seed 2021 on
+// pvf-svf's ten benchmarks, 400 soft faults each (IR steps executed
+// against replaying every run from _start; chain payload of the ten):
+//
+//	checkpoints  steps  payload
+//	         12  0.281  0.74 MiB
+//	         48  0.231  2.40 MiB
+//	         96  0.223  4.59 MiB
+//	        192  0.219  8.89 MiB
+//
+// Past 48 the steps barely move while the chains keep growing: over
+// three alternating runs (seeds 101-103), pvf-svf's peak_rss_mb median
+// was 116.0 MiB without chains, 120.5 at 48 and 133.6 at 192 (+15%,
+// over the benchmark's 15% bound).
+const softSnapshots = 48
+
 // chainFingerprint identifies the checkpoint chain a campaign would
 // capture: every input that shapes the golden run or its checkpoints.
 // A persisted chain is only ever reused on an exact fingerprint match —
@@ -277,7 +295,7 @@ func (s *System) LLFICampaign() (*llfi.Campaign, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.llfiC == nil {
-		cp, err := llfi.Prepare(s.IR, RAMSize, s.Reference)
+		cp, err := llfi.Prepare(s.IR, RAMSize, softSnapshots, s.Reference)
 		if err != nil {
 			return nil, err
 		}
