@@ -237,8 +237,18 @@ func smallCacheA9() micro.Config {
 
 // TestChainCaptureMatchesFull: the race-enabled subset of the capture
 // gate (TestChainCaptureFullBreadth): sha on A72, A9 and A9 with small
-// caches, arch sha, each at both densities, and soft sha at 48 and 12
-// checkpoints.
+// caches, arch sha, each at both densities, and soft sha and qsort at
+// 48 and 12 checkpoints. sha's soft state blobs fit one chunk, which
+// ckpt.Chain.Add compares whatever the hint; qsort's (about 9 KB) span
+// three, so a soft capture that drops its state-blob hint fails here.
 func TestChainCaptureMatchesFull(t *testing.T) {
 	assertCaptureMatchesFull(t, []string{"sha"}, []micro.Config{micro.ConfigA72(), micro.ConfigA9(), smallCacheA9()})
+	t.Run("qsort-soft", func(t *testing.T) {
+		t.Parallel()
+		s, err := Build(Target{Bench: "qsort", Seed: 1}, isa.VSA64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSoftCapture(t, s.IR)
+	})
 }

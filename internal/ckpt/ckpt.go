@@ -321,16 +321,25 @@ func (ch *Chain) StateAt(i int, buf []byte, from int) []byte {
 		buf = buf[:want]
 	}
 	// The walk visits a chunk once per version in the range; copy it
-	// only once.
+	// only at the first.
 	nc := numChunks(want)
-	copied := make([]uint64, (nc+63)/64)
-	d.walk(from, i, func(c int) {
-		if c < nc && copied[c>>6]&(1<<(c&63)) == 0 {
-			copied[c>>6] |= 1 << (c & 63)
-			copy(chunkOf(buf, c), d.get(i, c))
+	lo, hi := min(from, i), max(from, i)
+	for k := lo + 1; k <= hi; k++ {
+		for _, c := range d.perCkpt[k] {
+			if int(c) < nc && d.firstSince(int(c), k, lo) {
+				copy(chunkOf(buf, int(c)), d.get(i, int(c)))
+			}
 		}
-	})
+	}
 	return buf
+}
+
+// firstSince reports whether chunk c's version stored at checkpoint k
+// is its first one after checkpoint lo.
+func (d *deltaSpace) firstSince(c, k, lo int) bool {
+	vers := d.chunks[c]
+	j := sort.Search(len(vers), func(j int) bool { return int(vers[j].idx) >= k })
+	return j == 0 || int(vers[j-1].idx) <= lo
 }
 
 // RestoreRAM makes m's contents equal checkpoint to's RAM image. The

@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -201,72 +200,107 @@ func parseHeader(hdr *colseg.Block) (Meta, error) {
 // check each claimed length against their own layout before
 // materializing one.
 func Decode(data []byte) (*Chain, error) {
+	ch, ends, err := decode(data)
+	if err != nil {
+		return nil, err
+	}
+	// Every field parsed; what colseg leaves free (varint widths,
+	// column order, extra columns, trailing bytes) must match Encode's
+	// choice, so a chain has one persisted form. Each block is walked
+	// against Encode's layout instead of being rebuilt.
+	start := 0
+	for b, end := range ends {
+		if !colseg.Canonical(data[start:end], blockLayouts[b]...) {
+			return nil, fmt.Errorf("%w: non-canonical encoding", ErrChain)
+		}
+		start = end
+	}
+	if start != len(data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrChain, len(data)-start)
+	}
+	return ch, nil
+}
+
+// blockLayouts are the columns Encode writes in each of a persisted
+// chain's four blocks, in order: header, index, RAM and state deltas.
+var blockLayouts = [4][]colseg.Col{
+	{uvCol(colVersion), blobCol(colEngine), blobCol(colFP), blobCol(colTarget), blobCol(colConfig), uvCol(colRAMBytes), blobCol(colGolden), blobCol(colDigest)},
+	{uvCol(colCoord), uvCol(colProbe), uvCol(colStateLen), uvCol(colRAMLen), blobCol(colAux)},
+	{uvCol(colCkptIdx), uvCol(colChunkIdx), blobCol(colData)},
+	{uvCol(colCkptIdx), uvCol(colChunkIdx), blobCol(colData)},
+}
+
+func uvCol(id uint8) colseg.Col   { return colseg.Col{ID: id, Enc: colseg.EncUvarint} }
+func blobCol(id uint8) colseg.Col { return colseg.Col{ID: id, Enc: colseg.EncBlob} }
+
+// decode is Decode without the canonical-form check: it parses and
+// verifies everything else and returns the chain with the offsets at
+// which its four blocks end. Bytes after the last block are left to
+// that check.
+func decode(data []byte) (*Chain, [4]int, error) {
+	var ends [4]int
 	hdr, n, err := colseg.Parse(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrChain, err)
+		return nil, ends, fmt.Errorf("%w: header: %v", ErrChain, err)
 	}
 	meta, err := parseHeader(hdr)
 	if err != nil {
-		return nil, err
+		return nil, ends, err
 	}
 	tail := data[n:]
 	want, err := hdr.Blob(colDigest)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrChain, err)
+		return nil, ends, fmt.Errorf("%w: %v", ErrChain, err)
 	}
 	if string(want[0]) != string(digestOf(meta.Golden, tail)) {
-		return nil, fmt.Errorf("%w: digest mismatch", ErrChain)
+		return nil, ends, fmt.Errorf("%w: digest mismatch", ErrChain)
 	}
 
 	idx, k, err := colseg.Parse(tail)
 	if err != nil {
-		return nil, fmt.Errorf("%w: index: %v", ErrChain, err)
+		return nil, ends, fmt.Errorf("%w: index: %v", ErrChain, err)
 	}
 	rest := tail[k:]
 	ch := New(meta)
 	nck := idx.Rows()
 	if ch.coords, err = idx.Uvarint(colCoord); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrChain, err)
+		return nil, ends, fmt.Errorf("%w: %v", ErrChain, err)
 	}
 	if ch.probes, err = idx.Uvarint(colProbe); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrChain, err)
+		return nil, ends, fmt.Errorf("%w: %v", ErrChain, err)
 	}
 	for i := 1; i < nck; i++ {
 		if ch.coords[i] <= ch.coords[i-1] {
-			return nil, fmt.Errorf("%w: non-ascending coordinates", ErrChain)
+			return nil, ends, fmt.Errorf("%w: non-ascending coordinates", ErrChain)
 		}
 	}
 	slens, err := idx.Uvarint(colStateLen)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrChain, err)
+		return nil, ends, fmt.Errorf("%w: %v", ErrChain, err)
 	}
 	rlens, err := idx.Uvarint(colRAMLen)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrChain, err)
+		return nil, ends, fmt.Errorf("%w: %v", ErrChain, err)
 	}
 	aux, err := idx.Blob(colAux)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrChain, err)
+		return nil, ends, fmt.Errorf("%w: %v", ErrChain, err)
 	}
 	ch.aux = make([][]byte, nck)
 	for i := range aux {
 		ch.aux[i] = append([]byte(nil), aux[i]...)
 	}
 
+	ends[0], ends[1] = n, n+k
 	if ch.ram, rest, err = parseSpace(rest, rlens, meta.RAMBytes); err != nil {
-		return nil, err
+		return nil, ends, err
 	}
-	if ch.state, _, err = parseSpace(rest, slens, 1<<31); err != nil {
-		return nil, err
+	ends[2] = len(data) - len(rest)
+	if ch.state, rest, err = parseSpace(rest, slens, 1<<31); err != nil {
+		return nil, ends, err
 	}
-	// Every field above parsed; what colseg leaves free (varint widths,
-	// column order, extra columns, trailing bytes) must match Encode's
-	// choice, so a chain has one persisted form. Comparing the tail and
-	// header apart, instead of calling Encode, skips a second hash.
-	if !bytes.Equal(ch.appendTail(make([]byte, 0, len(tail))), tail) || !bytes.Equal(ch.appendHeader(nil, want[0]), data[:n]) {
-		return nil, fmt.Errorf("%w: non-canonical encoding", ErrChain)
-	}
-	return ch, nil
+	ends[3] = len(data) - len(rest)
+	return ch, ends, nil
 }
 
 // parseSpace reconstructs one delta space from its block. maxLen bounds

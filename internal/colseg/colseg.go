@@ -439,6 +439,85 @@ func Parse(data []byte) (*Block, int, error) {
 	return blk, head + int(length), nil
 }
 
+// Col names one column of a block's layout: its id and encoding.
+type Col struct {
+	ID  uint8
+	Enc Enc
+}
+
+// Canonical reports whether data is exactly one framed block in the
+// form a Builder writes with the given columns, in that order, and no
+// others: every varint (the frame length, the row and column counts,
+// the directory sizes, each value and each blob length) in its shortest
+// form, and each column payload holding exactly the block's rows and
+// nothing after them. Parse accepts the other forms of the same values,
+// so a format that must have one persisted form per value checks this
+// after it. It reads data without building anything. Only EncUvarint
+// and EncBlob columns have a layout here; any other encoding is refused.
+func Canonical(data []byte, cols ...Col) bool {
+	if len(data) < len(magic)+1 || [4]byte(data[:4]) != magic || data[4] != Version {
+		return false
+	}
+	b := data[5:]
+	length, ok := shortest(&b)
+	if !ok || length != uint64(len(b)) {
+		return false
+	}
+	rows, ok := shortest(&b)
+	if !ok {
+		return false
+	}
+	if ncols, ok := shortest(&b); !ok || ncols != uint64(len(cols)) {
+		return false
+	}
+	sizes := b
+	for _, c := range cols {
+		if len(b) < 2 || b[0] != c.ID || Enc(b[1]) != c.Enc {
+			return false
+		}
+		b = b[2:]
+		if _, ok := shortest(&b); !ok {
+			return false
+		}
+	}
+	for _, c := range cols {
+		sizes = sizes[2:]
+		size, _ := shortest(&sizes)
+		if size > uint64(len(b)) {
+			return false
+		}
+		pay := b[:size]
+		b = b[size:]
+		for range rows {
+			v, ok := shortest(&pay)
+			if !ok {
+				return false
+			}
+			switch {
+			case c.Enc == EncBlob && v <= uint64(len(pay)):
+				pay = pay[v:]
+			case c.Enc != EncUvarint:
+				return false
+			}
+		}
+		if len(pay) != 0 {
+			return false
+		}
+	}
+	return len(b) == 0
+}
+
+// shortest reads one varint from *b in its shortest form, advancing *b
+// past it; ok is false when *b holds none.
+func shortest(b *[]byte) (v uint64, ok bool) {
+	v, n := binary.Uvarint(*b)
+	if n <= 0 || n > 1 && (*b)[n-1] == 0 {
+		return 0, false
+	}
+	*b = (*b)[n:]
+	return v, true
+}
+
 // Reader streams framed blocks from an io.Reader with one reusable
 // body buffer, so memory stays bounded by the largest block rather than
 // the segment (the o(segment)-memory property of cursor aggregation).

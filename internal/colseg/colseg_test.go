@@ -250,3 +250,49 @@ func TestCorruptCountsRejected(t *testing.T) {
 		t.Fatalf("oversized length: err=%v, want ErrTruncated", err)
 	}
 }
+
+// TestCanonical: Canonical accepts exactly a Builder's block for the
+// given layout, and refuses the same values in any other form Parse
+// still accepts, or with bytes after the block.
+func TestCanonical(t *testing.T) {
+	layout := []Col{{2, EncUvarint}, {5, EncBlob}}
+	build := func() []byte {
+		b := NewBuilder(3)
+		b.Uvarint(2, []uint64{1, 300, 0})
+		b.Blob(5, [][]byte{[]byte("ab"), nil, []byte("c")})
+		return b.AppendTo(nil)
+	}
+	if !Canonical(build(), layout...) {
+		t.Fatal("a Builder's block is not canonical")
+	}
+	if Canonical(build(), layout[:1]...) || Canonical(build(), layout[1], layout[0]) ||
+		Canonical(build(), Col{2, EncUvarint}, Col{5, EncU8}) {
+		t.Fatal("a block is canonical for another layout")
+	}
+	if Canonical(append(build(), 0), layout...) {
+		t.Fatal("a block with a trailing byte is canonical")
+	}
+	// The frame length widened by a byte: 0x80|low bits, then 0.
+	wide := build()
+	n := wide[5]
+	wide = append(append(wide[:5:5], n|0x80, 0), wide[6:]...)
+	if _, _, err := Parse(wide); err != nil {
+		t.Fatalf("widened frame length does not parse: %v", err)
+	}
+	if Canonical(wide, layout...) {
+		t.Fatal("a widened frame length is canonical")
+	}
+	// A byte after the payloads, inside the frame.
+	long := append(build(), 0)
+	long[5]++
+	if Canonical(long, layout...) {
+		t.Fatal("a block with a byte after its payloads is canonical")
+	}
+	extra := NewBuilder(3)
+	extra.Uvarint(2, []uint64{1, 300, 0})
+	extra.Blob(5, [][]byte{[]byte("ab"), nil, []byte("c")})
+	extra.U8(9, []uint8{1, 2, 3})
+	if Canonical(extra.AppendTo(nil), layout...) {
+		t.Fatal("a block with an extra column is canonical")
+	}
+}

@@ -19,19 +19,10 @@ type line struct {
 	data  []byte
 	// taint marks bytes whose content differs from the fault-free run
 	// (nil when the line is clean of taint). Taint travels with the
-	// data through refills and writebacks.
+	// data through refills and writebacks. Non-nil, it is the line's
+	// slot of its cache's taint slab (cache.newTaint).
 	taint []taintMask
 	lru   int64
-}
-
-func (l *line) setTaint(i int, m taintMask) {
-	if m == 0 && l.taint == nil {
-		return
-	}
-	if l.taint == nil {
-		l.taint = make([]taintMask, len(l.data))
-	}
-	l.taint[i] = m
 }
 
 func (l *line) tainted() bool {
@@ -55,6 +46,7 @@ type ramLevel struct {
 	m      *mem.Memory
 	lat    int
 	taints map[uint64]taintMask
+	keys   []uint64 // appendTaints' scratch
 }
 
 func newRAMLevel(m *mem.Memory, lat int) *ramLevel {
@@ -106,6 +98,11 @@ type cache struct {
 	cfg     CacheConfig
 	sets    [][]line
 	backing []byte
+	// taints is the slab of every line's taint mask slot, allocated on
+	// the cache's first taint and kept (see newTaint); tbuf is refill's
+	// scratch for the taint masks of a line read from below.
+	taints  []taintMask
+	tbuf    []taintMask
 	lower   memLevel
 	offBits uint
 	idxBits uint
@@ -132,20 +129,34 @@ func newCache(cfg CacheConfig, lower memLevel) *cache {
 		idxBits: uint(bits.TrailingZeros32(uint32(cfg.Sets()))),
 	}
 	// One backing array for all line data: the state codec reads and
-	// writes it as one section.
-	c.backing = make([]byte, cfg.Lines()*cfg.LineBytes)
+	// writes it as one section. One array for all lines, too, which the
+	// sets slice.
+	lb := cfg.LineBytes
+	c.backing = make([]byte, cfg.Lines()*lb)
+	c.tbuf = make([]taintMask, lb)
 	c.touchedBits = make([]uint64, (cfg.Lines()+63)/64)
+	lines := make([]line, cfg.Lines())
+	for li := range lines {
+		lines[li].data = c.backing[li*lb : (li+1)*lb : (li+1)*lb]
+	}
 	c.sets = make([][]line, cfg.Sets())
-	li := 0
 	for i := range c.sets {
-		ways := make([]line, cfg.Assoc)
-		for w := range ways {
-			ways[w].data = c.backing[li*cfg.LineBytes : (li+1)*cfg.LineBytes : (li+1)*cfg.LineBytes]
-			li++
-		}
-		c.sets[i] = ways
+		c.sets[i] = lines[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	return c
+}
+
+// newTaint returns line li's taint mask slot, zeroed. The slab behind
+// the slots is allocated once, on the cache's first taint: a golden run
+// never allocates it, and a reused worker arena keeps it.
+func (c *cache) newTaint(li int) []taintMask {
+	if c.taints == nil {
+		c.taints = make([]taintMask, len(c.backing))
+	}
+	lb := c.cfg.LineBytes
+	t := c.taints[li*lb : (li+1)*lb : (li+1)*lb]
+	clear(t)
+	return t
 }
 
 func (c *cache) index(addr uint64) (set int, tag uint64, off int) {
@@ -209,22 +220,14 @@ func (c *cache) refill(addr uint64) (int, int) {
 		}
 	}
 	base := c.lineAddr(set, tag)
-	var tbuf []byte
-	if v.taint == nil {
-		tbuf = make([]byte, c.cfg.LineBytes)
+	if v.taint != nil {
+		lat += c.lower.readLine(base, v.data, v.taint)
 	} else {
-		tbuf = v.taint
-	}
-	lat += c.lower.readLine(base, v.data, tbuf)
-	any := false
-	for _, m := range tbuf {
-		if m != 0 {
-			any = true
-			break
+		lat += c.lower.readLine(base, v.data, c.tbuf)
+		if !isZeroMask(c.tbuf) {
+			v.taint = c.newTaint(set*c.cfg.Assoc + victim)
+			copy(v.taint, c.tbuf)
 		}
-	}
-	if any {
-		v.taint = tbuf
 	}
 	c.touch(set, victim)
 	return victim, lat
@@ -298,7 +301,7 @@ func (c *cache) writeLine(addr uint64, src []byte, tnt []byte) int {
 	}
 	if any || l.taint != nil {
 		if l.taint == nil {
-			l.taint = make([]taintMask, len(l.data))
+			l.taint = c.newTaint(set*c.cfg.Assoc + way)
 		}
 		copy(l.taint, tnt)
 		if tnt == nil {
@@ -361,13 +364,18 @@ func (c *cache) write(addr uint64, n int, val uint64, tainted bool) int {
 		c.rec.span(set*c.cfg.Assoc+way, evRangeWrite, off, n)
 	}
 	l.dirty = true
+	m := taintMask(0)
+	if tainted {
+		m = 0xFF
+		if l.taint == nil {
+			l.taint = c.newTaint(set*c.cfg.Assoc + way)
+		}
+	}
 	for i := 0; i < n; i++ {
 		l.data[off+i] = byte(val >> (8 * i))
-		m := taintMask(0)
-		if tainted {
-			m = 0xFF
+		if l.taint != nil {
+			l.taint[off+i] = m
 		}
-		l.setTaint(off+i, m)
 	}
 	return c.cfg.HitLat + extra
 }
@@ -425,7 +433,8 @@ type FlipResult struct {
 // layout: [0, 8*LineBytes) data, then tag bits, then valid, then dirty.
 func (c *cache) flipBit(set, way, bit int) FlipResult {
 	l := &c.sets[set][way]
-	c.mark(set*c.cfg.Assoc + way)
+	li := set*c.cfg.Assoc + way
+	c.mark(li)
 	dataBits := 8 * c.cfg.LineBytes
 	tagBits := c.cfg.TagBits()
 	switch {
@@ -436,7 +445,7 @@ func (c *cache) flipBit(set, way, bit int) FlipResult {
 			return FlipResult{}
 		}
 		if l.taint == nil {
-			l.taint = make([]taintMask, len(l.data))
+			l.taint = c.newTaint(li)
 		}
 		l.taint[i] ^= 1 << (bit % 8)
 		return FlipResult{Hit: true}
@@ -449,7 +458,7 @@ func (c *cache) flipBit(set, way, bit int) FlipResult {
 		// The line now claims a different range with unrelated data:
 		// every byte it serves is corrupt.
 		if l.taint == nil {
-			l.taint = make([]taintMask, len(l.data))
+			l.taint = c.newTaint(li)
 		}
 		for i := range l.taint {
 			l.taint[i] = 0xFF
@@ -470,7 +479,7 @@ func (c *cache) flipBit(set, way, bit int) FlipResult {
 		}
 		// Garbage line sprang to life claiming whatever tag it holds.
 		if l.taint == nil {
-			l.taint = make([]taintMask, len(l.data))
+			l.taint = c.newTaint(li)
 		}
 		for i := range l.taint {
 			l.taint[i] = 0xFF

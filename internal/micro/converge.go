@@ -50,9 +50,17 @@ func (c *Core) StateEqual(o *Core) bool {
 	// guard against reuse by comparing the slot's seq, so a stale
 	// slot's contents decide whether an in-flight completion lands.
 	if !slices.Equal(c.rob, o.rob) || !slices.Equal(c.iq, o.iq) ||
-		!slices.Equal(c.lq, o.lq) || !slices.Equal(c.sq, o.sq) ||
-		!slices.Equal(c.fq, o.fq) {
+		!slices.Equal(c.lq, o.lq) || !slices.Equal(c.sq, o.sq) {
 		return false
+	}
+	// The fetch queues as sequences: where a ring starts is not state.
+	if c.fqN != o.fqN {
+		return false
+	}
+	for i := range c.fqN {
+		if *c.fqAt(i) != *o.fqAt(i) {
+			return false
+		}
 	}
 	for i := range c.ring {
 		if !slices.Equal(c.ring[i], o.ring[i]) {

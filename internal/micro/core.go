@@ -166,7 +166,13 @@ type Core struct {
 	sqH, sqT int
 	lqN, sqN int
 
+	// fq is the fetch queue: a ring of fqCap slots holding fqN entries
+	// from fqHead on, oldest first. fetchStage stops filling at
+	// 4×FetchWidth entries and adds at most FetchWidth a cycle, so the
+	// ring never fills.
 	fq      []fetchEntry
+	fqHead  int
+	fqN     int
 	fetchPC uint64
 	// fetchStall pauses fetch until a redirect (after a fetch fault).
 	fetchStall bool
@@ -182,7 +188,7 @@ type Core struct {
 	OnCommit func(pc uint64, in isa.Instr, mode isa.Mode)
 
 	// completion ring: entries finishing at cycle c are in
-	// ring[c % len(ring)].
+	// ring[c % len(ring)]. A drained bucket keeps its capacity.
 	ring [][]ringEnt
 
 	// decodeMemo is the predecoded fetch cache (see decode.go). It is
@@ -209,6 +215,10 @@ type ringEnt struct {
 
 const ringSize = 1024
 
+// fqCap is the fetch queue ring's capacity on cfg: one more than the
+// 5×FetchWidth−1 entries fetchStage can leave queued.
+func fqCap(cfg *Config) int { return 5 * cfg.FetchWidth }
+
 // New builds a core over a loaded memory image, booting at entry in
 // kernel mode.
 func New(cfg Config, m *mem.Memory, entry uint64) *Core {
@@ -230,7 +240,15 @@ func New(cfg Config, m *mem.Memory, entry uint64) *Core {
 	for p := n; p < cfg.PhysRegs; p++ {
 		c.freeList = append(c.freeList, p)
 	}
+	// One slab backs every ring bucket at 2×IssueWidth entries, more
+	// than any golden run of the ten benchmarks queues for one cycle; a
+	// bucket that outgrows its share reallocates alone.
+	k := 2 * cfg.IssueWidth
+	slab := make([]ringEnt, ringSize*k)
 	c.ring = make([][]ringEnt, ringSize)
+	for i := range c.ring {
+		c.ring[i] = slab[i*k : i*k : (i+1)*k]
+	}
 	c.setLayout()
 	return c
 }
@@ -249,6 +267,8 @@ func newFixed(cfg Config) *Core {
 		rob:      make([]robe, cfg.ROBSize),
 		lq:       make([]lsqEntry, cfg.LQSize),
 		sq:       make([]lsqEntry, cfg.SQSize),
+		fq:       make([]fetchEntry, fqCap(&cfg)),
+		iq:       make([]int, 0, cfg.IQSize),
 	}
 }
 
@@ -335,12 +355,14 @@ func (c *Core) Run(maxCycles uint64) bool {
 // --- fetch ---
 
 func (c *Core) fetchStage() {
-	if c.fetchStall || len(c.fq) >= 4*c.Cfg.FetchWidth {
+	if c.fetchStall || c.fqN >= 4*c.Cfg.FetchWidth {
 		return
 	}
 	for i := 0; i < c.Cfg.FetchWidth; i++ {
 		pc := c.fetchPC
-		fe := fetchEntry{pc: pc, ready: c.Cycle + uint64(c.Cfg.FrontLatency)}
+		fe := c.fqAt(c.fqN)
+		*fe = fetchEntry{}
+		fe.pc, fe.ready = pc, c.Cycle+uint64(c.Cfg.FrontLatency)
 		if pc%4 != 0 || !c.Bus.Mem.Valid(pc, 4) || mem.IsMMIO(pc) {
 			fe.fetchExc = true
 			if pc%4 != 0 {
@@ -348,7 +370,7 @@ func (c *Core) fetchStage() {
 			} else {
 				fe.excCause = isa.CauseFetchFault
 			}
-			c.fq = append(c.fq, fe)
+			c.fqN++
 			c.fetchStall = true
 			return
 		}
@@ -364,10 +386,9 @@ func (c *Core) fetchStage() {
 			opMask := isa.OperationMask(fe.word, c.IS)
 			fe.fetchWI = wordMask&opMask != 0 || wordMask == 0xFFFFFFFF
 		}
-		in, ok := c.decode(pc, fe.word)
-		fe.in, fe.ok = in, ok
+		fe.in, fe.ok = c.decode(pc, fe.word)
 		fe.npc = pc + 4
-		if ok {
+		if in := &fe.in; fe.ok {
 			switch {
 			case in.Op == isa.JAL:
 				fe.npc = (pc + uint64(in.Imm)) & c.IS.Mask()
@@ -386,7 +407,7 @@ func (c *Core) fetchStage() {
 				}
 			}
 		}
-		c.fq = append(c.fq, fe)
+		c.fqN++
 		c.fetchPC = fe.npc
 		if fe.npc != pc+4 {
 			break // redirected: next packet starts at the target
@@ -397,19 +418,24 @@ func (c *Core) fetchStage() {
 	}
 }
 
+// fqAt returns the fetch queue's i-th oldest entry (i == fqN is the
+// slot the next fetched instruction goes to).
+func (c *Core) fqAt(i int) *fetchEntry { return &c.fq[(c.fqHead+i)%len(c.fq)] }
+
 // --- dispatch (rename + allocate) ---
 
 func (c *Core) dispatchStage() {
 	width := c.Cfg.IssueWidth
-	for n := 0; n < width && len(c.fq) > 0; n++ {
-		fe := c.fq[0]
+	for n := 0; n < width && c.fqN > 0; n++ {
+		fe := &c.fq[c.fqHead]
 		if fe.ready > c.Cycle || c.robCount == c.Cfg.ROBSize {
 			return
 		}
 		idx := c.robTail
 		e := &c.rob[idx]
-		*e = robe{valid: true, seq: c.seq, pc: fe.pc, npc: fe.npc, mode: c.mode,
-			archRd: -1, newPhys: -1, oldPhys: -1, src1: -1, src2: -1, lsq: -1}
+		*e = robe{}
+		e.valid, e.seq, e.pc, e.npc, e.mode = true, c.seq, fe.pc, fe.npc, c.mode
+		e.archRd, e.newPhys, e.oldPhys, e.src1, e.src2, e.lsq = -1, -1, -1, -1, -1, -1
 		e.fetchTaint = fe.fetchTaint
 		e.fetchWI = fe.fetchWI
 
@@ -419,8 +445,8 @@ func (c *Core) dispatchStage() {
 		case !fe.ok:
 			e.hasExc, e.excCause, e.excVal = true, isa.CauseIllegal, uint64(fe.word)
 		default:
-			in := fe.in
-			e.in = in
+			e.in = fe.in
+			in := &e.in
 			e.isLoad = in.Op.IsLoad()
 			e.isStore = in.Op.IsStore()
 			e.isCtl = in.Op.IsBranch() || in.Op.IsJump()
@@ -478,7 +504,8 @@ func (c *Core) dispatchStage() {
 		c.seq++
 		c.robTail = (c.robTail + 1) % c.Cfg.ROBSize
 		c.robCount++
-		c.fq = c.fq[1:]
+		c.fqHead = (c.fqHead + 1) % len(c.fq)
+		c.fqN--
 	}
 }
 
@@ -529,52 +556,50 @@ func (c *Core) srcVal(p int) (uint64, bool) {
 func (c *Core) issueStage() {
 	issued := 0
 	memIssued := 0
-	for qi := 0; qi < len(c.iq) && issued < c.Cfg.IssueWidth; qi++ {
+	// One compaction pass: c.iq[:kept] holds the entries that stay, in
+	// program order; issued and stale entries are dropped.
+	kept, qi := 0, 0
+	for ; qi < len(c.iq) && issued < c.Cfg.IssueWidth; qi++ {
 		idx := c.iq[qi]
 		e := &c.rob[idx]
 		if !e.valid || e.issued {
-			c.iq = append(c.iq[:qi], c.iq[qi+1:]...)
-			qi--
 			continue
 		}
-		if e.src1 >= 0 && !c.prfReady[e.src1] {
-			continue
-		}
-		if e.src2 >= 0 && !c.prfReady[e.src2] {
+		switch {
+		case e.src1 >= 0 && !c.prfReady[e.src1],
+			e.src2 >= 0 && !c.prfReady[e.src2],
+			e.serialize && idx != c.robHead,
+			(e.isLoad || e.isStore) && memIssued >= c.Cfg.MemPorts:
+			c.iq[kept] = idx
+			kept++
 			continue
 		}
 		if e.serialize {
-			if idx != c.robHead {
-				continue
-			}
 			c.executeSerialize(idx, e)
 			issued++
-			c.iq = append(c.iq[:qi], c.iq[qi+1:]...)
-			qi--
 			continue
 		}
 		if e.isLoad || e.isStore {
-			if memIssued >= c.Cfg.MemPorts {
+			if !c.executeMem(idx, e) {
+				// Blocked on older stores or MMIO ordering.
+				c.iq[kept] = idx
+				kept++
 				continue
-			}
-			ok := c.executeMem(idx, e)
-			if !ok {
-				continue // blocked on older stores or MMIO ordering
 			}
 			memIssued++
 			issued++
-			c.iq = append(c.iq[:qi], c.iq[qi+1:]...)
-			qi--
 			continue
 		}
 		c.executeALU(idx, e)
 		issued++
-		c.iq = append(c.iq[:qi], c.iq[qi+1:]...)
-		qi--
-		if e.isCtl && c.resolveBranch(idx, e) {
-			return // squash invalidated the queue
+		if e.isCtl && e.actualNext != e.npc {
+			// Mispredicted: squash with the queue compacted.
+			c.iq = append(c.iq[:kept], c.iq[qi+1:]...)
+			c.squashAfter(idx, e.actualNext)
+			return
 		}
 	}
+	c.iq = append(c.iq[:kept], c.iq[qi:]...)
 }
 
 func (c *Core) schedule(idx int, lat int) {
@@ -582,7 +607,8 @@ func (c *Core) schedule(idx int, lat int) {
 	e.issued = true
 	e.inFlight = true
 	e.doneCycle = c.Cycle + uint64(lat)
-	c.ring[e.doneCycle%ringSize] = append(c.ring[e.doneCycle%ringSize], ringEnt{idx, e.seq})
+	slot := &c.ring[e.doneCycle%ringSize]
+	*slot = append(*slot, ringEnt{idx, e.seq})
 }
 
 // executeALU computes non-memory operations.
@@ -671,15 +697,6 @@ func (c *Core) executeALU(idx int, e *robe) {
 	}
 
 	c.schedule(idx, opLatency(&c.Cfg, in.Op))
-}
-
-// resolveBranch squashes on a mispredict; reports whether it squashed.
-func (c *Core) resolveBranch(idx int, e *robe) bool {
-	if e.actualNext == e.npc {
-		return false
-	}
-	c.squashAfter(idx, e.actualNext)
-	return true
 }
 
 // executeMem handles load/store issue; returns false when blocked.
@@ -828,7 +845,7 @@ func (c *Core) completeStage() {
 	if len(bucket) == 0 {
 		return
 	}
-	c.ring[c.Cycle%ringSize] = nil
+	c.ring[c.Cycle%ringSize] = bucket[:0]
 	for _, re := range bucket {
 		e := &c.rob[re.idx]
 		if !e.valid || e.seq != re.seq || !e.inFlight || e.doneCycle != c.Cycle {
@@ -1003,7 +1020,7 @@ func (c *Core) flushPipeline(pc uint64) {
 		c.robCount--
 	}
 	c.iq = c.iq[:0]
-	c.fq = c.fq[:0]
+	c.fqN = 0
 	c.fetchPC = pc
 	c.fetchStall = false
 	// ERET/trap entry consumed the head entry as well.
@@ -1030,7 +1047,7 @@ func (c *Core) squashAfter(idx int, target uint64) {
 		}
 	}
 	c.iq = kept
-	c.fq = c.fq[:0]
+	c.fqN = 0
 	c.fetchPC = target
 	c.fetchStall = false
 }

@@ -53,7 +53,7 @@ func TestConfigs(t *testing.T) {
 }
 
 // buildImage compiles MiniC source for the config's ISA.
-func buildImage(t *testing.T, src string, is isa.ISA) *kernel.Image {
+func buildImage(t testing.TB, src string, is isa.ISA) *kernel.Image {
 	t.Helper()
 	m, err := minic.Compile(src, is.XLen())
 	if err != nil {

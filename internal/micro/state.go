@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"vulnstack/internal/ckpt"
 	"vulnstack/internal/dev"
@@ -115,7 +115,7 @@ func StateLenRange(cfg Config, ramBytes, streams uint64) (lo, hi uint64) {
 	var fe fetchEntry
 	queues := uv + (4*cfg.PhysRegs+64)*uv + // free list
 		uv + (4*cfg.ROBSize+64)*uv + // issue queue
-		uv + (16*cfg.FetchWidth+64)*len(appendFetch(nil, &fe)) + // fetch queue
+		uv + fqCap(&cfg)*len(appendFetch(nil, &fe)) + // fetch queue
 		ringSize*(uv+(4*cfg.ROBSize+64)*2*uv) + // completion ring
 		uv // RAM taint count
 	// RAM taints: an address and a mask byte each, at most one per RAM
@@ -245,9 +245,9 @@ func (c *Core) appendTail(dst []byte) []byte {
 	for _, v := range c.iq {
 		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(c.fq)))
-	for i := range c.fq {
-		dst = appendFetch(dst, &c.fq[i])
+	dst = binary.AppendUvarint(dst, uint64(c.fqN))
+	for i := range c.fqN {
+		dst = appendFetch(dst, c.fqAt(i))
 	}
 	for _, bucket := range c.ring {
 		dst = binary.AppendUvarint(dst, uint64(len(bucket)))
@@ -256,7 +256,7 @@ func (c *Core) appendTail(dst []byte) []byte {
 			dst = binary.AppendUvarint(dst, e.seq)
 		}
 	}
-	dst = appendTaints(dst, c.ram.taints)
+	dst = c.ram.appendTaints(dst)
 	return c.Bus.AppendDevice(dst)
 }
 
@@ -372,20 +372,20 @@ func appendLine(dst []byte, l *line) []byte {
 }
 
 // appendTaints emits the RAM taint map canonically: nonzero entries
-// only, ascending address order.
-func appendTaints(dst []byte, taints map[uint64]taintMask) []byte {
-	keys := make([]uint64, 0, len(taints))
+// only, ascending address order. The sort runs in r's key scratch.
+func (r *ramLevel) appendTaints(dst []byte) []byte {
+	r.keys = r.keys[:0]
 	//lint:ordered keys are collected then sorted; order-free
-	for k, v := range taints {
+	for k, v := range r.taints {
 		if v != 0 {
-			keys = append(keys, k)
+			r.keys = append(r.keys, k)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	dst = binary.AppendUvarint(dst, uint64(len(keys)))
-	for _, k := range keys {
+	slices.Sort(r.keys)
+	dst = binary.AppendUvarint(dst, uint64(len(r.keys)))
+	for _, k := range r.keys {
 		dst = binary.AppendUvarint(dst, k)
-		dst = append(dst, byte(taints[k]))
+		dst = append(dst, byte(r.taints[k]))
 	}
 	return dst
 }
@@ -413,7 +413,7 @@ func (c *Core) StateProbe() uint64 {
 	}
 	mix(uint64(c.robHead)<<32 | uint64(uint32(c.robCount)))
 	mix(uint64(c.lqN)<<32 | uint64(uint32(c.sqN)))
-	mix(uint64(len(c.fq))<<32 | uint64(uint32(len(c.iq))))
+	mix(uint64(c.fqN)<<32 | uint64(uint32(len(c.iq))))
 	for _, v := range c.csr {
 		mix(v)
 	}
@@ -454,8 +454,9 @@ func (r *stateReader) u32() uint32 {
 	return v
 }
 
+// bool reads a bool byte: 0 or 1, as appendBool writes it.
 func (r *stateReader) bool() bool {
-	if r.bad || len(r.b) < 1 {
+	if r.bad || len(r.b) < 1 || r.b[0] > 1 {
 		r.bad = true
 		return false
 	}
@@ -464,12 +465,13 @@ func (r *stateReader) bool() bool {
 	return v != 0
 }
 
+// uv reads a uvarint in its shortest form, as AppendUvarint writes it.
 func (r *stateReader) uv() uint64 {
 	if r.bad {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
 		r.bad = true
 		return 0
 	}
@@ -509,30 +511,40 @@ func (c *Core) DecodeStateDelta(blob []byte, chunks []int) error {
 	return c.restoreState(blob, chunks, false)
 }
 
+// errBadFlag reports a bool field of a fixed section holding a byte
+// other than 0 or 1: no encoder writes one.
+var errBadFlag = fmt.Errorf("micro: state blob flag byte not 0 or 1")
+
 func (c *Core) restoreState(blob []byte, chunks []int, full bool) error {
 	if len(blob) < c.tailOff {
 		return fmt.Errorf("micro: truncated state blob")
 	}
-	c.readPrefix(&stateReader{b: blob[:c.prefixLen]})
+	pr := stateReader{b: blob[:c.prefixLen]}
+	if c.readPrefix(&pr); pr.bad {
+		return errBadFlag
+	}
 	for _, ch := range c.caches() {
 		ch.tick = int64(binary.LittleEndian.Uint64(blob[ch.stateOff:]))
+		ok := true
 		if full {
 			for li := range ch.cfg.Lines() {
-				ch.decodeRec(blob, li)
+				ok = ch.decodeRec(blob, li) && ok
 			}
 			copy(ch.backing, blob[ch.dataOff(0):])
 		} else {
 			decodeLine := func(li int) bool {
-				ch.decodeRec(blob, li)
 				copy(ch.line(li).data, blob[ch.dataOff(li):])
-				return true
+				return ch.decodeRec(blob, li)
 			}
 			for _, li := range ch.touched {
-				decodeLine(int(li))
+				ok = decodeLine(int(li)) && ok
 			}
-			ch.chunkLines(chunks, decodeLine)
+			ok = ch.chunkLines(chunks, decodeLine) && ok
 		}
 		ch.clearTouched()
+		if !ok {
+			return errBadFlag
+		}
 	}
 	if err := c.readTail(&stateReader{b: blob[c.tailOff:]}); err != nil {
 		return err
@@ -600,15 +612,16 @@ func (c *Core) readTail(r *stateReader) error {
 	for i := 0; i < n; i++ {
 		c.iq = append(c.iq, int(r.uv()))
 	}
+	// The fetch queue decodes into its ring from slot 0. No engine
+	// queues more than the ring holds (fetchStage never fills it), so a
+	// longer claim is a corrupt blob.
 	n = int(r.uv())
-	if n < 0 || n > 16*c.Cfg.FetchWidth+64 {
-		return fmt.Errorf("micro: state blob fetch-queue length %d", n)
+	if n < 0 || n > len(c.fq) {
+		return fmt.Errorf("micro: state blob fetch-queue length %d above the ring's %d", n, len(c.fq))
 	}
-	c.fq = c.fq[:0]
-	for i := 0; i < n; i++ {
-		var f fetchEntry
-		readFetch(r, &f)
-		c.fq = append(c.fq, f)
+	c.fqHead, c.fqN = 0, n
+	for i := range n {
+		readFetch(r, &c.fq[i])
 	}
 	for i := range c.ring {
 		k := int(r.uv())
@@ -627,12 +640,18 @@ func (c *Core) readTail(r *stateReader) error {
 		return fmt.Errorf("micro: state blob taint count %d", nt)
 	}
 	clear(c.ram.taints)
+	var last uint64
 	for i := 0; i < nt; i++ {
 		addr := r.uv()
 		m := r.bytes(1)
 		if r.bad {
 			break
 		}
+		// appendTaints writes nonzero masks in ascending address order.
+		if m[0] == 0 || i > 0 && addr <= last {
+			return fmt.Errorf("micro: state blob RAM taints not canonical")
+		}
+		last = addr
 		c.ram.taints[addr] = m[0]
 	}
 	if r.bad {
@@ -799,7 +818,8 @@ func (bp *branchPred) readState(r *stateReader) {
 }
 
 // decodeRec decodes line li's record from blob (the data is separate).
-func (c *cache) decodeRec(blob []byte, li int) {
+// It reports false on a valid or dirty byte other than 0 or 1.
+func (c *cache) decodeRec(blob []byte, li int) bool {
 	rec := blob[c.recOff(li):c.recOff(li+1)]
 	l := c.line(li)
 	l.valid = rec[0] != 0
@@ -809,8 +829,12 @@ func (c *cache) decodeRec(blob []byte, li int) {
 	if mask := rec[lineHdr:]; isZeroMask(mask) {
 		l.taint = nil
 	} else {
-		l.taint = append(l.taint[:0], mask...)
+		if l.taint == nil {
+			l.taint = c.newTaint(li)
+		}
+		copy(l.taint, mask)
 	}
+	return rec[0] <= 1 && rec[1] <= 1
 }
 
 func isZeroMask(b []byte) bool {
