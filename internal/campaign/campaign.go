@@ -46,6 +46,9 @@ func Workers(n int) int {
 // invoked exactly once per job, serialized (never concurrently), and in
 // strictly increasing Index order — identical observable order to the
 // old serial loops, at the cost of buffering out-of-order completions.
+// A state with a Release method is released as soon as its worker runs
+// out of jobs, before Run returns: an arena that holds a share of a
+// process-wide budget hands it on while slower workers finish.
 func Run[S any, R any](jobs []Job, workers int,
 	newState func() S,
 	run func(state S, j Job) R,
@@ -87,6 +90,7 @@ func Run[S any, R any](jobs []Job, workers int,
 	chunks := chunk(jobs, w)
 	if w == 1 {
 		state := newState()
+		defer release(state)
 		for _, c := range chunks {
 			for _, j := range c {
 				finish(j.Index, run(state, j))
@@ -102,6 +106,7 @@ func Run[S any, R any](jobs []Job, workers int,
 		go func() {
 			defer wg.Done()
 			state := newState()
+			defer release(state)
 			for {
 				c := int(next.Add(1)) - 1
 				if c >= len(chunks) {
@@ -115,6 +120,13 @@ func Run[S any, R any](jobs []Job, workers int,
 	}
 	wg.Wait()
 	return results
+}
+
+// release calls state's Release method, if it has one.
+func release(state any) {
+	if r, ok := state.(interface{ Release() }); ok {
+		r.Release()
+	}
 }
 
 // chunk partitions jobs into work-stealing units: jobs are grouped by

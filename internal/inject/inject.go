@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 
 	"vulnstack/internal/campaign"
 	"vulnstack/internal/ckpt"
@@ -160,7 +161,9 @@ type Campaign struct {
 	// Limit is the faulty-run watchdog in cycles.
 	Limit uint64
 	// Workers is the campaign fan-out; <= 0 selects runtime.NumCPU().
-	// The tally is bit-identical for every worker count.
+	// The tally is bit-identical for every worker count. Workers build
+	// their arenas within the process-wide machines budget, so at most
+	// NumCPU of them hold one at a time.
 	Workers int
 	// Resumed reports the campaign was prepared from a persisted chain:
 	// zero golden-run instructions were executed by Prepare.
@@ -190,6 +193,9 @@ func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int) (*Campaign, error)
 	if cfg.ISA != img.ISA {
 		return nil, fmt.Errorf("inject: config %s is %v but image is %v", cfg.Name, cfg.ISA, img.ISA)
 	}
+	// The golden and capture machines share one slot of the budget.
+	acquireMachine()
+	defer releaseMachine()
 	core := micro.New(cfg, img.NewMemory(), img.Entry)
 	if !cfg.Reference {
 		core.RecordLifetimes()
@@ -313,6 +319,8 @@ func PrepareFromChain(img *kernel.Image, cfg micro.Config, ch *ckpt.Chain) (*Cam
 		}
 	}
 	// Prove the chain restores on this geometry before committing.
+	acquireMachine()
+	defer releaseMachine()
 	trial := micro.New(cfg, mem.New(img.RAM.Size()), img.Entry)
 	if err := trial.DecodeState(ch.StateAt(0, nil, -1)); err != nil {
 		return nil, fmt.Errorf("inject: chain boot state: %w", err)
@@ -329,6 +337,21 @@ func PrepareFromChain(img *kernel.Image, cfg micro.Config, ch *ckpt.Chain) (*Cam
 	return cp, nil
 }
 
+// machines is the process-wide budget of micro machines, one slot per
+// CPU. Prepare (its golden and capture runs share a slot),
+// PrepareFromChain's trial restore and every RecordsAt worker arena hold
+// a slot while their machine exists. A machine is large (an A72 arena is
+// about 12 MB: caches, RAM and the materialized state blob of its
+// restore point) and no more than NumCPU of them run at once, so a Lab
+// that fills many campaigns concurrently keeps at most NumCPU alive
+// instead of up to two per call in flight, and its peak memory no longer
+// depends on how those calls happen to overlap. A slot holder never
+// waits for another slot, so the budget cannot deadlock.
+var machines = make(chan struct{}, runtime.NumCPU())
+
+func acquireMachine() { machines <- struct{}{} }
+func releaseMachine() { <-machines }
+
 // worker is the reusable per-worker machine arena: one core restored in
 // place by delta-walking the chain (dirty RAM pages, touched cache
 // lines, and the chunks that changed between the previous and the new
@@ -340,12 +363,28 @@ type worker struct {
 	// src; chunks is state-chunk list scratch.
 	stateBuf []byte
 	chunks   []int
+	// budgeted workers (RecordsAt's) take a machines slot when a fault
+	// first needs their arena and hold it (holding) until Release.
+	budgeted, holding bool
+}
+
+// Release drops the worker's arena and returns its machines slot.
+// campaign.Run calls it when the worker runs out of jobs.
+func (w *worker) Release() {
+	if w.holding {
+		w.arena, w.stateBuf, w.holding = nil, nil, false
+		releaseMachine()
+	}
 }
 
 // coreFor readies the worker's arena at the given cycle, restoring from
 // checkpoint g.
 func (cp *Campaign) coreFor(w *worker, cycle uint64, g int) *micro.Core {
 	if w.arena == nil {
+		if w.budgeted {
+			acquireMachine()
+			w.holding = true
+		}
 		m := mem.New(cp.Img.RAM.Size())
 		m.EnableTracking()
 		w.arena = micro.New(cp.Cfg, m, cp.Img.Entry)
@@ -398,7 +437,8 @@ func (cp *Campaign) Sample(r *rand.Rand, s micro.Structure) Fault {
 }
 
 // Run performs one injection and classifies its effect, building a
-// throwaway arena; campaigns use the pooled worker path in RunCampaign.
+// throwaway arena outside the machines budget; campaigns use the
+// pooled worker path in RunCampaign.
 func (cp *Campaign) Run(f Fault) Result {
 	return cp.run(&worker{src: -1}, f, cp.chain.Find(f.Cycle))
 }
@@ -567,7 +607,7 @@ func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r R
 		emit = func(i int, rec Record) { progress(base+i, rec) }
 	}
 	return campaign.Run(jobs, cp.Workers,
-		func() *worker { return &worker{src: -1} },
+		func() *worker { return &worker{src: -1, budgeted: true} },
 		func(w *worker, j campaign.Job) Record {
 			rec := cp.run(w, faults[j.Index], j.Group).Record()
 			rec.Index = base + j.Index
