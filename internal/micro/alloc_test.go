@@ -30,3 +30,23 @@ func TestStepAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestEncodeStateAllocOnce: EncodeState into an empty buffer allocates
+// exactly once, the whole A72 blob (about 5 MB), at boot and mid-run,
+// instead of regrowing and copying it as append fills it.
+func TestEncodeStateAllocOnce(t *testing.T) {
+	cfg := ConfigA72()
+	img := shaImage(t, cfg)
+	core := New(cfg, img.NewMemory(), img.Entry)
+	for _, cycles := range []uint64{0, 40000} {
+		for core.Cycle < cycles && core.Step() {
+		}
+		var blob []byte
+		if allocs := testing.AllocsPerRun(1, func() { blob = core.EncodeState(nil) }); allocs != 1 {
+			t.Errorf("cycle %d: EncodeState(nil) allocated %v times, want 1", core.Cycle, allocs)
+		}
+		if bound := core.tailOff + core.tailBound(); len(blob) > bound {
+			t.Errorf("cycle %d: %d-byte blob exceeds its %d-byte bound", core.Cycle, len(blob), bound)
+		}
+	}
+}

@@ -112,10 +112,9 @@ func StateLenRange(cfg Config, ramBytes, streams uint64) (lo, hi uint64) {
 		tailOff += cacheStateLen(cc)
 	}
 	const uv = binary.MaxVarintLen64
-	var fe fetchEntry
 	queues := uv + (4*cfg.PhysRegs+64)*uv + // free list
 		uv + (4*cfg.ROBSize+64)*uv + // issue queue
-		uv + fqCap(&cfg)*len(appendFetch(nil, &fe)) + // fetch queue
+		uv + fqCap(&cfg)*fetchLen + // fetch queue
 		ringSize*(uv+(4*cfg.ROBSize+64)*2*uv) + // completion ring
 		uv // RAM taint count
 	// RAM taints: an address and a mask byte each, at most one per RAM
@@ -139,8 +138,11 @@ func (c *cache) dataOff(li int) int {
 }
 
 // EncodeState appends the canonical encoding of the core's
-// StateEqual-relevant state to dst and returns the result.
+// StateEqual-relevant state to dst and returns the result. It grows dst
+// once, by the fixed sections' length plus a bound on the tail's, so a
+// multi-megabyte blob is not regrown and copied as it is appended.
 func (c *Core) EncodeState(dst []byte) []byte {
+	dst = slices.Grow(dst, c.tailOff+c.tailBound())
 	dst = c.appendPrefix(dst)
 	for _, ch := range c.caches() {
 		dst = ch.appendState(dst)
@@ -233,6 +235,22 @@ func (c *Core) appendPrefix(dst []byte) []byte {
 		dst = appendLSQ(dst, &c.sq[i])
 	}
 	return c.bp.appendState(dst)
+}
+
+// fetchLen is the length of one encoded fetch queue entry.
+var fetchLen = len(appendFetch(nil, &fetchEntry{}))
+
+// tailBound bounds the length appendTail writes for the core's current
+// state: every count and index takes at most one full varint.
+func (c *Core) tailBound() int {
+	const uv = binary.MaxVarintLen64
+	n := uv*(3+len(c.freeList)+len(c.iq)) + c.fqN*fetchLen
+	for _, bucket := range c.ring {
+		n += uv * (1 + 2*len(bucket))
+	}
+	n += uv + len(c.ram.taints)*(uv+1)
+	_, devHi := dev.DeviceLenRange(uint64(len(c.Bus.Out) + len(c.Bus.Dbg)))
+	return n + int(devHi)
 }
 
 // appendTail encodes the variable-length sections after the caches.
