@@ -549,32 +549,37 @@ func (cp *Campaign) apply(c *emu.CPU, f Fault) {
 		}
 		switch f.FPM {
 		case micro.FPMWD:
+			// At most three operand locations: rs1, rs2 and a loaded word.
 			type loc struct {
 				isReg bool
 				reg   int
 				addr  uint64
 				width int
 			}
-			var locs []loc
+			var locs [3]loc
+			n := 0
 			if in.Op.ReadsRs1() && in.Rs1 != 0 {
-				locs = append(locs, loc{isReg: true, reg: in.Rs1, width: is.XLen()})
+				locs[n] = loc{isReg: true, reg: in.Rs1, width: is.XLen()}
+				n++
 			}
 			if in.Op.ReadsRs2() && in.Rs2 != 0 {
-				locs = append(locs, loc{isReg: true, reg: in.Rs2, width: is.XLen()})
+				locs[n] = loc{isReg: true, reg: in.Rs2, width: is.XLen()}
+				n++
 			}
 			if in.Op.IsLoad() {
 				addr := (c.Reg(in.Rs1) + uint64(in.Imm)) & is.Mask()
 				if c.Bus.Mem.Valid(addr, in.Op.MemBytes()) {
-					locs = append(locs, loc{addr: addr, width: 8 * in.Op.MemBytes()})
+					locs[n] = loc{addr: addr, width: 8 * in.Op.MemBytes()}
+					n++
 				}
 			}
-			if len(locs) == 0 {
+			if n == 0 {
 				if !c.Step() {
 					return
 				}
 				continue
 			}
-			l := locs[f.Slot%len(locs)]
+			l := locs[f.Slot%n]
 			bit := f.Bit % l.width
 			if l.isReg {
 				c.SetReg(l.reg, c.Reg(l.reg)^(1<<uint(bit)))

@@ -38,11 +38,16 @@ const (
 )
 
 // Granularity of content versioning (see EnableCodeVersions): one
-// counter per 256 bytes, fine enough that data stores rarely alias the
-// code granules they sit beside on a shared page.
+// counter per 256 bytes, finer than a page, so data stores into a page
+// that also holds code bump no version unless they hit its code
+// granules.
 const (
 	VerShift   = 8
 	VerGranule = 1 << VerShift
+
+	// pageGranules is the number of version granules per page: a page's
+	// code flags are one pageGranules-bit field of codeBit.
+	pageGranules = PageSize / VerGranule
 )
 
 // Memory is a flat byte-addressable RAM image, little-endian.
@@ -55,6 +60,16 @@ type Memory struct {
 	track      bool
 	dirtyBit   []uint64
 	dirtyPages []uint32
+
+	// plain holds one flag per whole page of RAM under tracking. A page
+	// is plain when it is marked dirty already and holds no FlagCode
+	// granule, so a store inside it needs neither a dirty mark nor a
+	// version bump (Store64). mark sets the flag, clearDirty (every
+	// restore, ResetDirty, TakeDirtyPages and CopyFrom) clears it, and
+	// FlagCode clears it for the page of the granule it flags. The guard
+	// page is never written, so it is never plain, and a final partial
+	// page has no flag, so a plain page lies wholly in RAM.
+	plain []bool
 
 	// codeVer, when enabled, holds one version counter per VerGranule
 	// bytes, and codeBit flags the granules decoded code lives in (see
@@ -74,9 +89,14 @@ type Memory struct {
 }
 
 // New creates a RAM of the given size in bytes (0 selects DefaultSize).
+// RAM ends below the MMIO window, so an address inside RAM never names a
+// device register.
 func New(size uint64) *Memory {
 	if size == 0 {
 		size = DefaultSize
+	}
+	if size > MMIOBase {
+		panic(fmt.Sprintf("mem.New: %d bytes of RAM would reach the MMIO window at %#x", size, uint64(MMIOBase)))
 	}
 	return &Memory{data: make([]byte, size)}
 }
@@ -109,6 +129,7 @@ func (m *Memory) EnableTracking() {
 	m.track = true
 	pages := (len(m.data) + PageSize - 1) >> PageShift
 	m.dirtyBit = make([]uint64, (pages+63)/64)
+	m.plain = make([]bool, len(m.data)>>PageShift)
 }
 
 // EnableCodeVersions turns on per-granule content versioning of the
@@ -123,17 +144,30 @@ func (m *Memory) EnableCodeVersions() {
 }
 
 // FlagCode marks version granule c as holding code: from now on every
-// mutation of its bytes bumps its version. A flag is never cleared.
-// Callers flag a granule before reading the version they key decoded
-// code on. A no-op without versioning or for out-of-range granules.
+// mutation of its bytes bumps its version, and its page is no longer
+// plain. A flag is never cleared. Callers flag a granule before reading
+// the version they key decoded code on. A no-op without versioning or
+// for out-of-range granules.
 func (m *Memory) FlagCode(c uint32) {
 	if int(c) < len(m.codeVer) {
 		m.codeBit[c>>6] |= 1 << (c & 63)
+		if p := int(c >> (PageShift - VerShift)); p < len(m.plain) {
+			m.plain[p] = false
+		}
 	}
 }
 
 // isCode reports whether granule c is flagged (versioning enabled).
 func (m *Memory) isCode(c uint64) bool { return m.codeBit[c>>6]&(1<<(c&63)) != 0 }
+
+// pageHasCode reports whether whole page p holds a flagged granule.
+func (m *Memory) pageHasCode(p uint64) bool {
+	if m.codeBit == nil {
+		return false
+	}
+	c := p << (PageShift - VerShift)
+	return m.codeBit[c>>6]>>(c&63)&(1<<pageGranules-1) != 0
+}
 
 // ChunkVersion returns version granule c's content counter (0 until
 // versioning is enabled or for out-of-range granules). Once c is
@@ -197,13 +231,20 @@ func (m *Memory) bumpChangedChunks(lo, hi int, src []byte) {
 	}
 }
 
-// mark records the pages of a validated write [addr, addr+n).
+// mark records the pages of a validated write [addr, addr+n), and
+// flags each newly dirty whole page that holds no code granule plain.
+// (A page that is dirty but not plain holds a code granule: only
+// clearDirty takes the flag away otherwise, and a code flag is never
+// cleared.)
 func (m *Memory) mark(addr uint64, n int) {
 	last := (addr + uint64(n) - 1) >> PageShift
 	for p := addr >> PageShift; p <= last; p++ {
 		if m.dirtyBit[p>>6]&(1<<(p&63)) == 0 {
 			m.dirtyBit[p>>6] |= 1 << (p & 63)
 			m.dirtyPages = append(m.dirtyPages, uint32(p))
+			if p < uint64(len(m.plain)) && !m.pageHasCode(p) {
+				m.plain[p] = true
+			}
 		}
 	}
 }
@@ -211,6 +252,9 @@ func (m *Memory) mark(addr uint64, n int) {
 func (m *Memory) clearDirty() {
 	for _, p := range m.dirtyPages {
 		m.dirtyBit[p>>6] &^= 1 << (p & 63)
+		if int(p) < len(m.plain) {
+			m.plain[p] = false
+		}
 	}
 	m.dirtyPages = m.dirtyPages[:0]
 }
@@ -392,6 +436,20 @@ func (m *Memory) Write(addr uint64, n int, val uint64) (ok, code bool) {
 	}
 	StoreLE(m.data[addr:], n, val)
 	return true, code
+}
+
+// Store64 writes v as the aligned 8-byte word at addr when addr's page
+// is plain: the page is dirty already and holds no code granule, so
+// Write's mark and version bump would do nothing. ok is false, with
+// nothing written, otherwise, and the caller goes through Write. Small
+// enough to inline into an execution engine's dispatch loop.
+func (m *Memory) Store64(addr, v uint64) (ok bool) {
+	p := addr >> PageShift
+	if addr&7 != 0 || p >= uint64(len(m.plain)) || !m.plain[p] {
+		return false
+	}
+	binary.LittleEndian.PutUint64(m.data[addr:], v)
+	return true
 }
 
 // ReadBytes copies len(dst) bytes starting at addr into dst.

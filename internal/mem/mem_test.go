@@ -247,7 +247,12 @@ func TestPageEqualAndDirtyTracking(t *testing.T) {
 // ok flags, the code hits Write reports, contents and the dirty pages
 // in first-write order must all agree. Every flagged granule whose
 // bytes changed across an operation must carry a new version, which is
-// what keeps predecoded code from going stale.
+// what keeps predecoded code from going stale. An 8-byte write goes
+// through Store64 first and Write only when Store64 refuses it, as the
+// translation-block engine does; after every operation each plain page
+// must be dirty, lie wholly in RAM past the guard page and hold no
+// flagged granule. Each input runs on a RAM of four pages and on one
+// whose last page is partial.
 //
 // The input is a sequence of 8-byte operations: kind, a0, a1, a2, then
 // four payload bytes x. The address is a0 | a1<<8 (kind bit 7 moves it
@@ -278,138 +283,171 @@ func FuzzMemoryAccess(f *testing.F) {
 		4, 0, 0, 0, 0, 0, 0, 0, // RestoreDirty
 		3, 9, 0, 0, 0, 0, 1, 0, // SetPage(9): out of range
 	})
-	const size = 4 * PageSize
+	f.Add([]byte{
+		1, 0x00, 0x20, 3, 1, 2, 3, 4, // Write(0x2000, 8): page 2 turns plain
+		1, 0x10, 0x20, 3, 1, 2, 3, 4, // Write(0x2010, 8): Store64 on a plain page
+		5, 0x20, 0, 0, 0, 0, 0, 0, // FlagCode(32), page 2's first granule: no longer plain
+		1, 0x08, 0x20, 3, 5, 6, 7, 8, // Write(0x2008, 8) must bump granule 32
+		1, 0x00, 0x30, 3, 1, 1, 1, 1, // Write(0x3000, 8): the last page, partial or whole
+		1, 0x00, 0x3f, 3, 2, 2, 2, 2, // Write(0x3f00, 8): past the end of the partial page
+		0, 0x00, 0x3f, 3, 0, 0, 0, 0, // Read(0x3f00, 8)
+		0x80, 0x07, 0, 3, 0, 0, 0, 0, // Read(2^64-8, 8)
+		0x81, 0x07, 0, 3, 0, 0, 0, 0, // Write(2^64-8, 8)
+		6, 0, 0, 0, 0, 0, 0, 0, // ResetDirty: no page is plain
+		1, 0x18, 0x20, 3, 1, 2, 3, 4, // Write(0x2018, 8)
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		src := New(size)
-		for i := range src.data {
-			src.data[i] = byte(i*7 + i>>8)
-		}
-		m := New(size)
-		m.EnableTracking()
-		m.EnableCodeVersions()
-		m.CopyFrom(src)
-		model := append([]byte(nil), src.data...)
-		var dirty []uint32
-		markModel := func(addr uint64, n int) {
-			for p := uint32(addr >> PageShift); p <= uint32((addr+uint64(n)-1)>>PageShift); p++ {
-				if !slices.Contains(dirty, p) {
-					dirty = append(dirty, p)
-				}
-			}
-		}
-		ngran := size / VerGranule
-		flagged := make([]bool, ngran)
-		seenVer := make([]uint32, ngran)
-		seen := make([][]byte, ngran)
-		granule := func(g int) []byte { return model[g*VerGranule : (g+1)*VerGranule] }
-		valid := func(addr uint64, n int) bool {
-			return addr >= GuardTop && addr < size && uint64(n) <= size-addr
-		}
-
-		for ; len(ops) >= 8; ops = ops[8:] {
-			kind, a, a2, x := ops[0], uint64(ops[1])|uint64(ops[2])<<8, ops[3], ops[4:8]
-			if kind&0x80 != 0 {
-				a = ^uint64(0) - a
-			}
-			n := 1 << (a2 & 3)
-			switch (kind & 0x7f) % 7 {
-			case 0:
-				v, ok := m.Read(a, n)
-				if ok != valid(a, n) {
-					t.Fatalf("Read(%#x, %d) ok=%v", a, n, ok)
-				}
-				var want [8]byte
-				if ok {
-					copy(want[:], model[a:a+uint64(n)])
-				}
-				if v != binary.LittleEndian.Uint64(want[:]) {
-					t.Fatalf("Read(%#x, %d) = %#x, model %x", a, n, v, want[:n])
-				}
-			case 1:
-				v := uint64(binary.LittleEndian.Uint32(x)) * 0x9e3779b97f4a7c15
-				ok, code := m.Write(a, n, v)
-				if ok != valid(a, n) {
-					t.Fatalf("Write(%#x, %d) ok=%v", a, n, ok)
-				}
-				wantCode := false
-				if ok {
-					var b [8]byte
-					binary.LittleEndian.PutUint64(b[:], v)
-					copy(model[a:a+uint64(n)], b[:n])
-					markModel(a, n)
-					for g := a >> VerShift; g <= (a+uint64(n)-1)>>VerShift; g++ {
-						wantCode = wantCode || flagged[g]
-					}
-				}
-				if code != wantCode {
-					t.Fatalf("Write(%#x, %d) code=%v, want %v", a, n, code, wantCode)
-				}
-			case 2:
-				bit := uint(a2 % 9)
-				ok := m.FlipBit(a, bit)
-				if want := valid(a, 1) && bit < 8; ok != want {
-					t.Fatalf("FlipBit(%#x, %d) ok=%v", a, bit, ok)
-				}
-				if ok {
-					model[a] ^= 1 << bit
-					markModel(a, 1)
-				}
-			case 3:
-				p := uint32(ops[1]) % (size/PageSize + 1)
-				lo := int(p) * PageSize
-				data := make([]byte, PageSize)
-				base := model
-				if x[3]&2 != 0 {
-					base = src.data
-				}
-				if lo < size {
-					copy(data, base[lo:])
-				}
-				data[(int(x[0])|int(x[1])<<8)%PageSize] ^= x[2]
-				if x[3]&1 != 0 {
-					data = data[:PageSize/2+int(a2)]
-				}
-				m.SetPage(p, data)
-				if lo < size {
-					copy(model[lo:lo+PageSize], data)
-				}
-			case 4:
-				m.RestoreDirty(src)
-				for _, p := range dirty {
-					lo := int(p) * PageSize
-					copy(model[lo:lo+PageSize], src.data[lo:])
-				}
-				dirty = dirty[:0]
-			case 5:
-				g := int(a % uint64(ngran+2))
-				m.FlagCode(uint32(g))
-				if g < ngran && !flagged[g] {
-					flagged[g] = true
-					seenVer[g] = m.ChunkVersion(uint32(g))
-					seen[g] = append([]byte(nil), granule(g)...)
-				}
-			case 6:
-				m.ResetDirty()
-				dirty = dirty[:0]
-			}
-
-			if !bytes.Equal(m.Bytes(), model) {
-				t.Fatalf("op %d: contents differ from the model", kind)
-			}
-			if got := m.DirtyPageList(); !slices.Equal(got, dirty) {
-				t.Fatalf("op %d: dirty pages %v, model %v", kind, got, dirty)
-			}
-			for g := range flagged {
-				if !flagged[g] {
-					continue
-				}
-				v := m.ChunkVersion(uint32(g))
-				if !bytes.Equal(seen[g], granule(g)) && v == seenVer[g] {
-					t.Fatalf("op %d: flagged granule %d changed but kept version %d", kind, g, v)
-				}
-				seenVer[g] = v
-				seen[g] = append(seen[g][:0], granule(g)...)
-			}
+		for _, size := range []int{4 * PageSize, 4*PageSize - 0xfc} {
+			fuzzMemoryOps(t, size, ops)
 		}
 	})
+}
+
+// fuzzMemoryOps runs one FuzzMemoryAccess input on a RAM of size bytes.
+func fuzzMemoryOps(t *testing.T, size int, ops []byte) {
+	src := New(uint64(size))
+	for i := range src.data {
+		src.data[i] = byte(i*7 + i>>8)
+	}
+	m := New(uint64(size))
+	m.EnableTracking()
+	m.EnableCodeVersions()
+	m.CopyFrom(src)
+	model := append([]byte(nil), src.data...)
+	var dirty []uint32
+	markModel := func(addr uint64, n int) {
+		for p := uint32(addr >> PageShift); p <= uint32((addr+uint64(n)-1)>>PageShift); p++ {
+			if !slices.Contains(dirty, p) {
+				dirty = append(dirty, p)
+			}
+		}
+	}
+	// span is the model's part of [lo, lo+n), clipped at the end of RAM.
+	span := func(lo, n int) []byte { return model[lo:min(lo+n, size)] }
+	ngran := (size + VerGranule - 1) / VerGranule
+	flagged := make([]bool, ngran)
+	seenVer := make([]uint32, ngran)
+	seen := make([][]byte, ngran)
+	granule := func(g int) []byte { return span(g*VerGranule, VerGranule) }
+	valid := func(addr uint64, n int) bool {
+		return addr >= GuardTop && addr < uint64(size) && uint64(n) <= uint64(size)-addr
+	}
+
+	for ; len(ops) >= 8; ops = ops[8:] {
+		kind, a, a2, x := ops[0], uint64(ops[1])|uint64(ops[2])<<8, ops[3], ops[4:8]
+		if kind&0x80 != 0 {
+			a = ^uint64(0) - a
+		}
+		n := 1 << (a2 & 3)
+		switch (kind & 0x7f) % 7 {
+		case 0:
+			v, ok := m.Read(a, n)
+			if ok != valid(a, n) {
+				t.Fatalf("Read(%#x, %d) ok=%v", a, n, ok)
+			}
+			var want [8]byte
+			if ok {
+				copy(want[:], model[a:a+uint64(n)])
+			}
+			if v != binary.LittleEndian.Uint64(want[:]) {
+				t.Fatalf("Read(%#x, %d) = %#x, model %x", a, n, v, want[:n])
+			}
+		case 1:
+			v := uint64(binary.LittleEndian.Uint32(x)) * 0x9e3779b97f4a7c15
+			ok, code := n == 8 && m.Store64(a, v), false
+			if !ok {
+				ok, code = m.Write(a, n, v)
+			}
+			if ok != valid(a, n) {
+				t.Fatalf("Write(%#x, %d) ok=%v", a, n, ok)
+			}
+			wantCode := false
+			if ok {
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], v)
+				copy(model[a:a+uint64(n)], b[:n])
+				markModel(a, n)
+				for g := a >> VerShift; g <= (a+uint64(n)-1)>>VerShift; g++ {
+					wantCode = wantCode || flagged[g]
+				}
+			}
+			if code != wantCode {
+				t.Fatalf("Write(%#x, %d) code=%v, want %v", a, n, code, wantCode)
+			}
+		case 2:
+			bit := uint(a2 % 9)
+			ok := m.FlipBit(a, bit)
+			if want := valid(a, 1) && bit < 8; ok != want {
+				t.Fatalf("FlipBit(%#x, %d) ok=%v", a, bit, ok)
+			}
+			if ok {
+				model[a] ^= 1 << bit
+				markModel(a, 1)
+			}
+		case 3:
+			p := uint32(ops[1]) % uint32((size+PageSize-1)/PageSize+1)
+			lo := int(p) * PageSize
+			data := make([]byte, PageSize)
+			base := model
+			if x[3]&2 != 0 {
+				base = src.data
+			}
+			if lo < size {
+				copy(data, base[lo:])
+			}
+			data[(int(x[0])|int(x[1])<<8)%PageSize] ^= x[2]
+			if x[3]&1 != 0 {
+				data = data[:PageSize/2+int(a2)]
+			}
+			m.SetPage(p, data)
+			if lo < size {
+				copy(span(lo, PageSize), data)
+			}
+		case 4:
+			m.RestoreDirty(src)
+			for _, p := range dirty {
+				lo := int(p) * PageSize
+				copy(span(lo, PageSize), src.data[lo:])
+			}
+			dirty = dirty[:0]
+		case 5:
+			g := int(a % uint64(ngran+2))
+			m.FlagCode(uint32(g))
+			if g < ngran && !flagged[g] {
+				flagged[g] = true
+				seenVer[g] = m.ChunkVersion(uint32(g))
+				seen[g] = append([]byte(nil), granule(g)...)
+			}
+		case 6:
+			m.ResetDirty()
+			dirty = dirty[:0]
+		}
+
+		if !bytes.Equal(m.Bytes(), model) {
+			t.Fatalf("op %d: contents differ from the model", kind)
+		}
+		if got := m.DirtyPageList(); !slices.Equal(got, dirty) {
+			t.Fatalf("op %d: dirty pages %v, model %v", kind, got, dirty)
+		}
+		for g := range flagged {
+			if !flagged[g] {
+				continue
+			}
+			v := m.ChunkVersion(uint32(g))
+			if !bytes.Equal(seen[g], granule(g)) && v == seenVer[g] {
+				t.Fatalf("op %d: flagged granule %d changed but kept version %d", kind, g, v)
+			}
+			seenVer[g] = v
+			seen[g] = append(seen[g][:0], granule(g)...)
+		}
+		for p, plain := range m.plain {
+			if !plain {
+				continue
+			}
+			gs := flagged[p*pageGranules : min((p+1)*pageGranules, ngran)]
+			if !slices.Contains(dirty, uint32(p)) || p < GuardTop/PageSize || (p+1)*PageSize > size || slices.Contains(gs, true) {
+				t.Fatalf("op %d: page %d is plain; dirty pages %v, its granules flagged %v", kind, p, dirty, gs)
+			}
+		}
+	}
 }

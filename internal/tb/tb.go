@@ -8,17 +8,20 @@
 // Soundness under fault injection is the design constraint:
 //
 //   - Code corruption. Blocks are keyed by (entry PC, content version
-//     of every covered 256-byte granule). Building a block flags its
-//     granules as code in mem.Memory before capturing their versions,
-//     and every content mutation of a flagged granule — data stores,
-//     injected bit flips, checkpoint restores — bumps its version, so a
-//     WI/WOI flip into text or a self-modifying store forces a
-//     re-decode at the next block lookup; a store issued from *inside*
-//     a block that hits a flagged granule re-checks the block's own
-//     granule versions before running the next op. A stale predecoded
-//     op is therefore never executed. Flags come from block builds, not
-//     from the image's text range: a corrupted jump can decode a block
-//     from data, and that granule must be versioned from then on.
+//     of every covered 256-byte granule) and keep the instruction words
+//     they were decoded from. Building a block flags its granules as
+//     code in mem.Memory before capturing their versions, and every
+//     content mutation of a flagged granule — data stores, injected bit
+//     flips, checkpoint restores — bumps its version. A block whose
+//     versions moved is checked word by word at the next lookup: equal
+//     words re-stamp its versions (a data store that shares a granule
+//     with code), a changed word (a WI/WOI flip into text or a
+//     self-modifying store) forces a re-decode. A store issued from
+//     *inside* a block that hits a flagged granule runs the same check
+//     on the block before the next op. A stale predecoded op is
+//     therefore never executed. Flags come from block builds, not from
+//     the image's text range: a corrupted jump can decode a block from
+//     data, and that granule must be versioned from then on.
 //   - Fault landing. The engine stops at exact committed-instruction
 //     boundaries (Run's limit clips the in-block op budget), so
 //     register/state faults land mid-block exactly where the
@@ -68,7 +71,9 @@ const (
 	uLUI
 	uLOAD  // sign-extending load, size in n
 	uLOADU // zero-extending load, size in n
+	uLD    // 8-byte load
 	uSTORE // size in n
+	uSD    // 8-byte store
 	uBEQ
 	uBNE
 	uBLT
@@ -100,11 +105,11 @@ type uop struct {
 // (or a size/span/decode boundary). chunks/vers record the content
 // version of every 256-byte granule the block was decoded from; a
 // mismatch at lookup (or after an in-block store to a code granule)
-// invalidates the block.
+// sends the block to a compare of its words against memory.
 type block struct {
 	entry   uint64
 	ops     []uop
-	words   []uint32 // raw instruction words, kept only under Paranoid
+	words   []uint32 // the instruction word of each op
 	nchunks int
 	chunks  [5]uint32
 	vers    [5]uint32
@@ -126,6 +131,10 @@ type Engine struct {
 	m   *mem.Memory
 
 	blocks []*block
+
+	// build decodes into these before copying a block out at its size.
+	opBuf   [maxOps]uop
+	wordBuf [maxOps]uint32
 
 	mask uint64 // ISA value mask
 	xsh  uint64 // 64 - XLen: shift pair for sign extension
@@ -206,13 +215,29 @@ func (e *Engine) lookup(pc uint64) *block {
 	return b
 }
 
-// fresh reports whether every granule the block was decoded from still
-// has the content version captured at build time.
+// fresh reports whether the block's ops still match memory. While every
+// granule it was decoded from keeps the version captured at build time
+// they do; when one moved, its words are compared with memory, and
+// unchanged words re-stamp the versions instead of a re-decode.
 func (e *Engine) fresh(b *block) bool {
 	for i := 0; i < b.nchunks; i++ {
 		if e.m.ChunkVersion(b.chunks[i]) != b.vers[i] {
+			return e.revalidate(b)
+		}
+	}
+	return true
+}
+
+// revalidate compares the block's instruction words with memory and, if
+// none changed, captures its granules' current versions.
+func (e *Engine) revalidate(b *block) bool {
+	for i, w := range b.words {
+		if got, ok := e.m.Word32(b.entry + 4*uint64(i)); !ok || got != w {
 			return false
 		}
+	}
+	for i := 0; i < b.nchunks; i++ {
+		b.vers[i] = e.m.ChunkVersion(b.chunks[i])
 	}
 	return true
 }
@@ -241,11 +266,13 @@ func (b *block) addChunk(m *mem.Memory, pc uint64) bool {
 // build predecodes the superblock starting at pc: sequential decode up
 // to and including the first control-flow instruction, stopping early
 // at a fetch fault, an undecodable word, the op cap, or the granule
-// cap.
+// cap. It decodes into the engine's buffers and allocates the block's
+// op and word slices once, at their final length.
 func (e *Engine) build(pc uint64) *block {
 	b := &block{entry: pc}
 	is := e.cpu.ISA
-	for len(b.ops) < maxOps {
+	n := 0
+	for n < maxOps {
 		if !b.addChunk(e.m, pc) {
 			break
 		}
@@ -258,18 +285,18 @@ func (e *Engine) build(pc uint64) *block {
 			break
 		}
 		u, term := encode(in)
-		b.ops = append(b.ops, u)
-		if e.Paranoid != nil {
-			b.words = append(b.words, w)
-		}
+		e.opBuf[n], e.wordBuf[n] = u, w
+		n++
 		if term {
 			break
 		}
 		pc += 4
 	}
-	if len(b.ops) == 0 {
+	if n == 0 {
 		return nil
 	}
+	b.ops = append([]uop(nil), e.opBuf[:n]...)
+	b.words = append([]uint32(nil), e.wordBuf[:n]...)
 	return b
 }
 
@@ -295,13 +322,17 @@ func encode(in isa.Instr) (uop, bool) {
 			return uop{code: uNOP}, false
 		}
 		u.code = uLUI
-	case isa.LB, isa.LH, isa.LW, isa.LD, isa.LBU, isa.LHU, isa.LWU:
+	case isa.LD:
+		u.code, u.n = uLD, 8
+	case isa.LB, isa.LH, isa.LW, isa.LBU, isa.LHU, isa.LWU:
 		u.code = uLOAD
 		if in.Op.MemUnsigned() {
 			u.code = uLOADU
 		}
 		u.n = uint8(in.Op.MemBytes())
-	case isa.SB, isa.SH, isa.SW, isa.SD:
+	case isa.SD:
+		u.code, u.n = uSD, 8
+	case isa.SB, isa.SH, isa.SW:
 		u.code, u.n = uSTORE, uint8(in.Op.MemBytes())
 	case isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU:
 		u.code = uBEQ + uint8(in.Op-isa.BEQ)
@@ -416,6 +447,23 @@ func (e *Engine) exec(b *block, limit uint64) {
 		// aligned, outside the MMIO window and inside RAM — where
 		// emu.load/store cannot trap or touch a device. Every other
 		// access runs with full Step semantics, trap included.
+		case uLD:
+			addr := (regs[u.rs1] + uint64(u.imm)) & mask
+			v, ok := uint64(0), false
+			if addr&7 == 0 {
+				v, ok = m.Read(addr, 8) // RAM lies below the MMIO window
+			}
+			if !ok {
+				c.PC = entry + 4*uint64(i)
+				if v, ok = c.LoadMem(addr, 8, false); !ok {
+					e.flush(kern, i)
+					return
+				}
+			}
+			if u.rd != 0 {
+				regs[u.rd] = v & mask
+			}
+
 		case uLOAD, uLOADU:
 			addr := (regs[u.rs1] + uint64(u.imm)) & mask
 			sz := int(u.n)
@@ -439,34 +487,16 @@ func (e *Engine) exec(b *block, limit uint64) {
 				regs[u.rd] = v & mask
 			}
 
-		case uSTORE:
+		// An 8-byte store into a plain page (dirty already, no code
+		// granule: mem.Memory.Store64) is only the word write.
+		case uSD:
 			addr := (regs[u.rs1] + uint64(u.imm)) & mask
-			sz := int(u.n)
-			if addr&uint64(sz-1) == 0 && !mem.IsMMIO(addr) {
-				if ok, code := m.Write(addr, sz, regs[u.rs2]); ok {
-					// Only a store into a flagged granule can have
-					// overwritten this block's code (a self-modifying
-					// store); then the remaining predecoded ops must
-					// not run unless the block is still fresh.
-					if code && !e.fresh(b) {
-						e.flush(kern, i+1)
-						c.PC = entry + 4*uint64(i+1)
-						return
-					}
-					continue
-				}
-			}
-			c.PC = entry + 4*uint64(i)
-			if !c.StoreMem(addr, sz, regs[u.rs2]) {
-				e.flush(kern, i)
+			if !m.Store64(addr, regs[u.rs2]) && e.store(b, i, kern, addr, 8, regs[u.rs2]) {
 				return
 			}
-			// An MMIO store committed (devices never write RAM). It may
-			// have halted the machine through a halt port; then the
-			// remaining predecoded ops must not run.
-			if c.Bus.Halted() {
-				e.flush(kern, i+1)
-				c.PC = entry + 4*uint64(i+1)
+
+		case uSTORE:
+			if e.store(b, i, kern, (regs[u.rs1]+uint64(u.imm))&mask, int(u.n), regs[u.rs2]) {
 				return
 			}
 
@@ -561,6 +591,42 @@ func (e *Engine) exec(b *block, limit uint64) {
 	// instruction is the straight-line successor.
 	e.flush(kern, n)
 	c.PC = entry + 4*uint64(n)
+}
+
+// store runs op i of b, a store of the low sz bytes of v to addr, and
+// reports whether the block must stop after it (counters flushed and PC
+// set). An aligned store inside RAM goes through mem.Memory.Write; any
+// other store runs with full Step semantics, trap included.
+func (e *Engine) store(b *block, i int, kern bool, addr uint64, sz int, v uint64) (stop bool) {
+	c := e.cpu
+	if addr&uint64(sz-1) == 0 && !mem.IsMMIO(addr) {
+		if ok, code := e.m.Write(addr, sz, v); ok {
+			// Only a store into a flagged granule can have overwritten
+			// this block's code (a self-modifying store); then the
+			// remaining predecoded ops must not run unless the block is
+			// still fresh.
+			if code && !e.fresh(b) {
+				e.flush(kern, i+1)
+				c.PC = b.entry + 4*uint64(i+1)
+				return true
+			}
+			return false
+		}
+	}
+	c.PC = b.entry + 4*uint64(i)
+	if !c.StoreMem(addr, sz, v) {
+		e.flush(kern, i)
+		return true
+	}
+	// An MMIO store committed (devices never write RAM). It may have
+	// halted the machine through a halt port; then the remaining
+	// predecoded ops must not run.
+	if c.Bus.Halted() {
+		e.flush(kern, i+1)
+		c.PC = b.entry + 4*uint64(i+1)
+		return true
+	}
+	return false
 }
 
 // check refetches op i's instruction word and panics if it no longer

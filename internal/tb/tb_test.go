@@ -67,12 +67,35 @@ func boot(img *kernel.Image) machine {
 // CSRs (SEPC, SCAUSE and STVAL included), mode, counters, device state
 // and all of RAM. Landing on every limit covers blocks clipped at each
 // op as well as blocks run whole; since each engine runs in one call,
-// blocks cached early stay cached across every later store. It returns
-// the halted reference machine.
+// blocks cached early stay cached across every later store.
+//
+// Each limit also runs on an arena: one machine on dirty-tracked memory,
+// as a campaign worker holds it, driven by one engine throughout and
+// restored to boot with one RestoreDirty before each run. Only there do
+// pages turn plain (mem.Memory.Store64). After its run to the limit the
+// arena runs once more to the halt, which must leave emu.Step's final
+// state: the first such run builds every block on tracked memory, and
+// each later one starts from a restore that follows a run to the limit.
+// It returns the halted reference machine.
 func assertMatchesStep(t *testing.T, img *kernel.Image) machine {
 	t.Helper()
+	const maxLimit = 1 << 12
+	final := boot(img)
+	if !final.cpu.Run(maxLimit) {
+		t.Fatal("program did not halt")
+	}
+	arena := boot(img)
+	arena.bus.Mem.EnableTracking()
+	eng := New(arena.cpu)
+	start := arena.cpu.Save()
+	rerun := func(limit uint64) bool {
+		arena.bus.Mem.RestoreDirty(img.RAM)
+		arena.bus.Reset()
+		arena.cpu.Restore(start)
+		return eng.Run(limit)
+	}
 	ref := boot(img)
-	for k := uint64(0); k < 1<<12; k++ {
+	for k := uint64(0); k < maxLimit; k++ {
 		refHalted := ref.cpu.Run(k)
 		m := boot(img)
 		halted := New(m.cpu).Run(k)
@@ -81,6 +104,18 @@ func assertMatchesStep(t *testing.T, img *kernel.Image) machine {
 		}
 		if halted != refHalted {
 			t.Fatalf("limit %d: tb engine halted=%v, emu.Step %v", k, halted, refHalted)
+		}
+		if h := rerun(k); h != refHalted {
+			t.Fatalf("limit %d: tb engine on the arena halted=%v, emu.Step %v", k, h, refHalted)
+		}
+		if d := diff(ref, arena); d != "" {
+			t.Fatalf("limit %d (PC %#x): tb engine on the arena differs from emu.Step: %s", k, ref.cpu.PC, d)
+		}
+		if !rerun(maxLimit) {
+			t.Fatalf("after limit %d: the arena's run to the halt did not halt", k)
+		}
+		if d := diff(final, arena); d != "" {
+			t.Fatalf("after limit %d: the arena's run to the halt differs from emu.Step: %s", k, d)
 		}
 		if halted {
 			return ref
@@ -200,14 +235,24 @@ func TestDataStoreIntoCodeGranule(t *testing.T) {
 // TestTrappingAccesses: misaligned, guard-page, out-of-range and
 // user-mode MMIO loads and stores leave the inline path for full Step
 // semantics, mid-block, and trap with the same SEPC, SCAUSE, STVAL,
-// counters and registers (the kernel then panics on the cause).
+// counters and registers (the kernel then panics on the cause). Each
+// access runs twice, so on the arena a second 8-byte store meets a plain
+// page; the last word of RAM must take the inline path and exit cleanly.
 func TestTrappingAccesses(t *testing.T) {
+	const noTrap = ^uint64(0)
 	cases := []struct {
 		name  string
 		addr  uint64
 		op    isa.Op
 		cause uint64
 	}{
+		{"last RAM word ld", ramSize - 8, isa.LD, noTrap},
+		{"last RAM word sd", ramSize - 8, isa.SD, noTrap},
+		{"past RAM ld", ramSize, isa.LD, isa.CauseLoadFault},
+		{"below guard top ld", mem.GuardTop - 8, isa.LD, isa.CauseLoadFault},
+		{"below guard top sd", mem.GuardTop - 8, isa.SD, isa.CauseStoreFault},
+		{"wrapping ld", ^uint64(0) - 7, isa.LD, isa.CauseLoadFault},
+		{"wrapping sd", ^uint64(0) - 7, isa.SD, isa.CauseStoreFault},
 		{"misaligned ld", mem.UserBase + 0x1004, isa.LD, isa.CauseMisalignLoad},
 		{"misaligned lw", mem.UserBase + 0x1002, isa.LW, isa.CauseMisalignLoad},
 		{"misaligned lhu", mem.UserBase + 0x1001, isa.LHU, isa.CauseMisalignLoad},
@@ -234,17 +279,60 @@ func TestTrappingAccesses(t *testing.T) {
 				b.Addi(8, 8, 1)
 				b.Add(9, 8, 8)
 				access(b, c.op, 7, 0, 6)
-				b.Addi(8, 8, 1) // must not run
+				access(b, c.op, 7, 0, 6)
+				b.Addi(8, 8, 1) // must not run after a trap
 				exitWith(b, 8)
 			})
 			ref := assertMatchesStep(t, img)
 			csr := ref.cpu.CSR
+			if c.cause == noTrap {
+				if ref.bus.Halt != dev.HaltClean {
+					t.Fatalf("halt %v, SCAUSE %d, STVAL %#x; want a clean exit",
+						ref.bus.Halt, csr[isa.CsrSCAUSE], csr[isa.CsrSTVAL])
+				}
+				return
+			}
 			if ref.bus.Halt != dev.HaltPanic || csr[isa.CsrSCAUSE] != c.cause || csr[isa.CsrSTVAL] != c.addr {
 				t.Fatalf("halt %v, SCAUSE %d, STVAL %#x; want panic on cause %d at %#x",
 					ref.bus.Halt, csr[isa.CsrSCAUSE], csr[isa.CsrSTVAL], c.cause, c.addr)
 			}
 		})
 	}
+
+	// A data store makes a page dirty, and so plain on the arena, before
+	// any code in it runs; the block built there then flags a granule of
+	// that page. An sd from that block patching its own next op must
+	// still bump the granule's version and stop the block: the patched
+	// op runs, not the predecoded one.
+	t.Run("sd into a dirty page after a block build flagged it", func(t *testing.T) {
+		next := isa.Encode(isa.Instr{Op: isa.ADDI, Rd: 8, Rs1: 8})
+		img := userImage(t, isa.VSA64, func(b *asm.Builder) {
+			b.La(6, "slot")
+			b.Li(7, int64(uint64(patched)|uint64(next)<<32))
+			b.Li(8, 0)
+			b.La(10, "pad")
+			b.Sd(isa.RegZero, 0, 10) // the page's first write: no code in it yet
+			b.Jmp("far")
+			for b.PC()%mem.PageSize != 0 {
+				b.Nop() // never executed: "far" starts a page
+			}
+			b.Label("far")
+			b.Sd(7, 0, 6)
+			b.Addi(9, 9, 3)
+			b.Label("slot") // far+8: the sd writes slot and the op after it
+			b.Addi(8, 8, 1) // overwritten with addi x8, x8, 100 before it runs
+			b.Addi(8, 8, 0)
+			exitWith(b, 8)
+			for i := 0; i < 2*mem.VerGranule/4 || b.PC()%8 != 0; i++ {
+				b.Nop() // never executed: puts "pad" in another granule
+			}
+			b.Label("pad")
+			b.Nop()
+		})
+		if got := assertMatchesStep(t, img).bus.ExitCode; got != 100 {
+			t.Fatalf("exit %d, want 100 (the patched op)", got)
+		}
+	})
 }
 
 // TestLoadExtension: every load size, signed and unsigned, over bytes
