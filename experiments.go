@@ -190,6 +190,15 @@ func (l *Lab) System(t Target, is isa.ISA) (*System, error) {
 	})
 }
 
+// source returns the measurement source of t on is. Its store key needs
+// no System, so a campaign the store holds is served without compiling
+// anything; the System is built (once, through the memo) only when a
+// campaign must inject.
+func (l *Lab) source(t Target, is isa.ISA) (source, error) {
+	st, err := l.Store()
+	return source{targetKey(t, is), st, func() (*System, error) { return l.System(t, is) }}, err
+}
+
 type avfMemo struct {
 	results  []StructResult
 	weighted vuln.Split
@@ -200,11 +209,11 @@ func (l *Lab) avf(t Target, cfg micro.Config) ([]StructResult, vuln.Split, error
 		t.Seed = l.Opts.Seed
 	}
 	m, err := memo(l, fmt.Sprintf("avf/%s/%s/%d", t.key(), cfg.Name, l.Opts.NAVF), func() (avfMemo, error) {
-		s, err := l.System(t, cfg.ISA)
+		src, err := l.source(t, cfg.ISA)
 		if err != nil {
 			return avfMemo{}, err
 		}
-		res, w, err := s.AVFAll(cfg, l.Opts.NAVF, l.Opts.Seed)
+		res, w, err := src.avfAll(cfg, l.Opts.NAVF, l.Opts.Seed)
 		return avfMemo{res, w}, err
 	})
 	return m.results, m.weighted, err
@@ -215,11 +224,11 @@ func (l *Lab) pvf(t Target, is isa.ISA, fpm micro.FPM) (vuln.Split, error) {
 		t.Seed = l.Opts.Seed
 	}
 	return memo(l, fmt.Sprintf("pvf/%s/%v/%v/%d", t.key(), is, fpm, l.Opts.NPVF), func() (vuln.Split, error) {
-		s, err := l.System(t, is)
+		src, err := l.source(t, is)
 		if err != nil {
 			return vuln.Split{}, err
 		}
-		return s.PVF(fpm, l.Opts.NPVF, l.Opts.Seed)
+		return src.pvf(fpm, l.Opts.NPVF, l.Opts.Seed)
 	})
 }
 
@@ -228,11 +237,11 @@ func (l *Lab) svf(t Target) (vuln.Split, error) {
 		t.Seed = l.Opts.Seed
 	}
 	return memo(l, fmt.Sprintf("svf/%s/%d", t.key(), l.Opts.NSVF), func() (vuln.Split, error) {
-		s, err := l.System(t, isa.VSA64)
+		src, err := l.source(t, isa.VSA64)
 		if err != nil {
 			return vuln.Split{}, err
 		}
-		return s.SVF(l.Opts.NSVF, l.Opts.Seed)
+		return src.svf(l.Opts.NSVF, l.Opts.Seed)
 	})
 }
 
@@ -712,6 +721,7 @@ func (l *Lab) fig8() (*report.Report, error) {
 		}
 	}
 	var names []string
+	//lint:ordered keys are collected then sorted; order-free
 	for b := range spreads {
 		names = append(names, b)
 	}

@@ -329,13 +329,16 @@ type Cursor struct {
 	// Bytes past that point are a crashed append's torn tail and are
 	// never parsed.
 	remaining int
-	filter    Filter
-	id        string
+	// want is how many of them are still to be served: a prefix may end
+	// inside a block, the manifest count never does.
+	want   int
+	filter Filter
+	id     string
 }
 
 // newCursor wraps a segment stream serving exactly n records.
 func newCursor(r io.Reader, closer io.Closer, id string, n int, f Filter) *Cursor {
-	return &Cursor{rd: colseg.NewReader(bufio.NewReaderSize(r, 1<<16)), closer: closer, id: id, remaining: n, filter: f}
+	return &Cursor{rd: colseg.NewReader(bufio.NewReaderSize(r, 1<<16)), closer: closer, id: id, remaining: n, want: n, filter: f}
 }
 
 // Close releases the underlying segment file.
@@ -349,11 +352,11 @@ func (c *Cursor) Close() error {
 }
 
 // next returns the next block and the number of its rows to serve
-// (manifest-truncated), or ok=false at the end of the promised records.
+// (prefix-truncated), or ok=false at the end of the wanted records.
 // A segment that ends — cleanly or torn — before the manifest count is
 // satisfied is corruption.
 func (c *Cursor) next() (*colseg.Block, int, bool, error) {
-	if c.remaining <= 0 {
+	if c.want <= 0 {
 		return nil, 0, false, nil
 	}
 	blk, err := c.rd.Next()
@@ -363,14 +366,16 @@ func (c *Cursor) next() (*colseg.Block, int, bool, error) {
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("results: %s: %w", c.id, err)
 	}
-	take := blk.Rows()
-	if take > c.remaining {
+	rows := blk.Rows()
+	if rows > c.remaining {
 		// Blocks never straddle the manifest count: appends are whole
 		// blocks and the manifest is written after them. A larger block
 		// here means the manifest and segment disagree.
-		return nil, 0, false, fmt.Errorf("results: %s block of %d rows exceeds manifest remainder %d", c.id, take, c.remaining)
+		return nil, 0, false, fmt.Errorf("results: %s block of %d rows exceeds manifest remainder %d", c.id, rows, c.remaining)
 	}
-	c.remaining -= take
+	c.remaining -= rows
+	take := min(rows, c.want)
+	c.want -= take
 	return blk, take, true, nil
 }
 

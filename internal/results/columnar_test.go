@@ -128,6 +128,33 @@ func TestCursorTallyMatchesTallyOf(t *testing.T) {
 	}
 }
 
+// TestTallyUpTo: one call serves the first min(n, stored) records and
+// says how many are stored; an absent campaign reads ok=false and a zero
+// tally, and touches no file.
+func TestTallyUpTo(t *testing.T) {
+	s := testStore(t)
+	k := Key{Layer: "micro", Target: "upto", Config: "A72", Struct: "RF", Seed: 3}
+	if tl, stored, ok, err := s.TallyUpTo(k, 10); err != nil || ok || stored != 0 || tl != (Tally{}) {
+		t.Fatalf("absent: tally %+v stored %d ok=%v err=%v", tl, stored, ok, err)
+	}
+	if files := storeFiles(t, s); len(files) != 0 {
+		t.Fatalf("absent lookup wrote %v", files)
+	}
+	recs := randomRecords(BlockRows+500, 9)
+	if err := s.Save(k, recs); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, BlockRows, len(recs), len(recs) + 7} {
+		tl, stored, ok, err := s.TallyUpTo(k, n)
+		if err != nil || !ok || stored != len(recs) {
+			t.Fatalf("n=%d: stored %d ok=%v err=%v", n, stored, ok, err)
+		}
+		if want := TallyOf(recs[:min(n, len(recs))]); tl != want {
+			t.Errorf("n=%d: tally %+v, want %+v", n, tl, want)
+		}
+	}
+}
+
 func TestFilterPushdownMatchesReference(t *testing.T) {
 	// The column-wise selection vector must agree with the row-at-a-time
 	// Filter.Match reference on every filter shape, for both Tally and

@@ -255,29 +255,45 @@ func (s *Store) CursorID(id string, f Filter) (Manifest, *Cursor, error) {
 	return m, c, nil
 }
 
+// TallyUpTo aggregates the first min(n, stored) records of k through
+// the streaming columnar path and returns that tally with the stored
+// record count, reading the manifest once; ok=false (with a zero tally)
+// when the campaign has never been stored. A caller that wants n records
+// gets in one call both what the store can serve and where a top-up
+// must start.
+func (s *Store) TallyUpTo(k Key, n int) (t Tally, stored int, ok bool, err error) {
+	s.mu.Lock()
+	m, ok, err := s.manifestFor(k)
+	var c *Cursor
+	if err == nil && ok {
+		if c, err = s.cursor(k.ID(), m.N, Filter{}); err == nil {
+			c.want = min(n, m.N)
+		}
+	}
+	s.mu.Unlock()
+	if err != nil || !ok {
+		return Tally{}, 0, false, err
+	}
+	defer c.Close()
+	t, err = c.Tally()
+	return t, m.N, true, err
+}
+
 // TallyPrefix aggregates the first n stored records of k through the
 // streaming columnar path: o(n) memory, only the outcome, visibility
 // and FPM columns decoded. The result is bit-identical to
-// TallyOf(Load(k)[:n]).
+// TallyOf(Load(k)[:n]). Fewer than n stored records is an error.
 func (s *Store) TallyPrefix(k Key, n int) (Tally, error) {
-	s.mu.Lock()
-	m, ok, err := s.manifestFor(k)
-	if err == nil && !ok {
-		err = fmt.Errorf("results: no stored campaign %q", k)
-	}
-	if err == nil && m.N < n {
-		err = fmt.Errorf("results: campaign %q has %d records, want prefix %d", k, m.N, n)
-	}
-	var c *Cursor
-	if err == nil {
-		c, err = s.cursor(k.ID(), n, Filter{})
-	}
-	s.mu.Unlock()
-	if err != nil {
+	t, stored, ok, err := s.TallyUpTo(k, n)
+	switch {
+	case err != nil:
 		return Tally{}, err
+	case !ok:
+		return Tally{}, fmt.Errorf("results: no stored campaign %q", k)
+	case stored < n:
+		return Tally{}, fmt.Errorf("results: campaign %q has %d records, want prefix %d", k, stored, n)
 	}
-	defer c.Close()
-	return c.Tally()
+	return t, nil
 }
 
 // segRowsOffset walks a segment's blocks and returns the byte offset

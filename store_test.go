@@ -1,6 +1,7 @@
 package vulnstack
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -106,6 +107,35 @@ func TestTopUpDeterminism(t *testing.T) {
 			t.Errorf("manifest %v has n=%d, want %d", want.key, m.N, want.n)
 		}
 	}
+
+	// Phase 3: fewer records than stored, from a fresh system: the
+	// prefix ends inside the first stored block and matches a one-shot
+	// run of that size.
+	prefixMicro, err := ref.MicroTally(cfg, micro.StructRF, 10, 2021)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixPVF, err := ref.PVF(micro.FPMWD, 10, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefixSVF, err := ref.SVF(15, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := storedSystem(t, st)
+	if got, err := c.MicroTally(cfg, micro.StructRF, 10, 2021); err != nil || got != prefixMicro {
+		t.Errorf("micro prefix tally %+v err=%v, want %+v", got, err, prefixMicro)
+	}
+	if got, err := c.PVF(micro.FPMWD, 10, 7); err != nil || got != prefixPVF {
+		t.Errorf("arch prefix split %+v err=%v, want %+v", got, err, prefixPVF)
+	}
+	if got, err := c.SVF(15, 7); err != nil || got != prefixSVF {
+		t.Errorf("llfi prefix split %+v err=%v, want %+v", got, err, prefixSVF)
+	}
+	if len(c.microC) != 0 || c.archC != nil || c.llfiC != nil {
+		t.Error("a stored prefix prepared injectors")
+	}
 }
 
 // TestStoreReuseNoReinjection: a repeat measurement against a warm
@@ -161,48 +191,148 @@ func TestStoreReuseNoReinjection(t *testing.T) {
 }
 
 // TestExperimentStoreReuse: a second lab over the same store
-// regenerates an experiment byte-identically without preparing any
-// injection campaign in any of its systems.
+// regenerates experiments byte-identically without building any
+// System: every cell is served from stored records before anything is
+// compiled.
 func TestExperimentStoreReuse(t *testing.T) {
 	o := tinyOpts()
 	o.StoreDir = t.TempDir()
 	o.Workers = 1
 
-	first, err := NewLab(o).Run("fig1")
-	if err != nil {
-		t.Fatal(err)
+	// fig4 stores every campaign fig1 needs (and the arch ones), so both
+	// reports are stamped with the same store state.
+	ids := []string{"fig4", "fig1"}
+	first := map[string]string{}
+	lab1 := NewLab(o)
+	for _, id := range ids {
+		r, err := lab1.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first[id] = r.String()
 	}
 	lab2 := NewLab(o)
-	second, err := lab2.Run("fig1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.String() != second.String() {
-		t.Errorf("stored rerun differs:\n%s\nvs\n%s", first.String(), second.String())
-	}
-	if !strings.Contains(second.String(), "provenance:") {
-		t.Error("report must stamp provenance")
-	}
-	if !strings.Contains(second.String(), "results store:") {
-		t.Error("report must stamp the store state")
-	}
-	// fig1 runs uniform campaigns only; the arch and soft keys' "tb"
-	// Mode must not count as stratified.
-	if strings.Contains(second.String(), "stratified") {
-		t.Errorf("fig1 stamp counts stratified campaigns:\n%s", second.String())
+	for _, id := range []string{"fig1", "fig4"} {
+		r, err := lab2.Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second := r.String()
+		if second != first[id] {
+			t.Errorf("stored %s rerun differs:\n%s\nvs\n%s", id, first[id], second)
+		}
+		if !strings.Contains(second, "provenance:") {
+			t.Errorf("%s must stamp provenance", id)
+		}
+		if !strings.Contains(second, "results store:") {
+			t.Errorf("%s must stamp the store state", id)
+		}
+		// fig1 and fig4 run uniform campaigns only; the arch and soft
+		// keys' "tb" Mode must not count as stratified.
+		if strings.Contains(second, "stratified") {
+			t.Errorf("%s stamp counts stratified campaigns:\n%s", id, second)
+		}
 	}
 	lab2.mu.Lock()
 	defer lab2.mu.Unlock()
-	for key, c := range lab2.cells {
+	for key := range lab2.cells {
+		if strings.HasPrefix(key, "sys/") {
+			t.Errorf("a warm lab built system %s", key)
+		}
+	}
+}
+
+// TestLabCellsMatchSystem: the Lab's cells and the System methods are
+// one measurement. A Lab over a store the System methods filled returns
+// exactly their results and builds nothing; a store-less Lab builds each
+// (bench, ISA) System once, from the campaigns that inject.
+func TestLabCellsMatchSystem(t *testing.T) {
+	o := tinyOpts()
+	o.StoreDir = t.TempDir()
+	o.Workers = 1
+	cfg := micro.ConfigA72()
+
+	sys, err := Build(Target{Bench: "sha", Seed: o.Seed}, cfg.ISA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Workers = 1
+	if sys.Store, err = results.OpenStore(o.StoreDir); err != nil {
+		t.Fatal(err)
+	}
+	wantRes, wantAVF, err := sys.AVFAll(cfg, o.NAVF, o.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPVF, err := sys.PVF(micro.FPMWD, o.NPVF, o.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSVF, err := sys.SVF(o.NSVF, o.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.Store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lab := NewLab(o)
+	tgt := Target{Bench: "sha"}
+	gotRes, gotAVF, err := lab.avf(tgt, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotPVF, err := lab.pvf(tgt, cfg.ISA, micro.FPMWD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotSVF, err := lab.svf(tgt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotRes, wantRes) || gotAVF != wantAVF {
+		t.Errorf("Lab.avf = %+v %+v, System.AVFAll = %+v %+v", gotRes, gotAVF, wantRes, wantAVF)
+	}
+	if gotPVF != wantPVF {
+		t.Errorf("Lab.pvf = %+v, System.PVF = %+v", gotPVF, wantPVF)
+	}
+	if gotSVF != wantSVF {
+		t.Errorf("Lab.svf = %+v, System.SVF = %+v", gotSVF, wantSVF)
+	}
+	after, err := sys.Store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("the Lab stored campaigns the System's keys do not name:\n before %v\n after  %v", before, after)
+	}
+	for key := range lab.cells {
+		if strings.HasPrefix(key, "sys/") {
+			t.Errorf("the Lab built system %s for campaigns the store holds", key)
+		}
+	}
+
+	o.StoreDir = ""
+	cold := NewLab(o)
+	if _, err := cold.Run("fig4"); err != nil {
+		t.Fatal(err)
+	}
+	built := 0
+	for key, c := range cold.cells {
 		s, ok := c.val.(*System)
 		if !ok {
 			continue
 		}
+		built++
 		s.mu.Lock()
-		if len(s.microC) != 0 || s.archC != nil || s.llfiC != nil {
-			t.Errorf("system %s prepared injectors on a warm store", key)
+		if s.microC[cfg.Name] == nil || s.archC == nil || s.llfiC == nil {
+			t.Errorf("system %s was not the one every layer's campaign injected on", key)
 		}
 		s.mu.Unlock()
+	}
+	if want := len(o.Benches); built != want {
+		t.Errorf("store-less fig4 built %d systems, want one per benchmark (%d)", built, want)
 	}
 }
 

@@ -232,8 +232,8 @@ func (s *System) saveChain(fp string, ch *ckpt.Chain) {
 // MicroCampaign returns (building and caching on first use) the
 // microarchitectural fault-injection campaign for cfg.
 func (s *System) MicroCampaign(cfg micro.Config) (*inject.Campaign, error) {
-	if cfg.ISA != s.ISA {
-		return nil, fmt.Errorf("vulnstack: config %s (%v) does not match system ISA %v", cfg.Name, cfg.ISA, s.ISA)
+	if err := s.checkConfig(cfg); err != nil {
+		return nil, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -322,16 +322,26 @@ type StructResult struct {
 	Tally results.Tally
 }
 
-// targetKey is the store identity of this system's program: build
-// inputs plus ISA.
-func (s *System) targetKey() string {
-	return s.Target.key() + "/" + s.ISA.String()
+// targetKey is the store identity of a program: build inputs plus ISA.
+// It needs no compiled System, so stored campaigns are found without
+// building one.
+func targetKey(t Target, is isa.ISA) string {
+	return t.key() + "/" + is.String()
+}
+
+// targetKey is the store identity of this system's program.
+func (s *System) targetKey() string { return targetKey(s.Target, s.ISA) }
+
+// microKey is the store key of one microarchitectural campaign of the
+// program whose store identity is target.
+func microKey(target string, cfg micro.Config, st micro.Structure, seed int64) results.Key {
+	return results.Key{Layer: results.LayerMicro.String(), Target: target,
+		Config: cfg.Name, Struct: st.String(), Seed: seed}
 }
 
 // MicroKey is the store key of one microarchitectural campaign.
 func (s *System) MicroKey(cfg micro.Config, st micro.Structure, seed int64) results.Key {
-	return results.Key{Layer: results.LayerMicro.String(), Target: s.targetKey(),
-		Config: cfg.Name, Struct: st.String(), Seed: seed}
+	return microKey(s.targetKey(), cfg, st, seed)
 }
 
 // tbMode appends the literal "tb" stamp to an arch or soft store-key
@@ -345,62 +355,64 @@ func tbMode(base string) string {
 	return base + ",tb"
 }
 
+// archKey is the store key of one architecture-level campaign of the
+// program whose store identity is target.
+func archKey(target string, fpm micro.FPM, seed int64) results.Key {
+	return results.Key{Layer: results.LayerArch.String(), Target: target,
+		Struct: arch.Target(fpm), Seed: seed, Mode: tbMode("")}
+}
+
 // ArchKey is the store key of one architecture-level (PVF) campaign;
 // micro.FPMNone keys the register-uniform campaign.
 func (s *System) ArchKey(fpm micro.FPM, seed int64) results.Key {
-	return results.Key{Layer: results.LayerArch.String(), Target: s.targetKey(),
-		Struct: arch.Target(fpm), Seed: seed, Mode: tbMode("")}
+	return archKey(s.targetKey(), fpm, seed)
+}
+
+// softKey is the store key of the software-level campaign of the
+// program whose store identity is target.
+func softKey(target string, seed int64) results.Key {
+	return results.Key{Layer: results.LayerSoft.String(), Target: target,
+		Seed: seed, Mode: tbMode("")}
 }
 
 // SoftKey is the store key of the software-level (SVF) campaign.
 func (s *System) SoftKey(seed int64) results.Key {
-	return results.Key{Layer: results.LayerSoft.String(), Target: s.targetKey(),
-		Seed: seed, Mode: tbMode("")}
+	return softKey(s.targetKey(), seed)
 }
 
 // storeTally returns the n-injection tally for campaign key k, serving
-// as much as possible from the store through the streaming columnar
-// path: a fully stored campaign never prepares an injector and never
+// as much as possible from st through the streaming columnar path: a
+// fully stored campaign never prepares an injector and never
 // materializes its records — the store's cursor aggregates the first n
 // of them in o(n) memory. run(from) must execute injections [from, n)
 // of the key's pre-drawn fault sequence; it is only invoked when the
-// store is missing records, and fresh records are persisted before
-// returning. Tallies are integer sums, so prefix-tally + fresh-tally is
-// bit-identical to a one-shot n-injection tally.
-func (s *System) storeTally(k results.Key, n int, run func(from int) ([]results.Record, error)) (results.Tally, error) {
-	if err := s.checkStore(); err != nil {
-		return results.Tally{}, err
-	}
-	if s.Store == nil {
+// store is missing records (always, when st is nil), and fresh records
+// are persisted before returning. Tallies are integer sums, so
+// prefix-tally + fresh-tally is bit-identical to a one-shot n-injection
+// tally.
+func storeTally(st *results.Store, k results.Key, n int, run func(from int) ([]results.Record, error)) (results.Tally, error) {
+	if st == nil {
 		recs, err := run(0)
 		if err != nil {
 			return results.Tally{}, err
 		}
 		return results.TallyOf(recs), nil
 	}
-	m, ok, err := s.Store.Manifest(k)
+	tally, stored, ok, err := st.TallyUpTo(k, n)
 	if err != nil {
 		return results.Tally{}, err
 	}
-	if ok && m.N >= n {
-		return s.Store.TallyPrefix(k, n)
+	if ok && stored >= n {
+		return tally, nil
 	}
-	var tally results.Tally
-	from := 0
+	fresh, err := run(stored)
+	if err != nil {
+		return results.Tally{}, err
+	}
 	if ok {
-		if tally, err = s.Store.TallyPrefix(k, m.N); err != nil {
-			return results.Tally{}, err
-		}
-		from = m.N
-	}
-	fresh, err := run(from)
-	if err != nil {
-		return results.Tally{}, err
-	}
-	if !ok {
-		err = s.Store.Save(k, fresh)
+		err = st.Append(k, fresh)
 	} else {
-		err = s.Store.Append(k, fresh)
+		err = st.Save(k, fresh)
 	}
 	if err != nil {
 		return results.Tally{}, err
@@ -411,13 +423,33 @@ func (s *System) storeTally(k results.Key, n int, run func(from int) ([]results.
 	return tally, nil
 }
 
-// MicroTally measures one structure's AVF/HVF tally with n sampled
-// injections, store-aware: stored records are reused and topped up.
-func (s *System) MicroTally(cfg micro.Config, st micro.Structure, n int, seed int64) (results.Tally, error) {
-	if cfg.ISA != s.ISA {
-		return results.Tally{}, fmt.Errorf("vulnstack: config %s (%v) does not match system ISA %v", cfg.Name, cfg.ISA, s.ISA)
-	}
-	return s.storeTally(s.MicroKey(cfg, st, seed), n, func(from int) ([]results.Record, error) {
+// source measures one program's campaigns through the results store.
+// Stored records answer first; the program's System is fetched only
+// inside a run closure, to inject records the store lacks. System
+// methods and Lab cells both measure through it.
+type source struct {
+	// target is the program's store identity (targetKey).
+	target string
+	// store holds the campaign records; nil measures without one.
+	store *results.Store
+	// system returns the compiled program; only run closures call it,
+	// when the store lacks records.
+	system func() (*System, error)
+}
+
+// source returns the system's own measurement source, refusing a store
+// attached to a reference system.
+func (s *System) source() (source, error) {
+	src := source{s.targetKey(), s.Store, func() (*System, error) { return s, nil }}
+	return src, s.checkStore()
+}
+
+func (src source) microTally(cfg micro.Config, st micro.Structure, n int, seed int64) (results.Tally, error) {
+	return storeTally(src.store, microKey(src.target, cfg, st, seed), n, func(from int) ([]results.Record, error) {
+		s, err := src.system()
+		if err != nil {
+			return nil, err
+		}
 		cp, err := s.MicroCampaign(cfg)
 		if err != nil {
 			return nil, err
@@ -426,22 +458,8 @@ func (s *System) MicroTally(cfg micro.Config, st micro.Structure, n int, seed in
 	})
 }
 
-// CacheSampleBoost multiplies the per-structure sample count for the
-// cache structures. Most cache faults land in invalid lines and are
-// classified from the golden run's lifetime table without restoring a
-// machine (cheap: a median 0.18 µs per dead fault against 230 µs for a
-// restore and advance before the table, traced avf-micro at seed 2021
-// on a 2-vCPU host), so spending extra samples there sharpens the small
-// cache AVFs that dominate the bit-weighted total.
-var CacheSampleBoost = map[micro.Structure]int{
-	micro.StructL1I: 3, micro.StructL1D: 3, micro.StructL2: 6,
-}
-
-// AVFAll runs injection campaigns over all five structures and returns
-// per-structure results plus the bit-weighted full-system split. With a
-// store attached, fully stored structures are tallied from disk without
-// preparing the campaign.
-func (s *System) AVFAll(cfg micro.Config, nPerStruct int, seed int64) ([]StructResult, vuln.Split, error) {
+// avfAll measures all five structures (see System.AVFAll).
+func (src source) avfAll(cfg micro.Config, nPerStruct int, seed int64) ([]StructResult, vuln.Split, error) {
 	var srs []StructResult
 	var parts []vuln.Split
 	var bits []int
@@ -450,7 +468,7 @@ func (s *System) AVFAll(cfg micro.Config, nPerStruct int, seed int64) ([]StructR
 		if b := CacheSampleBoost[st]; b > 1 {
 			n *= b
 		}
-		tally, err := s.MicroTally(cfg, st, n, seed+int64(st)*7919)
+		tally, err := src.microTally(cfg, st, n, seed+int64(st)*7919)
 		if err != nil {
 			return nil, vuln.Split{}, err
 		}
@@ -471,13 +489,12 @@ func (s *System) AVFAll(cfg micro.Config, nPerStruct int, seed int64) ([]StructR
 	return srs, vuln.Weighted(parts, bits), nil
 }
 
-// PVF measures the architecture-level vulnerability for one FPM,
-// store-aware like MicroTally. micro.FPMNone measures the
-// register-uniform PVF: bit flips uniform over (register, bit, dynamic
-// instant), the quantity that dynamic ACE — and therefore the static
-// bound — provably dominates.
-func (s *System) PVF(fpm micro.FPM, n int, seed int64) (vuln.Split, error) {
-	tally, err := s.storeTally(s.ArchKey(fpm, seed), n, func(from int) ([]results.Record, error) {
+func (src source) pvf(fpm micro.FPM, n int, seed int64) (vuln.Split, error) {
+	tally, err := storeTally(src.store, archKey(src.target, fpm, seed), n, func(from int) ([]results.Record, error) {
+		s, err := src.system()
+		if err != nil {
+			return nil, err
+		}
 		cp, err := s.ArchCampaign()
 		if err != nil {
 			return nil, err
@@ -490,13 +507,12 @@ func (s *System) PVF(fpm micro.FPM, n int, seed int64) (vuln.Split, error) {
 	return vuln.SplitOf(tally), nil
 }
 
-// SVF measures the software-level (LLFI-style) vulnerability,
-// store-aware like MicroTally.
-func (s *System) SVF(n int, seed int64) (vuln.Split, error) {
-	if s.ISA != isa.VSA64 {
-		return vuln.Split{}, fmt.Errorf("vulnstack: SVF (LLFI) supports only the 64-bit ISA")
-	}
-	tally, err := s.storeTally(s.SoftKey(seed), n, func(from int) ([]results.Record, error) {
+func (src source) svf(n int, seed int64) (vuln.Split, error) {
+	tally, err := storeTally(src.store, softKey(src.target, seed), n, func(from int) ([]results.Record, error) {
+		s, err := src.system()
+		if err != nil {
+			return nil, err
+		}
 		cp, err := s.LLFICampaign()
 		if err != nil {
 			return nil, err
@@ -507,6 +523,79 @@ func (s *System) SVF(n int, seed int64) (vuln.Split, error) {
 		return vuln.Split{}, err
 	}
 	return vuln.SplitOf(tally), nil
+}
+
+// MicroTally measures one structure's AVF/HVF tally with n sampled
+// injections, store-aware: stored records are reused and topped up.
+func (s *System) MicroTally(cfg micro.Config, st micro.Structure, n int, seed int64) (results.Tally, error) {
+	if err := s.checkConfig(cfg); err != nil {
+		return results.Tally{}, err
+	}
+	src, err := s.source()
+	if err != nil {
+		return results.Tally{}, err
+	}
+	return src.microTally(cfg, st, n, seed)
+}
+
+// checkConfig rejects a microarchitecture of another ISA.
+func (s *System) checkConfig(cfg micro.Config) error {
+	if cfg.ISA != s.ISA {
+		return fmt.Errorf("vulnstack: config %s (%v) does not match system ISA %v", cfg.Name, cfg.ISA, s.ISA)
+	}
+	return nil
+}
+
+// CacheSampleBoost multiplies the per-structure sample count for the
+// cache structures. Most cache faults land in invalid lines and are
+// classified from the golden run's lifetime table without restoring a
+// machine (cheap: a median 0.18 µs per dead fault against 230 µs for a
+// restore and advance before the table, traced avf-micro at seed 2021
+// on a 2-vCPU host), so spending extra samples there sharpens the small
+// cache AVFs that dominate the bit-weighted total.
+var CacheSampleBoost = map[micro.Structure]int{
+	micro.StructL1I: 3, micro.StructL1D: 3, micro.StructL2: 6,
+}
+
+// AVFAll runs injection campaigns over all five structures and returns
+// per-structure results plus the bit-weighted full-system split. With a
+// store attached, fully stored structures are tallied from disk without
+// preparing the campaign.
+func (s *System) AVFAll(cfg micro.Config, nPerStruct int, seed int64) ([]StructResult, vuln.Split, error) {
+	if err := s.checkConfig(cfg); err != nil {
+		return nil, vuln.Split{}, err
+	}
+	src, err := s.source()
+	if err != nil {
+		return nil, vuln.Split{}, err
+	}
+	return src.avfAll(cfg, nPerStruct, seed)
+}
+
+// PVF measures the architecture-level vulnerability for one FPM,
+// store-aware like MicroTally. micro.FPMNone measures the
+// register-uniform PVF: bit flips uniform over (register, bit, dynamic
+// instant), the quantity that dynamic ACE — and therefore the static
+// bound — provably dominates.
+func (s *System) PVF(fpm micro.FPM, n int, seed int64) (vuln.Split, error) {
+	src, err := s.source()
+	if err != nil {
+		return vuln.Split{}, err
+	}
+	return src.pvf(fpm, n, seed)
+}
+
+// SVF measures the software-level (LLFI-style) vulnerability,
+// store-aware like MicroTally.
+func (s *System) SVF(n int, seed int64) (vuln.Split, error) {
+	if s.ISA != isa.VSA64 {
+		return vuln.Split{}, fmt.Errorf("vulnstack: SVF (LLFI) supports only the 64-bit ISA")
+	}
+	src, err := s.source()
+	if err != nil {
+		return vuln.Split{}, err
+	}
+	return src.svf(n, seed)
 }
 
 // FPMDist computes the bit-weighted fault-propagation-model

@@ -54,7 +54,8 @@ const module = "vulnstack"
 // defaultPackages is the determinism-critical set: every package whose
 // output feeds the persistent results store — the injectors, the
 // execution models and convergence comparators they classify with
-// (micro, emu, ir, mem, dev), and the campaign/record plumbing.
+// (micro, emu, ir, mem, dev), the campaign/record plumbing, and the
+// root package, whose Lab decides which stored records serve a figure.
 var defaultPackages = []string{
 	module + "/internal/inject",
 	module + "/internal/arch",
@@ -72,6 +73,7 @@ var defaultPackages = []string{
 	module + "/internal/strata",
 	module + "/internal/vuln",
 	module + "/internal/report",
+	module,
 }
 
 // clockFuncs are the time package's wall-clock reads. Duration
