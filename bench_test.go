@@ -43,8 +43,8 @@ func lab() *Lab {
 	return sharedLab
 }
 
-// artifact runs one experiment and prints it (once per benchmark run).
-func artifact(b *testing.B, id string) {
+// runArtifact runs one experiment and prints it (once per benchmark run).
+func runArtifact(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		r, err := lab().Run(id)
@@ -57,17 +57,17 @@ func artifact(b *testing.B, id string) {
 	}
 }
 
-func BenchmarkTable2(b *testing.B) { artifact(b, "table2") }
-func BenchmarkFig1(b *testing.B)   { artifact(b, "fig1") }
-func BenchmarkFig4(b *testing.B)   { artifact(b, "fig4") }
-func BenchmarkTable3(b *testing.B) { artifact(b, "table3") }
-func BenchmarkFig5(b *testing.B)   { artifact(b, "fig5") }
-func BenchmarkFig6(b *testing.B)   { artifact(b, "fig6") }
-func BenchmarkFig7(b *testing.B)   { artifact(b, "fig7") }
-func BenchmarkFig8(b *testing.B)   { artifact(b, "fig8") }
-func BenchmarkFig9(b *testing.B)   { artifact(b, "fig9") }
-func BenchmarkFig10(b *testing.B)  { artifact(b, "fig10") }
-func BenchmarkFig11(b *testing.B)  { artifact(b, "fig11") }
+func BenchmarkTable2(b *testing.B) { runArtifact(b, "table2") }
+func BenchmarkFig1(b *testing.B)   { runArtifact(b, "fig1") }
+func BenchmarkFig4(b *testing.B)   { runArtifact(b, "fig4") }
+func BenchmarkTable3(b *testing.B) { runArtifact(b, "table3") }
+func BenchmarkFig5(b *testing.B)   { runArtifact(b, "fig5") }
+func BenchmarkFig6(b *testing.B)   { runArtifact(b, "fig6") }
+func BenchmarkFig7(b *testing.B)   { runArtifact(b, "fig7") }
+func BenchmarkFig8(b *testing.B)   { runArtifact(b, "fig8") }
+func BenchmarkFig9(b *testing.B)   { runArtifact(b, "fig9") }
+func BenchmarkFig10(b *testing.B)  { runArtifact(b, "fig10") }
+func BenchmarkFig11(b *testing.B)  { runArtifact(b, "fig11") }
 
 // --- substrate performance benchmarks ---
 

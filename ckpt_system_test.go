@@ -110,7 +110,7 @@ func TestPreTableChainNotLoaded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cur := sys.chainFingerprint(inject.Engine, cfg.Name)
+	cur := chainFingerprint(inject.Engine, sys.targetKey(), cfg.Name, sys.snapshots)
 	old := ckpt.Fingerprint(inject.Engine, "v1", sys.targetKey(), cfg.Name,
 		fmt.Sprintf("snapshots=%d", sys.snapshots), fmt.Sprintf("ram=%d", RAMSize))
 	if old == cur {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"vulnstack/internal/inject"
 	"vulnstack/internal/isa"
 	"vulnstack/internal/micro"
 	"vulnstack/internal/report"
@@ -193,56 +194,150 @@ func (l *Lab) System(t Target, is isa.ISA) (*System, error) {
 // source returns the measurement source of t on is. Its store key needs
 // no System, so a campaign the store holds is served without compiling
 // anything; the System is built (once, through the memo) only when a
-// campaign must inject.
-func (l *Lab) source(t Target, is isa.ISA) (source, error) {
+// campaign must inject. served collects the stored campaigns behind the
+// cell being filled.
+func (l *Lab) source(t Target, is isa.ISA, served *[]storedCampaign) (source, error) {
 	st, err := l.Store()
-	return source{targetKey(t, is), st, func() (*System, error) { return l.System(t, is) }}, err
+	return source{
+		target: targetKey(t, is),
+		store:  st,
+		system: func() (*System, error) { return l.System(t, is) },
+		served: served,
+	}, err
 }
 
+// avfMemo is an AVF cell: per-structure results, the bit-weighted split
+// and the stored campaigns they were tallied from.
 type avfMemo struct {
 	results  []StructResult
 	weighted vuln.Split
+	stored   []storedCampaign
 }
 
-func (l *Lab) avf(t Target, cfg micro.Config) ([]StructResult, vuln.Split, error) {
+// splitMemo is a PVF or SVF cell: the split and the stored campaign it
+// was tallied from.
+type splitMemo struct {
+	split  vuln.Split
+	stored []storedCampaign
+}
+
+func (l *Lab) avfCell(t Target, cfg micro.Config) (avfMemo, error) {
 	if t.Seed == 0 {
 		t.Seed = l.Opts.Seed
 	}
-	m, err := memo(l, fmt.Sprintf("avf/%s/%s/%d", t.key(), cfg.Name, l.Opts.NAVF), func() (avfMemo, error) {
-		src, err := l.source(t, cfg.ISA)
+	return memo(l, fmt.Sprintf("avf/%s/%s/%d", t.key(), cfg.Name, l.Opts.NAVF), func() (avfMemo, error) {
+		var m avfMemo
+		src, err := l.source(t, cfg.ISA, &m.stored)
 		if err != nil {
-			return avfMemo{}, err
+			return m, err
 		}
-		res, w, err := src.avfAll(cfg, l.Opts.NAVF, l.Opts.Seed)
-		return avfMemo{res, w}, err
+		m.results, m.weighted, err = src.avfAll(cfg, l.Opts.NAVF, l.Opts.Seed)
+		return m, err
 	})
+}
+
+func (l *Lab) pvfCell(t Target, is isa.ISA, fpm micro.FPM) (splitMemo, error) {
+	if t.Seed == 0 {
+		t.Seed = l.Opts.Seed
+	}
+	return memo(l, fmt.Sprintf("pvf/%s/%v/%v/%d", t.key(), is, fpm, l.Opts.NPVF), func() (splitMemo, error) {
+		var m splitMemo
+		src, err := l.source(t, is, &m.stored)
+		if err != nil {
+			return m, err
+		}
+		m.split, err = src.pvf(fpm, l.Opts.NPVF, l.Opts.Seed)
+		return m, err
+	})
+}
+
+func (l *Lab) svfCell(t Target) (splitMemo, error) {
+	if t.Seed == 0 {
+		t.Seed = l.Opts.Seed
+	}
+	return memo(l, fmt.Sprintf("svf/%s/%d", t.key(), l.Opts.NSVF), func() (splitMemo, error) {
+		var m splitMemo
+		src, err := l.source(t, isa.VSA64, &m.stored)
+		if err != nil {
+			return m, err
+		}
+		m.split, err = src.svf(l.Opts.NSVF, l.Opts.Seed)
+		return m, err
+	})
+}
+
+// golden returns the fault-free micro run of t on cfg, which the case
+// study's notes read. A persisted micro chain carries it, so on a warm
+// store the System is built (and its campaign prepared) only when no
+// chain of the Lab's density decodes under the expected fingerprint.
+func (l *Lab) golden(t Target, cfg micro.Config) (inject.Golden, error) {
+	if t.Seed == 0 {
+		t.Seed = l.Opts.Seed
+	}
+	return memo(l, "golden/"+t.key()+"/"+cfg.Name, func() (inject.Golden, error) {
+		st, err := l.Store()
+		if err != nil {
+			return inject.Golden{}, err
+		}
+		fp := chainFingerprint(inject.Engine, targetKey(t, cfg.ISA), cfg.Name, labSnapshots)
+		if ch := loadChain(st, fp); ch != nil {
+			if g, err := inject.ChainGolden(ch); err == nil {
+				return g, nil
+			}
+		}
+		s, err := l.System(t, cfg.ISA)
+		if err != nil {
+			return inject.Golden{}, err
+		}
+		cp, err := s.MicroCampaign(cfg)
+		if err != nil {
+			return inject.Golden{}, err
+		}
+		return cp.Golden, nil
+	})
+}
+
+// artifact is one Run of a Lab: it reads the lab's cells, whichever Run
+// filled them, and collects the stored campaigns behind each cell it
+// reads, so its provenance note counts its own campaigns only.
+type artifact struct {
+	*Lab
+
+	mu sync.Mutex
+	// stored maps each campaign behind the artifact's cells to its
+	// stored record count.
+	stored map[results.Key]int
+}
+
+func newArtifact(l *Lab) *artifact {
+	return &artifact{Lab: l, stored: make(map[results.Key]int)}
+}
+
+// read notes the stored campaigns behind one cell.
+func (a *artifact) read(cs []storedCampaign) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for _, c := range cs {
+		a.stored[c.key] = c.n
+	}
+}
+
+func (a *artifact) avf(t Target, cfg micro.Config) ([]StructResult, vuln.Split, error) {
+	m, err := a.avfCell(t, cfg)
+	a.read(m.stored)
 	return m.results, m.weighted, err
 }
 
-func (l *Lab) pvf(t Target, is isa.ISA, fpm micro.FPM) (vuln.Split, error) {
-	if t.Seed == 0 {
-		t.Seed = l.Opts.Seed
-	}
-	return memo(l, fmt.Sprintf("pvf/%s/%v/%v/%d", t.key(), is, fpm, l.Opts.NPVF), func() (vuln.Split, error) {
-		src, err := l.source(t, is)
-		if err != nil {
-			return vuln.Split{}, err
-		}
-		return src.pvf(fpm, l.Opts.NPVF, l.Opts.Seed)
-	})
+func (a *artifact) pvf(t Target, is isa.ISA, fpm micro.FPM) (vuln.Split, error) {
+	m, err := a.pvfCell(t, is, fpm)
+	a.read(m.stored)
+	return m.split, err
 }
 
-func (l *Lab) svf(t Target) (vuln.Split, error) {
-	if t.Seed == 0 {
-		t.Seed = l.Opts.Seed
-	}
-	return memo(l, fmt.Sprintf("svf/%s/%d", t.key(), l.Opts.NSVF), func() (vuln.Split, error) {
-		src, err := l.source(t, isa.VSA64)
-		if err != nil {
-			return vuln.Split{}, err
-		}
-		return src.svf(l.Opts.NSVF, l.Opts.Seed)
-	})
+func (a *artifact) svf(t Target) (vuln.Split, error) {
+	m, err := a.svfCell(t)
+	a.read(m.stored)
+	return m.split, err
 }
 
 // Experiments lists the reproducible artifacts. "static" is the
@@ -258,82 +353,84 @@ func RunExperiment(id string, o Options) (*report.Report, error) {
 }
 
 // Run regenerates one paper artifact, reusing this lab's caches, and
-// stamps its provenance (seed, per-cell n, margins, store state).
+// stamps its provenance (seed, per-cell n, margins, store campaigns).
 func (l *Lab) Run(id string) (*report.Report, error) {
-	r, err := l.run(id)
+	a := newArtifact(l)
+	r, err := a.run(id)
 	if err != nil {
 		return nil, err
 	}
-	l.stamp(r)
+	a.stamp(r)
 	return r, nil
 }
 
 // stamp appends the provenance note: everything needed to reproduce
 // the artifact's campaigns, pulled from the options and — when a store
-// is attached — the stored campaign manifests.
-func (l *Lab) stamp(r *report.Report) {
+// is attached — the stored campaigns its cells were served from or
+// stored into, whatever else the store holds.
+func (a *artifact) stamp(r *report.Report) {
 	if r.ID == "Table II" || r.ID == "Static" {
 		return // no campaigns behind these (hardware parameters / no-execution analysis)
 	}
+	o := a.Opts
 	r.Notef("provenance: seed %d; injections per cell AVF=%d PVF=%d SVF=%d; margins at 99%%: ±%s / ±%s / ±%s",
-		l.Opts.Seed, l.Opts.NAVF, l.Opts.NPVF, l.Opts.NSVF,
-		report.Pct(Margin(l.Opts.NAVF)), report.Pct(Margin(l.Opts.NPVF)), report.Pct(Margin(l.Opts.NSVF)))
-	st, err := l.Store()
+		o.Seed, o.NAVF, o.NPVF, o.NSVF,
+		report.Pct(Margin(o.NAVF)), report.Pct(Margin(o.NPVF)), report.Pct(Margin(o.NSVF)))
+	st, err := a.Store()
 	if err != nil || st == nil {
 		return
 	}
-	if ms, err := st.List(); err == nil {
-		var records, strat int
-		for _, m := range ms {
-			records += m.N
-			if strings.HasPrefix(m.Key.Mode, "strat,") {
-				strat++
-			}
+	var records, strat int
+	//lint:ordered integer sums and a count; order-free
+	for k, n := range a.stored {
+		records += n
+		if strings.HasPrefix(k.Mode, "strat,") {
+			strat++
 		}
-		note := fmt.Sprintf("results store: %s — %d campaigns, %d records", st.Dir(), len(ms), records)
-		if strat > 0 {
-			// Stratified streams carry their full sampling provenance
-			// (plan parameters + partition fingerprint) in the key's
-			// mode component, so the stamp needs only the count.
-			note += fmt.Sprintf(", %d stratified (plan + partition fingerprint in each key's mode)", strat)
-		}
-		r.Notef("%s (inspect with: vulnstack results -store %s)", note, st.Dir())
 	}
+	note := fmt.Sprintf("results store: %s — %d campaigns, %d records", st.Dir(), len(a.stored), records)
+	if strat > 0 {
+		// Stratified streams carry their full sampling provenance
+		// (plan parameters + partition fingerprint) in the key's
+		// mode component, so the stamp needs only the count.
+		note += fmt.Sprintf(", %d stratified (plan + partition fingerprint in each key's mode)", strat)
+	}
+	r.Notef("%s (inspect with: vulnstack results -store %s)", note, st.Dir())
 }
 
-func (l *Lab) run(id string) (*report.Report, error) {
+func (a *artifact) run(id string) (*report.Report, error) {
 	switch strings.ToLower(id) {
 	case "table2", "tab2":
-		return l.table2()
+		return a.table2()
 	case "fig1":
-		return l.fig1()
+		return a.fig1()
 	case "fig4":
-		return l.fig4()
+		return a.fig4()
 	case "table3", "tab3":
-		return l.table3()
+		return a.table3()
 	case "fig5":
-		return l.fig5()
+		return a.fig5()
 	case "fig6":
-		return l.fig6()
+		return a.fig6()
 	case "fig7":
-		return l.fig7()
+		return a.fig7()
 	case "fig8":
-		return l.fig8()
+		return a.fig8()
 	case "fig9":
-		return l.fig9()
+		return a.fig9()
 	case "fig10":
-		return l.caseStudy("fig10", "sha")
+		return a.caseStudy("fig10", "sha")
 	case "fig11":
-		return l.caseStudy("fig11", "smooth")
+		return a.caseStudy("fig11", "smooth")
 	case "static", "analyze":
-		return l.Analyze(DefaultAnalyzeOptions())
+		return a.Analyze(DefaultAnalyzeOptions())
 	}
 	return nil, fmt.Errorf("vulnstack: unknown experiment %q (have %s)", id, strings.Join(Experiments(), ", "))
 }
 
 // --- Table II ---
 
-func (l *Lab) table2() (*report.Report, error) {
+func (a *artifact) table2() (*report.Report, error) {
 	r := &report.Report{ID: "Table II", Title: "Simulated microarchitecture parameters"}
 	t := r.NewTable("", "Parameter", "A9", "A15", "A57", "A72")
 	cfgs := Configs()
@@ -360,7 +457,7 @@ func (l *Lab) table2() (*report.Report, error) {
 
 // --- Fig. 1 ---
 
-func (l *Lab) fig1() (*report.Report, error) {
+func (a *artifact) fig1() (*report.Report, error) {
 	r := &report.Report{ID: "Fig. 1", Title: "Software-level (SVF) vs cross-layer (AVF) vulnerability: sha and qsort"}
 	cfg := micro.ConfigA72()
 	t := r.NewTable("", "Benchmark", "SVF SDC", "SVF Crash", "SVF total",
@@ -370,20 +467,20 @@ func (l *Lab) fig1() (*report.Report, error) {
 	for _, b := range benches {
 		tgt := Target{Bench: b}
 		fns = append(fns,
-			func() error { _, err := l.svf(tgt); return err },
-			func() error { _, _, err := l.avf(tgt, cfg); return err })
+			func() error { _, err := a.svf(tgt); return err },
+			func() error { _, _, err := a.avf(tgt, cfg); return err })
 	}
-	if err := l.fill(fns...); err != nil {
+	if err := a.fill(fns...); err != nil {
 		return nil, err
 	}
 	var svfT, avfT []float64
 	for _, b := range benches {
 		tgt := Target{Bench: b}
-		sv, err := l.svf(tgt)
+		sv, err := a.svf(tgt)
 		if err != nil {
 			return nil, err
 		}
-		_, av, err := l.avf(tgt, cfg)
+		_, av, err := a.avf(tgt, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -397,7 +494,7 @@ func (l *Lab) fig1() (*report.Report, error) {
 			svfT[0]/svfT[1], avfT[0]/avfT[1])
 	}
 	r.Notef("margins at 99%% confidence: SVF ±%s (n=%d), AVF ±%s per structure (n=%d)",
-		report.Pct(Margin(l.Opts.NSVF)), l.Opts.NSVF, report.Pct(Margin(l.Opts.NAVF)), l.Opts.NAVF)
+		report.Pct(Margin(a.Opts.NSVF)), a.Opts.NSVF, report.Pct(Margin(a.Opts.NAVF)), a.Opts.NAVF)
 	r.Notef("note the scale difference: full-system AVF values are far below software-only SVF values (Fig. 1's dual axes)")
 	return r, nil
 }
@@ -411,21 +508,21 @@ type layerRow struct {
 	avf   vuln.Split
 }
 
-func (l *Lab) layerData(benches []string, cfg micro.Config) ([]layerRow, error) {
+func (a *artifact) layerData(benches []string, cfg micro.Config) ([]layerRow, error) {
 	rows := make([]layerRow, len(benches))
 	fns := make([]func() error, len(benches))
 	for i, b := range benches {
 		fns[i] = func() error {
 			tgt := Target{Bench: b}
-			pv, err := l.pvf(tgt, cfg.ISA, micro.FPMWD)
+			pv, err := a.pvf(tgt, cfg.ISA, micro.FPMWD)
 			if err != nil {
 				return err
 			}
-			sv, err := l.svf(tgt)
+			sv, err := a.svf(tgt)
 			if err != nil {
 				return err
 			}
-			_, av, err := l.avf(tgt, cfg)
+			_, av, err := a.avf(tgt, cfg)
 			if err != nil {
 				return err
 			}
@@ -433,15 +530,15 @@ func (l *Lab) layerData(benches []string, cfg micro.Config) ([]layerRow, error) 
 			return nil
 		}
 	}
-	if err := l.fill(fns...); err != nil {
+	if err := a.fill(fns...); err != nil {
 		return nil, err
 	}
 	return rows, nil
 }
 
-func (l *Lab) fig4() (*report.Report, error) {
+func (a *artifact) fig4() (*report.Report, error) {
 	r := &report.Report{ID: "Fig. 4", Title: "PVF, SVF and weighted AVF per benchmark (A72-like, VSA64)"}
-	rows, err := l.layerData(l.Opts.benches(), micro.ConfigA72())
+	rows, err := a.layerData(a.Opts.benches(), micro.ConfigA72())
 	if err != nil {
 		return nil, err
 	}
@@ -476,23 +573,23 @@ func (l *Lab) fig4() (*report.Report, error) {
 
 // --- Table III ---
 
-func (l *Lab) table3() (*report.Report, error) {
+func (a *artifact) table3() (*report.Report, error) {
 	r := &report.Report{ID: "Table III", Title: "Opposite relative vulnerability comparisons per microarchitecture"}
 	t := r.NewTable("", "Config", "Pair", "Total (opposite pairs)", "Effect (dominance flips)")
-	benches := l.Opts.benches()
+	benches := a.Opts.benches()
 	var fns []func() error
 	for _, cfg := range Configs() {
 		for _, b := range benches {
 			tgt := Target{Bench: b}
 			fns = append(fns,
-				func() error { _, err := l.pvf(tgt, cfg.ISA, micro.FPMWD); return err },
-				func() error { _, _, err := l.avf(tgt, cfg); return err })
+				func() error { _, err := a.pvf(tgt, cfg.ISA, micro.FPMWD); return err },
+				func() error { _, _, err := a.avf(tgt, cfg); return err })
 			if cfg.ISA == isa.VSA64 {
-				fns = append(fns, func() error { _, err := l.svf(tgt); return err })
+				fns = append(fns, func() error { _, err := a.svf(tgt); return err })
 			}
 		}
 	}
-	if err := l.fill(fns...); err != nil {
+	if err := a.fill(fns...); err != nil {
 		return nil, err
 	}
 	for _, cfg := range Configs() {
@@ -501,11 +598,11 @@ func (l *Lab) table3() (*report.Report, error) {
 		withSVF := cfg.ISA == isa.VSA64
 		for _, b := range benches {
 			tgt := Target{Bench: b}
-			pv, err := l.pvf(tgt, cfg.ISA, micro.FPMWD)
+			pv, err := a.pvf(tgt, cfg.ISA, micro.FPMWD)
 			if err != nil {
 				return nil, err
 			}
-			_, av, err := l.avf(tgt, cfg)
+			_, av, err := a.avf(tgt, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -514,7 +611,7 @@ func (l *Lab) table3() (*report.Report, error) {
 			pvfS = append(pvfS, pv)
 			avfS = append(avfS, av)
 			if withSVF {
-				sv, err := l.svf(tgt)
+				sv, err := a.svf(tgt)
 				if err != nil {
 					return nil, err
 				}
@@ -541,26 +638,26 @@ func (l *Lab) table3() (*report.Report, error) {
 
 // --- Fig. 5 ---
 
-func (l *Lab) fig5() (*report.Report, error) {
+func (a *artifact) fig5() (*report.Report, error) {
 	r := &report.Report{ID: "Fig. 5", Title: "HVF per hardware structure with FPM breakdown (A9-like, A15-like)"}
 	structs := []micro.Structure{micro.StructRF, micro.StructL1I, micro.StructL1D, micro.StructL2}
 	cfgs := []micro.Config{micro.ConfigA9(), micro.ConfigA15()}
 	var fns []func() error
 	for _, cfg := range cfgs {
-		for _, b := range l.Opts.benches() {
+		for _, b := range a.Opts.benches() {
 			tgt := Target{Bench: b}
-			fns = append(fns, func() error { _, _, err := l.avf(tgt, cfg); return err })
+			fns = append(fns, func() error { _, _, err := a.avf(tgt, cfg); return err })
 		}
 	}
-	if err := l.fill(fns...); err != nil {
+	if err := a.fill(fns...); err != nil {
 		return nil, err
 	}
 	for _, cfg := range cfgs {
 		for _, st := range structs {
 			t := r.NewTable(fmt.Sprintf("%s / %s", cfg.Name, st),
 				"Benchmark", "HVF", "WD", "WI", "WOI", "ESC")
-			for _, b := range l.Opts.benches() {
-				res, _, err := l.avf(Target{Bench: b}, cfg)
+			for _, b := range a.Opts.benches() {
+				res, _, err := a.avf(Target{Bench: b}, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -582,23 +679,23 @@ func (l *Lab) fig5() (*report.Report, error) {
 
 // --- Fig. 6 ---
 
-func (l *Lab) fig6() (*report.Report, error) {
+func (a *artifact) fig6() (*report.Report, error) {
 	r := &report.Report{ID: "Fig. 6", Title: "Bit-weighted FPM distribution (ESC included) per benchmark and microarchitecture"}
 	maxESC, sumESC, cells := 0.0, 0.0, 0
 	var fns []func() error
 	for _, cfg := range Configs() {
-		for _, b := range l.Opts.benches() {
+		for _, b := range a.Opts.benches() {
 			tgt := Target{Bench: b}
-			fns = append(fns, func() error { _, _, err := l.avf(tgt, cfg); return err })
+			fns = append(fns, func() error { _, _, err := a.avf(tgt, cfg); return err })
 		}
 	}
-	if err := l.fill(fns...); err != nil {
+	if err := a.fill(fns...); err != nil {
 		return nil, err
 	}
 	for _, cfg := range Configs() {
 		t := r.NewTable(cfg.Name, "Benchmark", "WD", "WI", "WOI", "ESC")
-		for _, b := range l.Opts.benches() {
-			res, _, err := l.avf(Target{Bench: b}, cfg)
+		for _, b := range a.Opts.benches() {
+			res, _, err := a.avf(Target{Bench: b}, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -621,27 +718,27 @@ func (l *Lab) fig6() (*report.Report, error) {
 
 // --- Fig. 7 ---
 
-func (l *Lab) fig7() (*report.Report, error) {
+func (a *artifact) fig7() (*report.Report, error) {
 	r := &report.Report{ID: "Fig. 7", Title: "PVF per fault propagation model (WD, WOI, WI) on VSA64"}
 	t := r.NewTable("", "Benchmark",
 		"WD SDC", "WD Crash", "WD tot",
 		"WOI SDC", "WOI Crash", "WOI tot",
 		"WI SDC", "WI Crash", "WI tot")
 	var fns []func() error
-	for _, b := range l.Opts.benches() {
+	for _, b := range a.Opts.benches() {
 		tgt := Target{Bench: b}
 		for _, m := range []micro.FPM{micro.FPMWD, micro.FPMWOI, micro.FPMWI} {
-			fns = append(fns, func() error { _, err := l.pvf(tgt, isa.VSA64, m); return err })
+			fns = append(fns, func() error { _, err := a.pvf(tgt, isa.VSA64, m); return err })
 		}
 	}
-	if err := l.fill(fns...); err != nil {
+	if err := a.fill(fns...); err != nil {
 		return nil, err
 	}
-	for _, b := range l.Opts.benches() {
+	for _, b := range a.Opts.benches() {
 		tgt := Target{Bench: b}
 		var sp [3]vuln.Split
 		for i, m := range []micro.FPM{micro.FPMWD, micro.FPMWOI, micro.FPMWI} {
-			v, err := l.pvf(tgt, isa.VSA64, m)
+			v, err := a.pvf(tgt, isa.VSA64, m)
 			if err != nil {
 				return nil, err
 			}
@@ -658,11 +755,11 @@ func (l *Lab) fig7() (*report.Report, error) {
 
 // --- Fig. 8 ---
 
-func (l *Lab) fig8() (*report.Report, error) {
+func (a *artifact) fig8() (*report.Report, error) {
 	r := &report.Report{ID: "Fig. 8", Title: "Refined PVF (rPVF, weighted by measured FPM distribution) vs cross-layer AVF"}
 	benches := []string{"fft", "djpeg", "sha", "qsort"}
-	if len(l.Opts.Benches) > 0 {
-		benches = l.Opts.Benches
+	if len(a.Opts.Benches) > 0 {
+		benches = a.Opts.Benches
 	}
 	t := r.NewTable("", "Benchmark", "Config",
 		"rPVF SDC", "rPVF Crash", "rPVF tot",
@@ -674,12 +771,12 @@ func (l *Lab) fig8() (*report.Report, error) {
 		for _, cfg := range Configs() {
 			tgt := Target{Bench: b}
 			for _, m := range []micro.FPM{micro.FPMWD, micro.FPMWOI, micro.FPMWI} {
-				fns = append(fns, func() error { _, err := l.pvf(tgt, cfg.ISA, m); return err })
+				fns = append(fns, func() error { _, err := a.pvf(tgt, cfg.ISA, m); return err })
 			}
-			fns = append(fns, func() error { _, _, err := l.avf(tgt, cfg); return err })
+			fns = append(fns, func() error { _, _, err := a.avf(tgt, cfg); return err })
 		}
 	}
-	if err := l.fill(fns...); err != nil {
+	if err := a.fill(fns...); err != nil {
 		return nil, err
 	}
 	for _, b := range benches {
@@ -687,13 +784,13 @@ func (l *Lab) fig8() (*report.Report, error) {
 			tgt := Target{Bench: b}
 			pvfs := map[micro.FPM]vuln.Split{}
 			for _, m := range []micro.FPM{micro.FPMWD, micro.FPMWOI, micro.FPMWI} {
-				v, err := l.pvf(tgt, cfg.ISA, m)
+				v, err := a.pvf(tgt, cfg.ISA, m)
 				if err != nil {
 					return nil, err
 				}
 				pvfs[m] = v
 			}
-			res, av, err := l.avf(tgt, cfg)
+			res, av, err := a.avf(tgt, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -736,9 +833,9 @@ func (l *Lab) fig8() (*report.Report, error) {
 
 // --- Fig. 9 ---
 
-func (l *Lab) fig9() (*report.Report, error) {
+func (a *artifact) fig9() (*report.Report, error) {
 	r := &report.Report{ID: "Fig. 9", Title: "Crash-only and SDC-only vulnerability across SVF, PVF and AVF (A72-like)"}
-	rows, err := l.layerData(l.Opts.benches(), micro.ConfigA72())
+	rows, err := a.layerData(a.Opts.benches(), micro.ConfigA72())
 	if err != nil {
 		return nil, err
 	}
@@ -761,7 +858,7 @@ func (l *Lab) fig9() (*report.Report, error) {
 
 // --- Figs. 10 & 11: the software fault-tolerance case study ---
 
-func (l *Lab) caseStudy(id, bench string) (*report.Report, error) {
+func (a *artifact) caseStudy(id, bench string) (*report.Report, error) {
 	r := &report.Report{
 		ID:    strings.ToUpper(id[:1]) + id[1:],
 		Title: fmt.Sprintf("Case study: software-based fault tolerance on %q (w/o vs w/ protection, A72-like)", bench),
@@ -773,11 +870,11 @@ func (l *Lab) caseStudy(id, bench string) (*report.Report, error) {
 	var fns []func() error
 	for _, tgt := range []Target{base, prot} {
 		fns = append(fns,
-			func() error { _, _, err := l.avf(tgt, cfg); return err },
-			func() error { _, err := l.pvf(tgt, cfg.ISA, micro.FPMWD); return err },
-			func() error { _, err := l.svf(tgt); return err })
+			func() error { _, _, err := a.avf(tgt, cfg); return err },
+			func() error { _, err := a.pvf(tgt, cfg.ISA, micro.FPMWD); return err },
+			func() error { _, err := a.svf(tgt); return err })
 	}
-	if err := l.fill(fns...); err != nil {
+	if err := a.fill(fns...); err != nil {
 		return nil, err
 	}
 
@@ -785,11 +882,11 @@ func (l *Lab) caseStudy(id, bench string) (*report.Report, error) {
 	ta := r.NewTable("(a) per-structure AVF", "Structure",
 		"w/o SDC", "w/o Crash", "w/o AVF",
 		"w/ SDC", "w/ Crash", "w/ Detected", "w/ AVF")
-	resB, wB, err := l.avf(base, cfg)
+	resB, wB, err := a.avf(base, cfg)
 	if err != nil {
 		return nil, err
 	}
-	resP, wP, err := l.avf(prot, cfg)
+	resP, wP, err := a.avf(prot, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -806,11 +903,11 @@ func (l *Lab) caseStudy(id, bench string) (*report.Report, error) {
 	tb.AddRow("w/", report.Pct(wP.SDC), report.Pct(wP.Crash), report.Pct(wP.Detected), report.Pct(wP.Total()))
 
 	// (c) PVF.
-	pvB, err := l.pvf(base, cfg.ISA, micro.FPMWD)
+	pvB, err := a.pvf(base, cfg.ISA, micro.FPMWD)
 	if err != nil {
 		return nil, err
 	}
-	pvP, err := l.pvf(prot, cfg.ISA, micro.FPMWD)
+	pvP, err := a.pvf(prot, cfg.ISA, micro.FPMWD)
 	if err != nil {
 		return nil, err
 	}
@@ -819,11 +916,11 @@ func (l *Lab) caseStudy(id, bench string) (*report.Report, error) {
 	tc.AddRow("w/", report.Pct(pvP.SDC), report.Pct(pvP.Crash), report.Pct(pvP.Detected), report.Pct(pvP.Total()))
 
 	// (d) SVF.
-	svB, err := l.svf(base)
+	svB, err := a.svf(base)
 	if err != nil {
 		return nil, err
 	}
-	svP, err := l.svf(prot)
+	svP, err := a.svf(prot)
 	if err != nil {
 		return nil, err
 	}
@@ -833,27 +930,19 @@ func (l *Lab) caseStudy(id, bench string) (*report.Report, error) {
 
 	// Execution-time inflation and kernel share (the paper's mechanism
 	// for AVF degradation).
-	sb, err := l.System(base, cfg.ISA)
+	gb, err := a.golden(base, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := l.System(prot, cfg.ISA)
-	if err != nil {
-		return nil, err
-	}
-	cb, err := sb.MicroCampaign(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cpp, err := sp.MicroCampaign(cfg)
+	gp, err := a.golden(prot, cfg)
 	if err != nil {
 		return nil, err
 	}
 	r.Notef("execution time: %d -> %d cycles (%.2fx, paper reports 2.1x for sha / 2.5x for smooth)",
-		cb.Golden.Cycles, cpp.Golden.Cycles, float64(cpp.Golden.Cycles)/float64(cb.Golden.Cycles))
+		gb.Cycles, gp.Cycles, float64(gp.Cycles)/float64(gb.Cycles))
 	r.Notef("kernel share of committed instructions: w/o %s, w/ %s (kernel code is outside the protection domain)",
-		report.Pct(float64(cb.Golden.KInstr)/float64(cb.Golden.Instret)),
-		report.Pct(float64(cpp.Golden.KInstr)/float64(cpp.Golden.Instret)))
+		report.Pct(float64(gb.KInstr)/float64(gb.Instret)),
+		report.Pct(float64(gp.KInstr)/float64(gp.Instret)))
 	if svB.Total() > 0 && pvB.Total() > 0 {
 		r.Notef("higher-level improvement: SVF %s, PVF %s; cross-layer AVF change: %+.1f%% (paper: up to 3.8x improvement reported while AVF degrades up to 30%%)",
 			improvement(svB.Total(), svP.Total()), improvement(pvB.Total(), pvP.Total()),

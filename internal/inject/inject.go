@@ -112,10 +112,20 @@ func encodeGolden(g Golden) []byte {
 }
 
 // decodeGolden decodes a golden blob: the summary, then the lifetime
-// table if any bytes follow it (nil otherwise). Varints must be
-// canonical, so an accepted blob re-encodes byte for byte. The table
-// aliases b.
+// table if any bytes follow it (nil otherwise). The table aliases b.
 func decodeGolden(b []byte) (Golden, *micro.Lifetimes, error) {
+	g, b, err := decodeSummary(b)
+	if err != nil || len(b) == 0 {
+		return g, nil, err
+	}
+	life, err := micro.DecodeLifetimes(b)
+	return g, life, err
+}
+
+// decodeSummary decodes the golden summary at the head of a golden blob
+// and returns the bytes after it. Varints must be canonical, so an
+// accepted summary re-encodes byte for byte.
+func decodeSummary(b []byte) (Golden, []byte, error) {
 	var g Golden
 	errTrunc := fmt.Errorf("inject: truncated or non-canonical golden summary")
 	n, b, ok := uvarint(b)
@@ -129,11 +139,18 @@ func decodeGolden(b []byte) (Golden, *micro.Lifetimes, error) {
 			return g, nil, errTrunc
 		}
 	}
-	if len(b) == 0 {
-		return g, nil, nil
+	return g, b, nil
+}
+
+// ChainGolden returns the golden-run summary a micro chain carries,
+// without preparing a campaign: a caller that needs only the reference
+// run's counts reads them from a persisted chain.
+func ChainGolden(ch *ckpt.Chain) (Golden, error) {
+	if ch.Meta.Engine != Engine {
+		return Golden{}, fmt.Errorf("inject: chain engine %q, want %q", ch.Meta.Engine, Engine)
 	}
-	life, err := micro.DecodeLifetimes(b)
-	return g, life, err
+	g, _, err := decodeSummary(ch.Meta.Golden)
+	return g, err
 }
 
 // uvarint reads one canonically encoded uvarint.

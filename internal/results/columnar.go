@@ -336,9 +336,18 @@ type Cursor struct {
 	id     string
 }
 
-// newCursor wraps a segment stream serving exactly n records.
-func newCursor(r io.Reader, closer io.Closer, id string, n int, f Filter) *Cursor {
-	return &Cursor{rd: colseg.NewReader(bufio.NewReaderSize(r, 1<<16)), closer: closer, id: id, remaining: n, want: n, filter: f}
+// maxCursorBuf caps a cursor's read buffer. The buffer serves frame
+// headers (read a byte at a time) and small blocks; a block body longer
+// than the buffer is read past it, straight into the block reader.
+const maxCursorBuf = 64 << 10
+
+// newCursor wraps a segment stream of size bytes serving exactly n
+// records. Its read buffer is no larger than the segment: a warm
+// regeneration opens one cursor per campaign, and most segments hold a
+// few hundred bytes.
+func newCursor(r io.Reader, size int64, closer io.Closer, id string, n int, f Filter) *Cursor {
+	buf := bufio.NewReaderSize(r, int(min(size, maxCursorBuf)))
+	return &Cursor{rd: colseg.NewReader(buf), closer: closer, id: id, remaining: n, want: n, filter: f}
 }
 
 // Close releases the underlying segment file.

@@ -57,7 +57,7 @@ func TestColumnarRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 513, BlockRows, BlockRows + 7, 2*BlockRows + 3} {
 		recs := randomRecords(n, int64(n)+1)
 		data := encodeColumnar(recs)
-		c := newCursor(bytes.NewReader(data), nil, "test", n, Filter{})
+		c := newCursor(bytes.NewReader(data), int64(len(data)), nil, "test", n, Filter{})
 		got, err := c.Records()
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -79,7 +79,7 @@ func TestColumnarNonContiguousIndex(t *testing.T) {
 	// must survive exactly.
 	recs := []Record{{Index: 5}, {Index: 6}, {Index: 100}, {Index: 101}, {Index: 4000}}
 	data := encodeColumnar(recs)
-	c := newCursor(bytes.NewReader(data), nil, "test", len(recs), Filter{})
+	c := newCursor(bytes.NewReader(data), int64(len(data)), nil, "test", len(recs), Filter{})
 	got, err := c.Records()
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestCursorTallyMatchesTallyOf(t *testing.T) {
 	// materialize-then-TallyOf path.
 	recs := randomRecords(BlockRows+999, 3)
 	data := encodeColumnar(recs)
-	c := newCursor(bytes.NewReader(data), nil, "test", len(recs), Filter{})
+	c := newCursor(bytes.NewReader(data), int64(len(data)), nil, "test", len(recs), Filter{})
 	got, err := c.Tally()
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func TestFilterPushdownMatchesReference(t *testing.T) {
 				want = append(want, r)
 			}
 		}
-		c := newCursor(bytes.NewReader(data), nil, "test", len(recs), f)
+		c := newCursor(bytes.NewReader(data), int64(len(data)), nil, "test", len(recs), f)
 		got, err := c.Records()
 		if err != nil {
 			t.Fatalf("filter %d: %v", fi, err)
@@ -191,7 +191,7 @@ func TestFilterPushdownMatchesReference(t *testing.T) {
 				t.Fatalf("filter %d record %d mismatch", fi, i)
 			}
 		}
-		c = newCursor(bytes.NewReader(data), nil, "test", len(recs), f)
+		c = newCursor(bytes.NewReader(data), int64(len(data)), nil, "test", len(recs), f)
 		tl, err := c.Tally()
 		if err != nil {
 			t.Fatalf("filter %d: %v", fi, err)
@@ -340,12 +340,12 @@ func TestPreV3BlockReadsStaticFalse(t *testing.T) {
 		name string
 		data []byte
 	}{{"v1", v1}, {"v2", v2}} {
-		_, err := newCursor(bytes.NewReader(legacy.data), nil, "legacy", n, Filter{}).Records()
+		_, err := newCursor(bytes.NewReader(legacy.data), int64(len(legacy.data)), nil, "legacy", n, Filter{}).Records()
 		if !errors.Is(err, colseg.ErrCorrupt) || !strings.Contains(err.Error(), "legacy") {
 			t.Errorf("%s block: err=%v, want ErrCorrupt naming the campaign", legacy.name, err)
 		}
 	}
-	got, err := newCursor(bytes.NewReader(v3), nil, "current", n, Filter{}).Records()
+	got, err := newCursor(bytes.NewReader(v3), int64(len(v3)), nil, "current", n, Filter{}).Records()
 	if err != nil || len(got) != n {
 		t.Fatalf("v3 block: %d records, err=%v", len(got), err)
 	}
@@ -408,7 +408,7 @@ func FuzzSegmentCursor(f *testing.F) {
 	f.Add(encodeColumnar(recs), 20)
 	sdc := Filter{Outcomes: []Outcome{SDC}, BitRange: true, BitLo: 0, BitHi: 31}
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
-		cursor := func(fl Filter) *Cursor { return newCursor(bytes.NewReader(data), nil, "fuzz", n, fl) }
+		cursor := func(fl Filter) *Cursor { return newCursor(bytes.NewReader(data), int64(len(data)), nil, "fuzz", n, fl) }
 		tally, tallyErr := cursor(Filter{}).Tally()
 		filtered, filteredErr := cursor(sdc).Tally()
 		recs, err := cursor(Filter{}).Records()
@@ -428,7 +428,8 @@ func FuzzSegmentCursor(f *testing.F) {
 		if want := TallyOf(matched); filteredErr != nil || filtered != want {
 			t.Fatalf("filtered Tally = %+v, err=%v; Records gives %+v", filtered, filteredErr, want)
 		}
-		back, err := newCursor(bytes.NewReader(encodeColumnar(recs)), nil, "fuzz", len(recs), Filter{}).Records()
+		seg := encodeColumnar(recs)
+		back, err := newCursor(bytes.NewReader(seg), int64(len(seg)), nil, "fuzz", len(recs), Filter{}).Records()
 		if err != nil || !slices.Equal(back, recs) {
 			t.Fatalf("re-encoded records do not round-trip: err=%v", err)
 		}

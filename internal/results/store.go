@@ -24,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -67,7 +68,7 @@ type Key struct {
 }
 
 func (k Key) String() string {
-	s := fmt.Sprintf("%s/%s/%s/%s/seed=%d", k.Layer, k.Target, k.Config, k.Struct, k.Seed)
+	s := k.Layer + "/" + k.Target + "/" + k.Config + "/" + k.Struct + "/seed=" + strconv.FormatInt(k.Seed, 10)
 	if k.Mode != "" {
 		s += "/mode=" + k.Mode
 	}
@@ -77,7 +78,9 @@ func (k Key) String() string {
 // ID is the key's stable store filename stem.
 func (k Key) ID() string {
 	h := sha256.Sum256([]byte(k.String()))
-	return hex.EncodeToString(h[:8])
+	var id [16]byte
+	hex.Encode(id[:], h[:8])
+	return string(id[:])
 }
 
 // Manifest describes one stored campaign.
@@ -133,12 +136,13 @@ func (s *Store) readManifest(id string) (Manifest, bool, error) {
 	return m, true, nil
 }
 
-func (s *Store) writeManifest(m Manifest) error {
+// writeManifest writes m as the manifest of campaign id (m.Key.ID()).
+func (s *Store) writeManifest(id string, m Manifest) error {
 	data, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	path := s.manifestPath(m.Key.ID())
+	path := s.manifestPath(id)
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
 		return err
@@ -151,11 +155,12 @@ func (s *Store) writeManifest(m Manifest) error {
 func (s *Store) Manifest(k Key) (Manifest, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.manifestFor(k)
+	return s.manifestFor(k.ID(), k)
 }
 
-func (s *Store) manifestFor(k Key) (Manifest, bool, error) {
-	m, ok, err := s.readManifest(k.ID())
+// manifestFor reads the manifest of campaign k, whose id is k.ID().
+func (s *Store) manifestFor(id string, k Key) (Manifest, bool, error) {
+	m, ok, err := s.readManifest(id)
 	if err != nil || !ok {
 		return Manifest{}, ok, err
 	}
@@ -174,7 +179,12 @@ func (s *Store) cursor(id string, n int, f Filter) (*Cursor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCursor(file, file, id, n, f), nil
+	fi, err := file.Stat()
+	if err != nil {
+		file.Close()
+		return nil, err
+	}
+	return newCursor(file, fi.Size(), file, id, n, f), nil
 }
 
 // Load returns the stored records for k in index order; ok=false when
@@ -182,11 +192,12 @@ func (s *Store) cursor(id string, n int, f Filter) (*Cursor, error) {
 func (s *Store) Load(k Key) ([]Record, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok, err := s.manifestFor(k)
+	id := k.ID()
+	m, ok, err := s.manifestFor(id, k)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	recs, err := s.loadRecords(k.ID(), m)
+	recs, err := s.loadRecords(id, m)
 	if err != nil {
 		return nil, false, err
 	}
@@ -225,11 +236,12 @@ func (s *Store) loadRecords(id string, m Manifest) ([]Record, error) {
 func (s *Store) Cursor(k Key, f Filter) (*Cursor, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok, err := s.manifestFor(k)
+	id := k.ID()
+	m, ok, err := s.manifestFor(id, k)
 	if err != nil || !ok {
 		return nil, ok, err
 	}
-	c, err := s.cursor(k.ID(), m.N, f)
+	c, err := s.cursor(id, m.N, f)
 	if err != nil {
 		return nil, false, err
 	}
@@ -262,11 +274,12 @@ func (s *Store) CursorID(id string, f Filter) (Manifest, *Cursor, error) {
 // gets in one call both what the store can serve and where a top-up
 // must start.
 func (s *Store) TallyUpTo(k Key, n int) (t Tally, stored int, ok bool, err error) {
+	id := k.ID()
 	s.mu.Lock()
-	m, ok, err := s.manifestFor(k)
+	m, ok, err := s.manifestFor(id, k)
 	var c *Cursor
 	if err == nil && ok {
-		if c, err = s.cursor(k.ID(), m.N, Filter{}); err == nil {
+		if c, err = s.cursor(id, m.N, Filter{}); err == nil {
 			c.want = min(n, m.N)
 		}
 	}
@@ -357,7 +370,7 @@ func (s *Store) Save(k Key, recs []Record) error {
 	if err := os.Rename(tmp, s.segPath(id)); err != nil {
 		return err
 	}
-	return s.writeManifest(Manifest{Schema: SchemaVersion, Key: k, N: len(recs), Format: FormatColumnar})
+	return s.writeManifest(id, Manifest{Schema: SchemaVersion, Key: k, N: len(recs), Format: FormatColumnar})
 }
 
 // Append tops up a stored campaign with records continuing its
@@ -371,7 +384,7 @@ func (s *Store) Append(k Key, recs []Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := k.ID()
-	m, ok, err := s.manifestFor(k)
+	m, ok, err := s.manifestFor(id, k)
 	if err != nil {
 		return err
 	}
@@ -385,7 +398,7 @@ func (s *Store) Append(k Key, recs []Record) error {
 		return err
 	}
 	m.N += len(recs)
-	return s.writeManifest(m)
+	return s.writeManifest(id, m)
 }
 
 // ExportJSONL streams a stored campaign's records to w in the JSONL

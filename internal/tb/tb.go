@@ -113,6 +113,11 @@ type block struct {
 	nchunks int
 	chunks  [5]uint32
 	vers    [5]uint32
+	// kept is the block this one displaced from its slot, decoded at
+	// the same entry from other words. A WI/WOI flip replaces a block,
+	// and the restore that flips the word back brings the kept block's
+	// words back: lookup re-stamps it instead of decoding it again.
+	kept *block
 }
 
 const (
@@ -204,12 +209,27 @@ func (e *Engine) lookup(pc uint64) *block {
 		return nil
 	}
 	slot := (pc >> 2) & (1<<cacheBits - 1)
-	if b := e.blocks[slot]; b != nil && b.entry == pc && e.fresh(b) {
-		return b
+	old := e.blocks[slot]
+	if old != nil && old.entry == pc {
+		if e.fresh(old) {
+			return old
+		}
+		// The words under old changed. If they are back to the ones the
+		// block it displaced was decoded from, that block is current.
+		if k := old.kept; k != nil && e.fresh(k) {
+			old.kept, k.kept = nil, old
+			e.blocks[slot] = k
+			return k
+		}
+	} else {
+		old = nil
 	}
 	b := e.build(pc)
 	if b == nil {
 		return nil
+	}
+	if old != nil {
+		old.kept, b.kept = nil, old
 	}
 	e.blocks[slot] = b
 	return b

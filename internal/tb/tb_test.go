@@ -2,6 +2,7 @@ package tb
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
 
 	"vulnstack/internal/asm"
@@ -200,6 +201,71 @@ func TestStorePatchesCachedBlock(t *testing.T) {
 	})
 	if got := assertMatchesStep(t, img).bus.ExitCode; got != 101 {
 		t.Fatalf("exit %d, want 101 (1, then the patched 100)", got)
+	}
+}
+
+// TestRestoredWordReusesKeptBlock: a flip into a cached block's code (a
+// WI/WOI fault) rebuilds the block, and flipping the word back, as the
+// restore after the injection does, brings back the original block:
+// re-stamped by its word check, not decoded again.
+func TestRestoredWordReusesKeptBlock(t *testing.T) {
+	var loop uint64
+	img := userImage(t, isa.VSA64, func(b *asm.Builder) {
+		b.Li(8, 0)
+		b.Li(9, 4)
+		loop = b.PC()
+		b.Label("loop")
+		b.Addi(8, 8, 1)
+		b.Addi(9, 9, -1)
+		b.Bne(9, isa.RegZero, "loop")
+		exitWith(b, 8)
+	})
+	m := boot(img)
+	e := New(m.cpu)
+	for m.cpu.PC != loop {
+		if e.Run(m.cpu.Instret + 1) {
+			t.Fatal("halted before the loop")
+		}
+	}
+	slot := (loop >> 2) & (1<<cacheBits - 1)
+	iteration := func(wantX8 uint64) *block {
+		t.Helper()
+		e.Run(m.cpu.Instret + 3)
+		if m.cpu.PC != loop || m.cpu.Regs[8] != wantX8 {
+			t.Fatalf("after an iteration: PC %#x, x8 %d; want %#x, %d", m.cpu.PC, m.cpu.Regs[8], loop, wantX8)
+		}
+		return e.blocks[slot]
+	}
+	orig := iteration(1)
+	if orig == nil || orig.entry != loop || len(orig.ops) != 3 {
+		t.Fatalf("loop block not cached whole: %+v", orig)
+	}
+	// The one bit that turns "addi x8, x8, 1" into "addi x8, x8, 3".
+	diff := isa.Encode(isa.Instr{Op: isa.ADDI, Rd: 8, Rs1: 8, Imm: 1}) ^
+		isa.Encode(isa.Instr{Op: isa.ADDI, Rd: 8, Rs1: 8, Imm: 3})
+	if bits.OnesCount32(diff) != 1 {
+		t.Fatalf("immediates 1 and 3 differ in %d bits", bits.OnesCount32(diff))
+	}
+	bit := uint64(bits.TrailingZeros32(diff))
+	flip := func() {
+		if !m.bus.Mem.FlipBit(loop+bit/8, uint(bit%8)) {
+			t.Fatal("flip failed")
+		}
+	}
+	flip()
+	flipped := iteration(4)
+	if flipped == orig || flipped.kept != orig {
+		t.Fatalf("the flip did not rebuild the block and keep the original (%p, kept %p, original %p)", flipped, flipped.kept, orig)
+	}
+	flip()
+	if got := iteration(5); got != orig {
+		t.Fatalf("after the word was flipped back, slot holds %p, want the original block %p", got, orig)
+	}
+	if orig.kept != flipped {
+		t.Errorf("the original block keeps %p, want the flipped one %p", orig.kept, flipped)
+	}
+	if !e.Run(1<<20) || m.bus.ExitCode != 6 {
+		t.Fatalf("exit %d, want 6 (1, 3, 1, 1)", m.bus.ExitCode)
 	}
 }
 

@@ -242,6 +242,63 @@ func TestExperimentStoreReuse(t *testing.T) {
 	}
 }
 
+// TestProvenanceIgnoresUnrelatedCampaigns: the results store note
+// counts the campaigns behind the artifact's own cells. Campaigns fig4
+// never reads — another benchmark's PVF and a stratified PVF of one it
+// does read — leave its report byte-identical.
+func TestProvenanceIgnoresUnrelatedCampaigns(t *testing.T) {
+	o := tinyOpts()
+	o.Benches = []string{"sha", "qsort"}
+	o.StoreDir = t.TempDir()
+	o.Workers = 2 // cells filled and read from several goroutines
+	r, err := NewLab(o).Run("fig4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := r.String()
+	st, err := results.OpenStore(o.StoreDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, bench := range []string{"crc32", "sha"} {
+		sys, err := Build(Target{Bench: bench, Seed: o.Seed}, isa.VSA64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Workers = 1
+		sys.Store = st
+		if bench == "sha" {
+			opt := stratTestOpts
+			opt.MaxNew = 16
+			_, err = sys.StratPVF(micro.FPMWD, opt, o.Seed)
+		} else {
+			_, err = sys.PVF(micro.FPMWD, o.NPVF, o.Seed)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	all, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != len(stored)+2 {
+		t.Fatalf("store holds %d campaigns, want fig4's %d and 2 unrelated", len(all), len(stored))
+	}
+
+	if r, err = NewLab(o).Run("fig4"); err != nil {
+		t.Fatal(err)
+	}
+	if after := r.String(); after != before {
+		t.Errorf("unrelated campaigns changed fig4:\n%s\nvs\n%s", before, after)
+	}
+}
+
 // TestLabCellsMatchSystem: the Lab's cells and the System methods are
 // one measurement. A Lab over a store the System methods filled returns
 // exactly their results and builds nothing; a store-less Lab builds each
@@ -278,16 +335,17 @@ func TestLabCellsMatchSystem(t *testing.T) {
 	}
 
 	lab := NewLab(o)
+	run := newArtifact(lab)
 	tgt := Target{Bench: "sha"}
-	gotRes, gotAVF, err := lab.avf(tgt, cfg)
+	gotRes, gotAVF, err := run.avf(tgt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPVF, err := lab.pvf(tgt, cfg.ISA, micro.FPMWD)
+	gotPVF, err := run.pvf(tgt, cfg.ISA, micro.FPMWD)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotSVF, err := lab.svf(tgt)
+	gotSVF, err := run.svf(tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,6 +364,15 @@ func TestLabCellsMatchSystem(t *testing.T) {
 	}
 	if !reflect.DeepEqual(after, before) {
 		t.Errorf("the Lab stored campaigns the System's keys do not name:\n before %v\n after  %v", before, after)
+	}
+	// The cells carry the campaigns they were served from, with their
+	// stored counts: here every campaign in the store.
+	want := map[results.Key]int{}
+	for _, m := range before {
+		want[m.Key] = m.N
+	}
+	if !reflect.DeepEqual(run.stored, want) {
+		t.Errorf("the cells' stored campaigns %v, want the store's %v", run.stored, want)
 	}
 	for key := range lab.cells {
 		if strings.HasPrefix(key, "sys/") {

@@ -171,18 +171,19 @@ const softSnapshots = 48
 
 // chainFingerprint identifies the checkpoint chain a campaign would
 // capture: every input that shapes the golden run or its checkpoints.
-// A persisted chain is only ever reused on an exact fingerprint match —
-// a store written under a different snapshot density (or a different
-// format version) triggers a fresh golden run instead of a silent
-// mismatch. Only the fast path persists chains, so the engine needs no
-// part.
-func (s *System) chainFingerprint(engine, config string) string {
+// target is the program's store identity (targetKey) and snapshots the
+// chain's checkpoint count. A persisted chain is only ever reused on an
+// exact fingerprint match — a store written under a different snapshot
+// density (or a different format version) triggers a fresh golden run
+// instead of a silent mismatch. Only the fast path persists chains, so
+// the engine needs no part.
+func chainFingerprint(engine, target, config string, snapshots int) string {
 	return ckpt.Fingerprint(
 		engine,
 		fmt.Sprintf("v%d", ckpt.ChainVersion),
-		s.targetKey(),
+		target,
 		config,
-		fmt.Sprintf("snapshots=%d", s.snapshots),
+		fmt.Sprintf("snapshots=%d", snapshots),
 		fmt.Sprintf("ram=%d", RAMSize),
 	)
 }
@@ -197,16 +198,16 @@ func (s *System) checkStore() error {
 }
 
 // loadChain fetches and decodes a persisted checkpoint chain by
-// fingerprint, returning nil on any failure: absent file, truncation,
-// bit flips (ckpt.Decode digest-checks everything after the header), or
-// a fingerprint mismatch inside the file. nil sends the caller down the
-// cold Prepare path, so a damaged store costs a golden run, never
-// wrong results.
-func (s *System) loadChain(fp string) *ckpt.Chain {
-	if s.Store == nil || s.Reference {
+// fingerprint, returning nil without a store and on any failure: absent
+// file, truncation, bit flips (ckpt.Decode digest-checks everything
+// after the header), or a fingerprint mismatch inside the file. nil
+// sends the caller down the cold path, so a damaged store costs a
+// golden run, never wrong results.
+func loadChain(st *results.Store, fp string) *ckpt.Chain {
+	if st == nil {
 		return nil
 	}
-	data, ok, err := s.Store.LoadChain(fp)
+	data, ok, err := st.LoadChain(fp)
 	if err != nil || !ok {
 		return nil
 	}
@@ -215,6 +216,15 @@ func (s *System) loadChain(fp string) *ckpt.Chain {
 		return nil
 	}
 	return ch
+}
+
+// loadChain loads the system's persisted chain fp; a reference system
+// never reads one.
+func (s *System) loadChain(fp string) *ckpt.Chain {
+	if s.Reference {
+		return nil
+	}
+	return loadChain(s.Store, fp)
 }
 
 // saveChain persists a freshly captured chain under its fingerprint,
@@ -241,7 +251,7 @@ func (s *System) MicroCampaign(cfg micro.Config) (*inject.Campaign, error) {
 		return cp, nil
 	}
 	cfg.Reference = s.Reference
-	fp := s.chainFingerprint(inject.Engine, cfg.Name)
+	fp := chainFingerprint(inject.Engine, s.targetKey(), cfg.Name, s.snapshots)
 	cp, err := (*inject.Campaign)(nil), error(nil)
 	if ch := s.loadChain(fp); ch != nil {
 		// Warm path: the persisted chain carries the golden summary and
@@ -264,7 +274,7 @@ func (s *System) ArchCampaign() (*arch.Campaign, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.archC == nil {
-		fp := s.chainFingerprint(arch.Engine, "")
+		fp := chainFingerprint(arch.Engine, s.targetKey(), "", s.snapshots)
 		var cp *arch.Campaign
 		var err error
 		if ch := s.loadChain(fp); ch != nil {
@@ -380,47 +390,12 @@ func (s *System) SoftKey(seed int64) results.Key {
 	return softKey(s.targetKey(), seed)
 }
 
-// storeTally returns the n-injection tally for campaign key k, serving
-// as much as possible from st through the streaming columnar path: a
-// fully stored campaign never prepares an injector and never
-// materializes its records — the store's cursor aggregates the first n
-// of them in o(n) memory. run(from) must execute injections [from, n)
-// of the key's pre-drawn fault sequence; it is only invoked when the
-// store is missing records (always, when st is nil), and fresh records
-// are persisted before returning. Tallies are integer sums, so
-// prefix-tally + fresh-tally is bit-identical to a one-shot n-injection
-// tally.
-func storeTally(st *results.Store, k results.Key, n int, run func(from int) ([]results.Record, error)) (results.Tally, error) {
-	if st == nil {
-		recs, err := run(0)
-		if err != nil {
-			return results.Tally{}, err
-		}
-		return results.TallyOf(recs), nil
-	}
-	tally, stored, ok, err := st.TallyUpTo(k, n)
-	if err != nil {
-		return results.Tally{}, err
-	}
-	if ok && stored >= n {
-		return tally, nil
-	}
-	fresh, err := run(stored)
-	if err != nil {
-		return results.Tally{}, err
-	}
-	if ok {
-		err = st.Append(k, fresh)
-	} else {
-		err = st.Save(k, fresh)
-	}
-	if err != nil {
-		return results.Tally{}, err
-	}
-	for _, r := range fresh {
-		tally.Add(r)
-	}
-	return tally, nil
+// storedCampaign is one campaign a measurement was served from or
+// stored into: its store key and the records the store holds under it
+// afterwards.
+type storedCampaign struct {
+	key results.Key
+	n   int
 }
 
 // source measures one program's campaigns through the results store.
@@ -435,17 +410,67 @@ type source struct {
 	// system returns the compiled program; only run closures call it,
 	// when the store lacks records.
 	system func() (*System, error)
+	// served, when set, collects every campaign the source tallies
+	// through the store (a Lab cell's store provenance).
+	served *[]storedCampaign
 }
 
 // source returns the system's own measurement source, refusing a store
 // attached to a reference system.
 func (s *System) source() (source, error) {
-	src := source{s.targetKey(), s.Store, func() (*System, error) { return s, nil }}
+	src := source{target: s.targetKey(), store: s.Store, system: func() (*System, error) { return s, nil }}
 	return src, s.checkStore()
 }
 
+// tally returns the n-injection tally for campaign key k, serving as
+// much as possible from the store through the streaming columnar path:
+// a fully stored campaign never prepares an injector and never
+// materializes its records — the store's cursor aggregates the first n
+// of them in o(n) memory. run(from) must execute injections [from, n)
+// of the key's pre-drawn fault sequence; it is only invoked when the
+// store is missing records (always, without a store), and fresh records
+// are persisted before returning. Tallies are integer sums, so
+// prefix-tally + fresh-tally is bit-identical to a one-shot n-injection
+// tally.
+func (src source) tally(k results.Key, n int, run func(from int) ([]results.Record, error)) (results.Tally, error) {
+	st := src.store
+	if st == nil {
+		recs, err := run(0)
+		if err != nil {
+			return results.Tally{}, err
+		}
+		return results.TallyOf(recs), nil
+	}
+	tally, stored, ok, err := st.TallyUpTo(k, n)
+	if err != nil {
+		return results.Tally{}, err
+	}
+	if !ok || stored < n {
+		fresh, err := run(stored)
+		if err != nil {
+			return results.Tally{}, err
+		}
+		if ok {
+			err = st.Append(k, fresh)
+		} else {
+			err = st.Save(k, fresh)
+		}
+		if err != nil {
+			return results.Tally{}, err
+		}
+		for _, r := range fresh {
+			tally.Add(r)
+		}
+		stored += len(fresh)
+	}
+	if src.served != nil {
+		*src.served = append(*src.served, storedCampaign{k, stored})
+	}
+	return tally, nil
+}
+
 func (src source) microTally(cfg micro.Config, st micro.Structure, n int, seed int64) (results.Tally, error) {
-	return storeTally(src.store, microKey(src.target, cfg, st, seed), n, func(from int) ([]results.Record, error) {
+	return src.tally(microKey(src.target, cfg, st, seed), n, func(from int) ([]results.Record, error) {
 		s, err := src.system()
 		if err != nil {
 			return nil, err
@@ -490,7 +515,7 @@ func (src source) avfAll(cfg micro.Config, nPerStruct int, seed int64) ([]Struct
 }
 
 func (src source) pvf(fpm micro.FPM, n int, seed int64) (vuln.Split, error) {
-	tally, err := storeTally(src.store, archKey(src.target, fpm, seed), n, func(from int) ([]results.Record, error) {
+	tally, err := src.tally(archKey(src.target, fpm, seed), n, func(from int) ([]results.Record, error) {
 		s, err := src.system()
 		if err != nil {
 			return nil, err
@@ -508,7 +533,7 @@ func (src source) pvf(fpm micro.FPM, n int, seed int64) (vuln.Split, error) {
 }
 
 func (src source) svf(n int, seed int64) (vuln.Split, error) {
-	tally, err := storeTally(src.store, softKey(src.target, seed), n, func(from int) ([]results.Record, error) {
+	tally, err := src.tally(softKey(src.target, seed), n, func(from int) ([]results.Record, error) {
 		s, err := src.system()
 		if err != nil {
 			return nil, err
