@@ -23,13 +23,10 @@ func TestWarmInjectionAllocFree(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 3; i++ {
 		f := cp.Sample(r, micro.FPMWD)
-		w := &worker{src: -1}
+		w := cp.newWorker()
 		g := cp.chain.Find(f.K)
 		var got inject.Outcome
-		run := func() {
-			c, bus := cp.cpuFor(w, f.K, g)
-			got, _ = cp.classify(c, bus, g, w, func() { cp.apply(c, f) })
-		}
+		run := func() { got, _ = cp.inject(w, f, g) }
 		run()
 		want := got
 		allocs := testing.AllocsPerRun(1, run)

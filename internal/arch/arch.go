@@ -44,9 +44,7 @@ type Campaign struct {
 
 	// chain is the delta checkpoint chain along the golden run
 	// (internal/ckpt): architectural state + device state blobs plus
-	// content-changed RAM pages at each instruction boundary. It
-	// replaces the old full-snapshot arrays (snaps/snapMem/snapBus), so
-	// checkpoint count is no longer bounded by O(snapshots × RAM).
+	// content-changed RAM pages at each instruction boundary.
 	chain *ckpt.Chain
 	Limit uint64
 	// Workers is the campaign fan-out; <= 0 selects runtime.NumCPU().
@@ -142,39 +140,21 @@ func archProbe(s emu.Snapshot) uint64 {
 	return h
 }
 
-func kinstrAux(k uint64) []byte { return binary.AppendUvarint(nil, k) }
-
-func kinstrFromAux(aux []byte) uint64 {
-	v, _ := binary.Uvarint(aux)
-	return v
-}
-
 // encodeGolden serializes the golden summary into a chain's Meta so a
 // warm load learns the reference run without executing it.
 func encodeGolden(cp *Campaign) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(cp.GoldenOut)))
-	b = append(b, cp.GoldenOut...)
-	b = binary.AppendUvarint(b, cp.GoldenExit)
-	b = binary.AppendUvarint(b, cp.GoldenInstr)
-	return binary.AppendUvarint(b, cp.KInstr)
+	return ckpt.AppendSummary(nil, cp.GoldenOut, cp.GoldenExit, cp.GoldenInstr, cp.KInstr)
 }
 
+// decodeGolden decodes a golden blob into cp. The blob is the summary
+// alone: trailing bytes are refused.
 func decodeGolden(b []byte, cp *Campaign) error {
-	n, k := binary.Uvarint(b)
-	if k <= 0 || uint64(len(b)-k) < n {
-		return fmt.Errorf("arch: truncated golden summary")
+	out, rest, err := ckpt.DecodeSummary(b, &cp.GoldenExit, &cp.GoldenInstr, &cp.KInstr)
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("arch: %d bytes after the golden summary", len(rest))
 	}
-	cp.GoldenOut = append([]byte(nil), b[k:k+int(n)]...)
-	b = b[k+int(n):]
-	for _, dst := range []*uint64{&cp.GoldenExit, &cp.GoldenInstr, &cp.KInstr} {
-		v, k := binary.Uvarint(b)
-		if k <= 0 {
-			return fmt.Errorf("arch: truncated golden summary")
-		}
-		*dst = v
-		b = b[k:]
-	}
-	return nil
+	cp.GoldenOut = out
+	return err
 }
 
 // Prepare runs the golden execution and captures the delta checkpoint
@@ -187,28 +167,17 @@ func decodeGolden(b []byte, cp *Campaign) error {
 // an engine bug could never corrupt both sides of the fast-vs-reference
 // equivalence gate.
 func Prepare(img *kernel.Image, nsnaps int, reference bool) (*Campaign, error) {
-	run := func(c *emu.CPU) func(uint64) bool {
-		if reference {
-			return c.Run
-		}
-		return tb.New(c).Run
-	}
-	bus := dev.NewBus(img.NewMemory())
-	c := emu.New(img.ISA, bus, img.Entry)
-	if !run(c)(1 << 30) {
+	cp := &Campaign{Img: img, reference: reference}
+	golden := cp.newMachine(img.NewMemory())
+	if !golden.RunTo(1 << 30) {
 		return nil, fmt.Errorf("arch: golden run did not finish")
 	}
+	c, bus := golden.cpu, golden.bus
 	if bus.Halt != dev.HaltClean {
 		return nil, fmt.Errorf("arch: golden run ended %v", bus.Halt)
 	}
-	cp := &Campaign{
-		Img:         img,
-		GoldenOut:   append([]byte(nil), bus.Out...),
-		GoldenExit:  bus.ExitCode,
-		GoldenInstr: c.Instret,
-		KInstr:      c.KernelInstret,
-		reference:   reference,
-	}
+	cp.GoldenOut = append([]byte(nil), bus.Out...)
+	cp.GoldenExit, cp.GoldenInstr, cp.KInstr = bus.ExitCode, c.Instret, c.KernelInstret
 	cp.Limit = 3*cp.GoldenInstr + 100000
 
 	cp.chain = ckpt.New(ckpt.Meta{
@@ -216,39 +185,12 @@ func Prepare(img *kernel.Image, nsnaps int, reference bool) (*Campaign, error) {
 		RAMBytes: int(img.RAM.Size()),
 		Golden:   encodeGolden(cp),
 	})
-	if nsnaps > 1 {
-		step := cp.GoldenInstr / uint64(nsnaps)
-		if step == 0 {
-			step = 1
-		}
-		// The capture machine tracks its dirty pages, so each checkpoint
-		// compares only the RAM the interval wrote. The state blob is
-		// small (one chunk) and re-encoded whole.
-		m2 := img.NewMemory()
-		m2.EnableTracking()
-		bus2 := dev.NewBus(m2)
-		c2 := emu.New(img.ISA, bus2, img.Entry)
-		run2 := run(c2)
-		var sbuf []byte
-		var pages, chunks []int
-		for next := uint64(0); next < cp.GoldenInstr; next += step {
-			run2(next)
-			if n := cp.chain.Len(); n > 0 && c2.Instret <= cp.chain.Coord(n-1) {
-				continue
-			}
-			s := c2.Save()
-			sbuf = appendArchState(sbuf[:0], s, bus2)
-			pages = m2.TakeDirtyPages(pages[:0])
-			chunks = ckpt.AppendChunks(chunks[:0], 0, len(sbuf))
-			cp.chain.Add(c2.Instret, archProbe(s), m2.Bytes(), pages, sbuf, chunks, kinstrAux(s.KInstr))
-		}
-	} else {
-		// Keep one boot-state checkpoint so worker arenas always have a
-		// restore source.
-		boot := emu.Snapshot{PC: img.Entry, Mode: isa.Kernel}
-		blob := appendArchState(nil, boot, &dev.Bus{})
-		cp.chain.Add(0, archProbe(boot), img.RAM.Bytes(), nil, blob, nil, kinstrAux(0))
-	}
+	// The capture machine tracks its dirty pages, so each checkpoint
+	// compares only the RAM the interval wrote. The state blob is small
+	// (one chunk) and re-encoded whole.
+	m2 := img.NewMemory()
+	m2.EnableTracking()
+	ckpt.Capture(cp.chain, cp.newMachine(m2), cp.GoldenInstr, nsnaps)
 	return cp, nil
 }
 
@@ -292,62 +234,87 @@ func PrepareFromChain(img *kernel.Image, ch *ckpt.Chain) (*Campaign, error) {
 	return cp, nil
 }
 
-// worker is the reusable per-worker arena: an emulator, bus and RAM
-// image restored in place for every injection by delta-walking the
-// chain between restore points, keeping the hot loop allocation-free.
-type worker struct {
+// machine is an emulator, its bus and its RAM as the checkpoint driver
+// sees them: the golden run's, the capture's and every worker arena.
+type machine struct {
 	cpu *emu.CPU
 	bus *dev.Bus
-	m   *mem.Memory
 	eng *tb.Engine // nil when the campaign runs step-by-step (reference)
-	src int        // checkpoint index the arena was last restored from
-	// stateBuf holds the materialized state blob of checkpoint src;
-	// cmpBuf is the convergence-test encode scratch.
-	stateBuf []byte
-	cmpBuf   []byte
+	cmp []byte     // the convergence test's encode scratch
 }
 
-// cpuFor readies the worker's arena at dynamic instruction k, restoring
-// from checkpoint g. The bus is reset (not restored): faulty runs
-// accumulate device output from empty, exactly as before the chain
-// refactor, and the convergence test accounts for it.
-func (cp *Campaign) cpuFor(w *worker, k uint64, g int) (*emu.CPU, *dev.Bus) {
-	if w.m == nil {
-		w.m = mem.New(cp.Img.RAM.Size())
-		w.m.EnableTracking()
-		w.bus = dev.NewBus(w.m)
-		w.cpu = emu.New(cp.Img.ISA, w.bus, cp.Img.Entry)
-		if !cp.reference {
-			w.eng = tb.New(w.cpu)
-			w.eng.Paranoid = cp.TBParanoid
-		}
-		w.src = -1
-	} else {
-		w.bus.Reset()
+// newMachine builds a machine over m, at the image's entry point.
+func (cp *Campaign) newMachine(m *mem.Memory) *machine {
+	bus := dev.NewBus(m)
+	mc := &machine{cpu: emu.New(cp.Img.ISA, bus, cp.Img.Entry), bus: bus}
+	if !cp.reference {
+		mc.eng = tb.New(mc.cpu)
+		mc.eng.Paranoid = cp.TBParanoid
 	}
-	w.stateBuf = cp.chain.StateAt(g, w.stateBuf, w.src)
-	s, err := decodeArchState(w.stateBuf)
+	return mc
+}
+
+func (m *machine) Coord() uint64       { return m.cpu.Instret }
+func (m *machine) Probe() uint64       { return archProbe(m.cpu.Save()) }
+func (m *machine) Memory() *mem.Memory { return m.bus.Mem }
+func (m *machine) Aux() []byte         { return binary.AppendUvarint(nil, m.cpu.KernelInstret) }
+
+// RunTo executes to an instruction boundary or a halt: translation-block
+// dispatch when the machine carries an engine, instruction-at-a-time
+// stepping otherwise. Both land on exact committed-instruction
+// boundaries, so convergence tests see identical states.
+func (m *machine) RunTo(k uint64) bool {
+	if m.eng != nil {
+		return m.eng.Run(k)
+	}
+	return m.cpu.Run(k)
+}
+
+func (m *machine) Encode(blob []byte, changed []int) ([]byte, []int) {
+	blob = appendArchState(blob[:0], m.cpu.Save(), m.bus)
+	return blob, ckpt.AppendChunks(changed, 0, len(blob))
+}
+
+// Restore reinstates checkpoint g's architectural state and resets the
+// bus (not restored): faulty runs accumulate device output from empty,
+// and the convergence test accounts for it.
+func (m *machine) Restore(cu *ckpt.Cursor, g int) error {
+	s, err := decodeArchState(cu.Blob())
 	if err != nil {
-		// Unreachable for a chain that passed Prepare/PrepareFromChain
-		// validation: every checkpoint was encoded by this codec.
-		panic(fmt.Sprintf("arch: checkpoint %d restore: %v", g, err))
+		return err
 	}
-	s.KInstr = kinstrFromAux(cp.chain.Aux(g))
-	cp.chain.RestoreRAM(w.m, w.src, g)
-	w.src = g
-	w.cpu.Restore(s)
-	// Advance to the fault instant — an exact committed-instruction
-	// boundary either way.
-	if w.eng != nil {
-		w.eng.Run(k)
-	} else {
-		for w.cpu.Instret < k {
-			if !w.cpu.Step() {
-				break
-			}
-		}
-	}
-	return w.cpu, w.bus
+	s.KInstr, _ = binary.Uvarint(cu.Chain().Aux(g))
+	m.bus.Reset()
+	m.cpu.Restore(s)
+	return nil
+}
+
+// Matches encodes the state canonically (architectural fields + device
+// state) and compares it chunk-wise against the chain, then RAM on the
+// union of the faulty run's dirty pages (tracked since its restore) and
+// the chain's content-changed pages since: every other page provably
+// equals the restore checkpoint's copy in both runs. KInstr is
+// excluded: it is reporting state no instruction ever reads.
+func (m *machine) Matches(cu *ckpt.Cursor, j int) bool {
+	m.cmp = appendArchState(m.cmp[:0], m.cpu.Save(), m.bus)
+	return cu.Chain().StateEqual(j, m.cmp) && cu.Chain().RAMEqual(m.bus.Mem, cu.At(), j)
+}
+
+// worker is the reusable per-worker arena, restored in place for every
+// injection by its cursor's delta walk of the chain, keeping the hot
+// loop allocation-free.
+type worker struct {
+	m  *machine
+	cu *ckpt.Cursor
+}
+
+// newWorker builds an arena over fresh dirty-tracked RAM.
+func (cp *Campaign) newWorker() *worker {
+	m := mem.New(cp.Img.RAM.Size())
+	m.EnableTracking()
+	w := &worker{m: cp.newMachine(m)}
+	w.cu = ckpt.NewCursor(cp.chain, w.m)
+	return w
 }
 
 // Fault is one architecture-level injection.
@@ -423,23 +390,28 @@ func (cp *Campaign) sampleUniform(r *rand.Rand) Fault {
 // building a throwaway arena; campaigns use the pooled worker path in
 // RunCampaign.
 func (cp *Campaign) Run(f Fault) inject.Outcome {
-	w := &worker{src: -1}
-	g := cp.chain.Find(f.K)
-	c, bus := cp.cpuFor(w, f.K, g)
-	o, _ := cp.classify(c, bus, g, w, func() { cp.apply(c, f) })
+	o, _ := cp.inject(cp.newWorker(), f, cp.chain.Find(f.K))
 	return o
 }
 
-// classify applies an injection to a machine already advanced to the
-// fault instant (restored from checkpoint g), runs it to halt, the
-// watchdog limit or provable golden convergence, and classifies the
-// outcome. earlyStop reports a convergence-classified run.
-func (cp *Campaign) classify(c *emu.CPU, bus *dev.Bus, g int, w *worker, apply func()) (o inject.Outcome, earlyStop bool) {
-	if bus.Halted() {
+// inject restores w's arena from checkpoint g, advances it to the fault
+// instant, applies f, runs it to halt, the watchdog limit or provable
+// golden convergence (the fast path only), and classifies the outcome.
+// earlyStop reports a convergence-classified run.
+func (cp *Campaign) inject(w *worker, f Fault, g int) (o inject.Outcome, earlyStop bool) {
+	m := w.m
+	w.cu.Restore(g)
+	if m.RunTo(f.K) {
 		return inject.Masked, false
 	}
-	apply()
-	halted, converged := cp.runFaulty(c, bus, g, w)
+	cp.apply(m.cpu, f)
+	var halted, converged bool
+	if cp.reference {
+		halted = m.RunTo(cp.Limit)
+	} else {
+		halted, converged = w.cu.Run(cp.Limit)
+	}
+	bus := m.bus
 	switch {
 	case converged:
 		// Architectural state, device state and memory all bit-equal to
@@ -459,68 +431,6 @@ func (cp *Campaign) classify(c *emu.CPU, bus *dev.Bus, g int, w *worker, apply f
 		}
 		return inject.SDC, false
 	}
-}
-
-// runFaulty executes the faulty machine, pausing at every golden
-// checkpoint boundary past g to test for convergence.
-func (cp *Campaign) runFaulty(c *emu.CPU, bus *dev.Bus, g int, w *worker) (halted, converged bool) {
-	// run executes to the given instruction boundary (or halt) and
-	// reports halt — translation-block dispatch when the worker carries
-	// an engine, instruction-at-a-time stepping otherwise. Both land on
-	// exact committed-instruction boundaries, so convergence tests see
-	// identical states.
-	run := func(limit uint64) bool {
-		if w.eng != nil {
-			return w.eng.Run(limit)
-		}
-		for c.Instret < limit {
-			if !c.Step() {
-				return true
-			}
-		}
-		return bus.Halted()
-	}
-	if !cp.reference && bus.Mem.Tracking() {
-		for j := g + 1; j < cp.chain.Len(); j++ {
-			target := cp.chain.Coord(j)
-			// apply may have executed forward past this boundary while
-			// searching for a suitable operand; skip it.
-			if target < c.Instret {
-				continue
-			}
-			if target > cp.Limit {
-				target = cp.Limit
-			}
-			if run(target) {
-				return true, false
-			}
-			if cp.convergedAt(c, bus, g, j, w) {
-				return false, true
-			}
-		}
-	}
-	if run(cp.Limit) {
-		return true, false
-	}
-	return bus.Halted(), false
-}
-
-// convergedAt reports whether the faulty machine, at the instruction
-// boundary of checkpoint j, is bit-identical to the golden run: the
-// scalar probe gates the test; on a match the state is encoded
-// canonically (architectural fields + device state) and compared
-// chunk-wise against the chain, and RAM is compared on the union of the
-// faulty run's dirty pages (tracked since its restore from checkpoint
-// g) and the chain's content-changed pages in (g, j] — every other
-// page provably equals checkpoint g's copy in both runs. KInstr is
-// excluded: it is reporting state no instruction ever reads.
-func (cp *Campaign) convergedAt(c *emu.CPU, bus *dev.Bus, g, j int, w *worker) bool {
-	s := c.Save()
-	if s.Instret != cp.chain.Coord(j) || archProbe(s) != cp.chain.Probe(j) {
-		return false
-	}
-	w.cmpBuf = appendArchState(w.cmpBuf[:0], s, bus)
-	return cp.chain.StateEqual(j, w.cmpBuf) && cp.chain.RAMEqual(bus.Mem, g, j)
 }
 
 // apply injects the fault just before the next instruction executes.
@@ -649,30 +559,20 @@ func record(f Fault, o inject.Outcome, earlyStop bool) results.Record {
 	}
 }
 
-// RunCampaign performs n injections under the given FPM, fanned across
-// cp.Workers goroutines (<= 0: all CPUs). The fault sequence is
-// pre-drawn from the seed exactly as the serial loop drew it, so the
-// tally is bit-identical for every worker count. progress, when
-// non-nil, is called exactly once per injection, serialized and in
-// injection-index order; it must not call back into the campaign.
+// RunCampaign tallies n injections under the given FPM, fanned across
+// cp.Workers goroutines (<= 0: all CPUs), bit-identical for every
+// worker count. progress follows campaign.RecordsAt's contract and must
+// not call back into the campaign.
 func (cp *Campaign) RunCampaign(fpm micro.FPM, n int, seed int64, progress func(i int, r results.Record)) Tally {
 	return results.TallyOf(cp.Records(fpm, n, 0, seed, progress))
 }
 
 // Records executes injections [from, n) of the n-fault sequence
-// pre-drawn from seed and returns their records, indexed absolutely.
-// Records for [0, from) from an earlier shorter campaign with the same
-// key concatenate into exactly a one-shot n-injection record set (the
-// top-up resume primitive).
+// pre-drawn from seed and returns their records, indexed absolutely
+// (campaign.Tail: the top-up resume primitive).
 func (cp *Campaign) Records(fpm micro.FPM, n, from int, seed int64, progress func(i int, r results.Record)) []results.Record {
-	faults := cp.Pool(fpm, n, seed)
-	if from < 0 {
-		from = 0
-	}
-	if from >= n {
-		return nil
-	}
-	return cp.RecordsAt(faults[from:], from, progress)
+	faults, base := campaign.Tail(cp.Pool(fpm, n, seed), from)
+	return cp.RecordsAt(faults, base, progress)
 }
 
 // Pool pre-draws the n-fault sequence for the given FPM from seed —
@@ -680,37 +580,20 @@ func (cp *Campaign) Records(fpm micro.FPM, n, from int, seed int64, progress fun
 // campaigns can partition the pool into equivalence classes and inject
 // per-stratum subsets of it.
 func (cp *Campaign) Pool(fpm micro.FPM, n int, seed int64) []Fault {
-	r := rand.New(rand.NewSource(seed))
-	faults := make([]Fault, n)
-	for i := range faults {
-		faults[i] = cp.Sample(r, fpm)
-	}
-	return faults
+	return campaign.Pool(n, seed, func(r *rand.Rand) Fault { return cp.Sample(r, fpm) })
 }
 
 // RecordsAt injects the given faults (any ordered subset of a pool) and
-// returns their records with absolute indices base+i — the stratified
-// analogue of Records, bit-identical for every worker count.
+// returns their records with absolute indices base+i
+// (campaign.RecordsAt): the stratified analogue of Records.
 func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r results.Record)) []results.Record {
-	jobs := make([]campaign.Job, len(faults))
-	for i := range jobs {
-		jobs[i] = campaign.Job{Index: i, Group: cp.chain.Find(faults[i].K)}
-	}
-	var emit func(i int, rec results.Record)
-	if progress != nil {
-		emit = func(i int, rec results.Record) { progress(base+i, rec) }
-	}
-	return campaign.Run(jobs, cp.Workers,
-		func() *worker { return &worker{src: -1} },
-		func(w *worker, j campaign.Job) results.Record {
-			f := faults[j.Index]
-			c, bus := cp.cpuFor(w, f.K, j.Group)
-			o, early := cp.classify(c, bus, j.Group, w, func() { cp.apply(c, f) })
-			rec := record(f, o, early)
-			rec.Index = base + j.Index
-			return rec
+	return campaign.RecordsAt(faults, base, cp.Workers,
+		func(f Fault) int { return cp.CkptFor(f.K) }, nil, cp.newWorker,
+		func(w *worker, f Fault, g int) results.Record {
+			o, early := cp.inject(w, f, g)
+			return record(f, o, early)
 		},
-		emit)
+		progress)
 }
 
 // CkptFor returns the index of the checkpoint governing a dynamic

@@ -1,9 +1,12 @@
 package arch
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
+	"vulnstack/internal/ckpt"
 	"vulnstack/internal/codegen"
 	"vulnstack/internal/dev"
 	"vulnstack/internal/emu"
@@ -237,5 +240,38 @@ func TestPrepareFromChainMatchesCold(t *testing.T) {
 	b := warm.RunCampaign(micro.FPMWD, 30, 5, nil)
 	if a != b {
 		t.Fatalf("cold %+v != warm %+v", a, b)
+	}
+}
+
+// TestPrepareFromChainRefusesNonCanonicalGolden: the golden summary
+// decodes only in its canonical form, so an accepted chain re-encodes
+// byte for byte: sha's chain with its exit code re-encoded in a longer
+// varint, or with a byte after the summary, is refused.
+func TestPrepareFromChainRefusesNonCanonicalGolden(t *testing.T) {
+	cp := prep(t, "sha", isa.VSA64)
+	golden := cp.Chain().Meta.Golden
+	head := ckpt.AppendSummary(nil, cp.GoldenOut)
+	exit := binary.AppendUvarint(nil, cp.GoldenExit)
+	if !bytes.Equal(golden[:len(head)+len(exit)], append(head, exit...)) {
+		t.Fatal("the golden blob does not start with the output and the exit code")
+	}
+	rest := golden[len(head)+len(exit):]
+	exit[len(exit)-1] |= 0x80 // one more varint byte, continuing with 0
+	padded := append(append(append(head, exit...), 0), rest...)
+	for _, c := range []struct {
+		what string
+		blob []byte
+	}{
+		{"padded exit code", padded},
+		{"trailing byte", append(bytes.Clone(golden), 0)},
+	} {
+		ch, err := ckpt.Decode(cp.Chain().Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch.Meta.Golden = c.blob
+		if _, err := PrepareFromChain(cp.Img, ch); err == nil {
+			t.Errorf("%s: accepted %x", c.what, c.blob)
+		}
 	}
 }

@@ -1,12 +1,13 @@
 // Package campaign is the shared parallel fault-injection engine used
 // by all three injection layers (microarchitectural AVF, architectural
-// PVF, software-level SVF). The layers pre-draw their fault sequence
-// from a single seeded stream — exactly the sequence the old serial
-// loops drew — and hand the engine one independent job per injection,
-// so the aggregate tally is bit-identical for every worker count,
-// including workers=1 reproducing the historical serial results.
+// PVF, software-level SVF), and their one fault-list driver. Pool
+// pre-draws a layer's fault sequence from a single seeded stream
+// through the layer's sampler, Tail cuts a top-up's [from, n) from it,
+// and RecordsAt hands the engine one independent job per injection, so
+// the aggregate tally is bit-identical for every worker count,
+// including workers=1 reproducing the serial results.
 //
-// Jobs carry a state-affinity group (the golden snapshot a faulty run
+// Jobs carry a state-affinity group (the golden checkpoint a faulty run
 // restores from). The engine keeps same-group jobs together on a
 // worker, which lets per-worker arenas restore golden state by copying
 // only dirty pages instead of the full RAM image.

@@ -19,7 +19,7 @@
 // The chain answers four questions for an engine:
 //
 //   - Find(coord): nearest checkpoint at or before a fault coordinate
-//     (binary search), replacing the engines' duplicated snapFor.
+//     (binary search).
 //   - StateAt/RestoreRAM: delta-walk restore into a worker arena —
 //     walking only the chunks with a version between the arena's
 //     current checkpoint and the target, instead of full copies.
@@ -36,6 +36,15 @@
 //     store, digest-protected, so a warm store (top-up resume or a
 //     second process) skips the golden run entirely.
 //
+// On top of these, the package is the one checkpoint driver of all
+// three injectors, over each engine's Machine (driver.go): Capture
+// checkpoints a golden run, a Cursor restores a worker arena from any
+// checkpoint and runs its faulty run, pausing at every later checkpoint
+// until it ends, reaches its limit or converges, and AppendSummary and
+// DecodeSummary are the golden-run summary codec of Meta.Golden. An
+// engine supplies only its machine: coordinate, run-to, probe, RAM,
+// state codec and compare.
+//
 // Canonical encoding is the engine's contract: two machine states are
 // engine-StateEqual if and only if their encoded blobs are bytes-equal.
 // Per-checkpoint aux bytes carry restore-only data excluded from that
@@ -46,7 +55,9 @@ package ckpt
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"slices"
 	"sort"
 	"strings"
@@ -85,6 +96,45 @@ type Meta struct {
 	// exit code, cycle/instruction counts): everything Prepare would
 	// otherwise have to re-run the golden execution to learn.
 	Golden []byte
+}
+
+// AppendSummary appends a golden-run summary, the head of a Meta.Golden
+// blob, to dst: the length of out, out, then each count, all uvarints.
+func AppendSummary(dst, out []byte, counts ...uint64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(out)))
+	dst = append(dst, out...)
+	for _, v := range counts {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	return dst
+}
+
+// DecodeSummary decodes the summary AppendSummary wrote at the head of
+// b, with as many counts as it is given, and returns a copy of the
+// output and the bytes after the summary. Varints must be canonical, so
+// an accepted summary re-encodes byte for byte.
+func DecodeSummary(b []byte, counts ...*uint64) (out, rest []byte, err error) {
+	errSummary := errors.New("ckpt: truncated or non-canonical golden summary")
+	n, b, ok := uvarint(b)
+	if !ok || uint64(len(b)) < n {
+		return nil, nil, errSummary
+	}
+	out, b = append([]byte(nil), b[:n]...), b[n:]
+	for _, dst := range counts {
+		if *dst, b, ok = uvarint(b); !ok {
+			return nil, nil, errSummary
+		}
+	}
+	return out, b, nil
+}
+
+// uvarint reads one canonically encoded uvarint.
+func uvarint(b []byte) (uint64, []byte, bool) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 || n != len(binary.AppendUvarint(nil, v)) {
+		return 0, b, false
+	}
+	return v, b[n:], true
 }
 
 // chunkVer is one stored version of one chunk: its contents as of

@@ -27,7 +27,7 @@ func TestWarmInjectionAllocFree(t *testing.T) {
 				if cp.life.Fate(f.Struct, f.Entry, f.Bit, f.Cycle) != micro.FateRun {
 					continue
 				}
-				w := &worker{src: -1}
+				w := &worker{}
 				g := cp.chain.Find(f.Cycle)
 				if !cp.run(w, f, g).Live {
 					continue

@@ -7,7 +7,6 @@ package inject
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -103,12 +102,7 @@ type Golden struct {
 // path's Prepare appends the golden run's lifetime table to it
 // (micro.Core.AppendLifetimes).
 func encodeGolden(g Golden) []byte {
-	b := binary.AppendUvarint(nil, uint64(len(g.Out)))
-	b = append(b, g.Out...)
-	b = binary.AppendUvarint(b, g.ExitCode)
-	b = binary.AppendUvarint(b, g.Cycles)
-	b = binary.AppendUvarint(b, g.Instret)
-	return binary.AppendUvarint(b, g.KInstr)
+	return ckpt.AppendSummary(nil, g.Out, g.ExitCode, g.Cycles, g.Instret, g.KInstr)
 }
 
 // decodeGolden decodes a golden blob: the summary, then the lifetime
@@ -123,23 +117,12 @@ func decodeGolden(b []byte) (Golden, *micro.Lifetimes, error) {
 }
 
 // decodeSummary decodes the golden summary at the head of a golden blob
-// and returns the bytes after it. Varints must be canonical, so an
-// accepted summary re-encodes byte for byte.
+// and returns the bytes after it.
 func decodeSummary(b []byte) (Golden, []byte, error) {
 	var g Golden
-	errTrunc := fmt.Errorf("inject: truncated or non-canonical golden summary")
-	n, b, ok := uvarint(b)
-	if !ok || uint64(len(b)) < n {
-		return g, nil, errTrunc
-	}
-	g.Out = append([]byte(nil), b[:n]...)
-	b = b[n:]
-	for _, dst := range []*uint64{&g.ExitCode, &g.Cycles, &g.Instret, &g.KInstr} {
-		if *dst, b, ok = uvarint(b); !ok {
-			return g, nil, errTrunc
-		}
-	}
-	return g, b, nil
+	var err error
+	g.Out, b, err = ckpt.DecodeSummary(b, &g.ExitCode, &g.Cycles, &g.Instret, &g.KInstr)
+	return g, b, err
 }
 
 // ChainGolden returns the golden-run summary a micro chain carries,
@@ -153,15 +136,6 @@ func ChainGolden(ch *ckpt.Chain) (Golden, error) {
 	return g, err
 }
 
-// uvarint reads one canonically encoded uvarint.
-func uvarint(b []byte) (uint64, []byte, bool) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 || n != len(binary.AppendUvarint(nil, v)) {
-		return 0, b, false
-	}
-	return v, b[n:], true
-}
-
 // Campaign holds everything needed to run injections for one
 // (program image, microarchitecture) pair.
 type Campaign struct {
@@ -171,9 +145,7 @@ type Campaign struct {
 
 	// chain is the delta checkpoint chain along the golden run: boot
 	// state plus content-changed RAM pages and machine-state chunks at
-	// each boundary (internal/ckpt). It replaces the old full-snapshot
-	// array, so checkpoint count is no longer bounded by
-	// O(snapshots × RAM) memory.
+	// each boundary (internal/ckpt).
 	chain *ckpt.Chain
 	// Limit is the faulty-run watchdog in cycles.
 	Limit uint64
@@ -258,38 +230,7 @@ func Prepare(img *kernel.Image, cfg micro.Config, nsnaps int) (*Campaign, error)
 	// previous one).
 	m2 := img.NewMemory()
 	m2.EnableTracking()
-	c2 := micro.New(cfg, m2, img.Entry)
-	var sbuf []byte
-	var pages, chunks []int
-	capture := func() {
-		if n := cp.chain.Len(); n > 0 && c2.Cycle <= cp.chain.Coord(n-1) {
-			return
-		}
-		sbuf, chunks = c2.EncodeStateDelta(sbuf, chunks[:0])
-		pages = m2.TakeDirtyPages(pages[:0])
-		cp.chain.Add(c2.Cycle, c2.StateProbe(), m2.Bytes(), pages, sbuf, chunks, nil)
-	}
-	if nsnaps > 1 {
-		step := cp.Golden.Cycles / uint64(nsnaps)
-		if step == 0 {
-			step = 1
-		}
-		for next := uint64(0); next < cp.Golden.Cycles; next += step {
-			for c2.Cycle < next {
-				if !c2.Step() {
-					break
-				}
-			}
-			capture()
-			if c2.Bus.Halted() {
-				break
-			}
-		}
-	} else {
-		// Even without interior checkpoints, keep the boot state so
-		// worker arenas always have a restore source.
-		capture()
-	}
+	ckpt.Capture(cp.chain, machine{micro.New(cfg, m2, img.Entry)}, cp.Golden.Cycles, nsnaps)
 	return cp, nil
 }
 
@@ -369,17 +310,54 @@ var machines = make(chan struct{}, runtime.NumCPU())
 func acquireMachine() { machines <- struct{}{} }
 func releaseMachine() { <-machines }
 
+// machine is a micro core as the checkpoint driver sees it. Encode
+// (EncodeStateDelta) runs only on Prepare's capture machine, never on a
+// worker arena.
+type machine struct{ *micro.Core }
+
+func (m machine) Coord() uint64                            { return m.Cycle }
+func (m machine) RunTo(c uint64) bool                      { return m.Run(c) }
+func (m machine) Probe() uint64                            { return m.StateProbe() }
+func (m machine) Memory() *mem.Memory                      { return m.Bus.Mem }
+func (m machine) Aux() []byte                              { return nil }
+func (m machine) Encode(b []byte, c []int) ([]byte, []int) { return m.EncodeStateDelta(b, c) }
+
+// Restore decodes checkpoint g's state. A restored arena holds
+// checkpoint cu.At()'s state except on the cache lines its last run
+// touched, so it decodes only those and the lines of the changed chunks.
+func (m machine) Restore(cu *ckpt.Cursor, g int) error {
+	if cu.At() < 0 {
+		return m.DecodeState(cu.Blob())
+	}
+	return m.DecodeStateDelta(cu.Blob(), cu.Changed(g))
+}
+
+// Matches compares the machine state, then RAM: the core's canonical
+// encoding against checkpoint j's stored blob (bytes-equality ⟺
+// micro.StateEqual) on the cache lines the faulty run touched since its
+// restore plus the lines in the chain's content-changed state chunks
+// since, and RAM on the union of the faulty run's dirty pages and the
+// chain's content-changed pages. Every other line and page provably
+// equals the restore checkpoint's copy in both runs.
+func (m machine) Matches(cu *ckpt.Cursor, j int) bool {
+	return m.stateMatches(cu, j) && cu.Chain().RAMEqual(m.Bus.Mem, cu.At(), j)
+}
+
+// stateMatches is Matches's machine-state half.
+func (m machine) stateMatches(cu *ckpt.Cursor, j int) bool {
+	ch := cu.Chain()
+	return m.StateMatches(ch.StateLen(j),
+		func(off int, b []byte) bool { return ch.StateRangeEqual(j, off, b) },
+		func() []int { return cu.Changed(j) })
+}
+
 // worker is the reusable per-worker machine arena: one core restored in
-// place by delta-walking the chain (dirty RAM pages, touched cache
-// lines, and the chunks that changed between the previous and the new
-// restore point) instead of deep-copied for every injection.
+// place by its cursor (dirty RAM pages, touched cache lines, and the
+// chunks that changed between the previous and the new restore point)
+// instead of deep-copied for every injection.
 type worker struct {
-	arena *micro.Core
-	src   int // checkpoint index the arena was last restored from
-	// stateBuf holds the materialized machine-state blob of checkpoint
-	// src; chunks is state-chunk list scratch.
-	stateBuf []byte
-	chunks   []int
+	arena machine
+	cu    *ckpt.Cursor
 	// budgeted workers (RecordsAt's) take a machines slot when a fault
 	// first needs their arena and hold it (holding) until Release.
 	budgeted, holding bool
@@ -389,49 +367,27 @@ type worker struct {
 // campaign.Run calls it when the worker runs out of jobs.
 func (w *worker) Release() {
 	if w.holding {
-		w.arena, w.stateBuf, w.holding = nil, nil, false
+		w.arena, w.cu, w.holding = machine{}, nil, false
 		releaseMachine()
 	}
 }
 
-// coreFor readies the worker's arena at the given cycle, restoring from
-// checkpoint g.
+// coreFor readies the worker's arena at the given cycle, restoring
+// from checkpoint g.
 func (cp *Campaign) coreFor(w *worker, cycle uint64, g int) *micro.Core {
-	if w.arena == nil {
+	if w.cu == nil {
 		if w.budgeted {
 			acquireMachine()
 			w.holding = true
 		}
 		m := mem.New(cp.Img.RAM.Size())
 		m.EnableTracking()
-		w.arena = micro.New(cp.Cfg, m, cp.Img.Entry)
-		w.src = -1
+		w.arena = machine{micro.New(cp.Cfg, m, cp.Img.Entry)}
+		w.cu = ckpt.NewCursor(cp.chain, w.arena)
 	}
-	w.stateBuf = cp.chain.StateAt(g, w.stateBuf, w.src)
-	var err error
-	if w.src < 0 {
-		err = w.arena.DecodeState(w.stateBuf)
-	} else {
-		// The arena holds checkpoint src's state except on the cache
-		// lines its last run touched.
-		w.chunks = cp.chain.StateChunks(w.src, g, w.chunks[:0])
-		err = w.arena.DecodeStateDelta(w.stateBuf, w.chunks)
-	}
-	if err != nil {
-		// Unreachable for a chain that passed Prepare/PrepareFromChain
-		// validation: every checkpoint was encoded by the same codec on
-		// the same geometry.
-		panic(fmt.Sprintf("inject: checkpoint %d restore: %v", g, err))
-	}
-	cp.chain.RestoreRAM(w.arena.Bus.Mem, w.src, g)
-	w.src = g
-	core := w.arena
-	for core.Cycle < cycle {
-		if !core.Step() {
-			break
-		}
-	}
-	return core
+	w.cu.Restore(g)
+	w.arena.Run(cycle)
+	return w.arena.Core
 }
 
 // Sample draws a fault uniformly over (entry, bit, cycle), following
@@ -457,7 +413,7 @@ func (cp *Campaign) Sample(r *rand.Rand, s micro.Structure) Fault {
 // throwaway arena outside the machines budget; campaigns use the
 // pooled worker path in RunCampaign.
 func (cp *Campaign) Run(f Fault) Result {
-	return cp.run(&worker{src: -1}, f, cp.chain.Find(f.Cycle))
+	return cp.run(&worker{}, f, cp.chain.Find(f.Cycle))
 }
 
 // run classifies one fault. A fault the lifetime table decides needs no
@@ -475,13 +431,13 @@ func (cp *Campaign) run(w *worker, f Fault, g int) Result {
 			return Result{Fault: f, Outcome: Masked, Live: true, EarlyStop: true}
 		}
 	}
-	return cp.classify(cp.coreFor(w, f.Cycle, g), f, g, w)
+	return cp.classify(cp.coreFor(w, f.Cycle, g), f, w)
 }
 
-// classify injects f into a machine already advanced to f.Cycle
-// (restored from checkpoint g), runs it to halt, the watchdog limit or
-// provable golden convergence, and classifies the effect.
-func (cp *Campaign) classify(core *micro.Core, f Fault, g int, w *worker) Result {
+// classify injects f into w's arena, already advanced to f.Cycle, runs
+// it to halt, the watchdog limit or provable golden convergence (the
+// fast path only), and classifies the effect.
+func (cp *Campaign) classify(core *micro.Core, f Fault, w *worker) Result {
 	if core.Bus.Halted() {
 		// Injection cycle raced with the halt: nothing to corrupt.
 		return Result{Fault: f, Outcome: Masked}
@@ -492,7 +448,12 @@ func (cp *Campaign) classify(core *micro.Core, f Fault, g int, w *worker) Result
 		res.Outcome = Masked
 		return res
 	}
-	halted, converged := cp.runFaulty(core, g, w)
+	var halted, converged bool
+	if cp.Cfg.Reference {
+		halted = core.Run(cp.Limit)
+	} else {
+		halted, converged = w.cu.Run(cp.Limit)
+	}
 	switch {
 	case converged:
 		// Bit-equal to golden at the same cycle boundary: the remaining
@@ -520,81 +481,20 @@ func (cp *Campaign) classify(core *micro.Core, f Fault, g int, w *worker) Result
 	return res
 }
 
-// runFaulty executes the faulty machine, pausing at every golden
-// checkpoint boundary past g to test for convergence. It returns halted
-// (the machine reached a halt port) and converged (the run was cut
-// short because its full state re-equaled golden's at a boundary).
-func (cp *Campaign) runFaulty(core *micro.Core, g int, w *worker) (halted, converged bool) {
-	if cp.Cfg.Reference || !core.Bus.Mem.Tracking() {
-		return core.Run(cp.Limit), false
-	}
-	for j := g + 1; j < cp.chain.Len(); j++ {
-		for core.Cycle < cp.chain.Coord(j) {
-			if !core.Step() {
-				return true, false
-			}
-		}
-		if cp.converged(core, g, j, w) {
-			return false, true
-		}
-	}
-	return core.Run(cp.Limit), false
-}
-
-// converged reports whether the faulty core, now at the cycle of
-// checkpoint j, is bit-identical to the golden run. The scalar probe
-// gates the test. On a match the core's canonical encoding is compared
-// against checkpoint j's stored blob (bytes-equality ⟺
-// micro.StateEqual) on the cache lines the faulty run touched since its
-// restore from checkpoint g plus the lines in the chain's
-// content-changed state chunks in (g, j], and RAM on the union of the
-// faulty run's dirty pages and the chain's content-changed pages in
-// (g, j]. Every other line and page provably equals checkpoint g's copy
-// in both runs.
-func (cp *Campaign) converged(core *micro.Core, g, j int, w *worker) bool {
-	if core.Cycle != cp.chain.Coord(j) || core.StateProbe() != cp.chain.Probe(j) {
-		return false
-	}
-	return cp.stateConverged(core, g, j, w) && cp.chain.RAMEqual(core.Bus.Mem, g, j)
-}
-
-// stateConverged is converged's machine-state half, without the probe.
-func (cp *Campaign) stateConverged(core *micro.Core, g, j int, w *worker) bool {
-	return core.StateMatches(cp.chain.StateLen(j),
-		func(off int, b []byte) bool { return cp.chain.StateRangeEqual(j, off, b) },
-		func() []int {
-			w.chunks = cp.chain.StateChunks(g, j, w.chunks[:0])
-			return w.chunks
-		})
-}
-
-// RunCampaign performs n sampled injections into structure s, fanned
-// across cp.Workers goroutines (<= 0: all CPUs). The fault sequence is
-// pre-drawn from the seed exactly as the serial loop drew it, so the
-// tally is bit-identical for every worker count. progress, when
-// non-nil, is called exactly once per injection, serialized and in
-// injection-index order (the thread-safe callback contract shared by
-// all three layers); it must not call back into the campaign.
+// RunCampaign tallies n sampled injections into structure s, fanned
+// across cp.Workers goroutines (<= 0: all CPUs), bit-identical for
+// every worker count. progress follows campaign.RecordsAt's contract
+// and must not call back into the campaign.
 func (cp *Campaign) RunCampaign(s micro.Structure, n int, seed int64, progress func(i int, r Record)) Tally {
 	return results.TallyOf(cp.Records(s, n, 0, seed, progress))
 }
 
 // Records executes injections [from, n) of the n-fault sequence
-// pre-drawn from seed and returns their records, indexed absolutely.
-// Because the sequence is drawn deterministically from the seed,
-// records for [0, from) produced by an earlier (shorter) campaign with
-// the same key concatenate with this slice into exactly the record set
-// a one-shot n-injection campaign yields — the top-up resume primitive
-// the persistent store builds on.
+// pre-drawn from seed and returns their records, indexed absolutely
+// (campaign.Tail: the top-up resume primitive).
 func (cp *Campaign) Records(s micro.Structure, n, from int, seed int64, progress func(i int, r Record)) []Record {
-	faults := cp.Pool(s, n, seed)
-	if from < 0 {
-		from = 0
-	}
-	if from >= n {
-		return nil
-	}
-	return cp.RecordsAt(faults[from:], from, progress)
+	faults, base := campaign.Tail(cp.Pool(s, n, seed), from)
+	return cp.RecordsAt(faults, base, progress)
 }
 
 // Pool pre-draws the n-fault sequence for structure s from seed —
@@ -602,35 +502,18 @@ func (cp *Campaign) Records(s micro.Structure, n, from int, seed int64, progress
 // campaigns can partition the pool into equivalence classes and inject
 // per-stratum subsets of it.
 func (cp *Campaign) Pool(s micro.Structure, n int, seed int64) []Fault {
-	r := rand.New(rand.NewSource(seed))
-	faults := make([]Fault, n)
-	for i := range faults {
-		faults[i] = cp.Sample(r, s)
-	}
-	return faults
+	return campaign.Pool(n, seed, func(r *rand.Rand) Fault { return cp.Sample(r, s) })
 }
 
 // RecordsAt injects the given faults (any ordered subset of a pool) and
-// returns their records with absolute indices base+i — the stratified
-// analogue of Records, whose record stream is a pure function of the
-// fault slice: bit-identical for every worker count.
+// returns their records with absolute indices base+i
+// (campaign.RecordsAt): the stratified analogue of Records.
 func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r Record)) []Record {
-	jobs := make([]campaign.Job, len(faults))
-	for i := range jobs {
-		jobs[i] = campaign.Job{Index: i, Group: cp.chain.Find(faults[i].Cycle)}
-	}
-	var emit func(i int, rec Record)
-	if progress != nil {
-		emit = func(i int, rec Record) { progress(base+i, rec) }
-	}
-	return campaign.Run(jobs, cp.Workers,
-		func() *worker { return &worker{src: -1, budgeted: true} },
-		func(w *worker, j campaign.Job) Record {
-			rec := cp.run(w, faults[j.Index], j.Group).Record()
-			rec.Index = base + j.Index
-			return rec
-		},
-		emit)
+	return campaign.RecordsAt(faults, base, cp.Workers,
+		func(f Fault) int { return cp.CkptFor(f.Cycle) }, nil,
+		func() *worker { return &worker{budgeted: true} },
+		func(w *worker, f Fault, g int) Record { return cp.run(w, f, g).Record() },
+		progress)
 }
 
 // CkptFor returns the index of the checkpoint governing an injection

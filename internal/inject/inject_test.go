@@ -60,7 +60,7 @@ func TestGoldenRun(t *testing.T) {
 // checkpoints, exercising the incremental delta-walk restore path.
 func TestSnapshotDeterminism(t *testing.T) {
 	cp := shaCampaign(t, micro.ConfigA9(), 6)
-	w := &worker{src: -1}
+	w := &worker{}
 	for i := 0; i < cp.Chain().Len(); i++ {
 		core := cp.coreFor(w, cp.Chain().Coord(i), i)
 		if !core.Run(cp.Limit) {
@@ -80,7 +80,7 @@ func TestSnapshotDeterminism(t *testing.T) {
 func TestFaultFreeRunFromMidpoint(t *testing.T) {
 	cp := shaCampaign(t, micro.ConfigA72(), 4)
 	mid := cp.Golden.Cycles / 2
-	core := cp.coreFor(&worker{src: -1}, mid, cp.Chain().Find(mid))
+	core := cp.coreFor(&worker{}, mid, cp.Chain().Find(mid))
 	if !core.Run(cp.Limit) {
 		t.Fatal("midpoint run did not complete")
 	}

@@ -21,18 +21,18 @@ func FuzzSoftState(f *testing.F) {
 		f.Add(append([]byte(nil), blob...))
 		f.Add(append([]byte(nil), blob[:len(blob)-8]...))
 	}
-	w := cp.newWorker()
+	mc := cp.newWorker().m.mc
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := w.mc.SetState(data, 0, cp.GoldenOut); err != nil {
+		if err := mc.SetState(data, 0, cp.GoldenOut); err != nil {
 			return
 		}
-		if got := w.mc.AppendState(nil); !bytes.Equal(got, data) {
+		if got := mc.AppendState(nil); !bytes.Equal(got, data) {
 			t.Fatalf("an accepted state re-encodes differently:\n got %x\nwant %x", got, data)
 		}
-		w.mc.MaxSteps = w.mc.Steps() + 2000
-		if w.mc.MaxSteps < w.mc.Steps() {
-			w.mc.MaxSteps = ^uint64(0)
+		mc.MaxSteps = mc.Steps() + 2000
+		if mc.MaxSteps < mc.Steps() {
+			mc.MaxSteps = ^uint64(0)
 		}
-		w.mc.Run(tb.NoStop)
+		mc.Run(tb.NoStop)
 	})
 }

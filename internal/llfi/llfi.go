@@ -130,9 +130,7 @@ func Prepare(m *ir.Module, memSize, nsnaps int, reference bool) (*Campaign, erro
 
 // capture compiles the module and replays the golden run on the
 // compiled engine, checkpointing it every GoldenDefs/nsnaps
-// definitions: the canonical state blob, the scalar probe and the RAM,
-// whose capture compares only the pages the interval wrote and the
-// rewritten blob's chunks. The compiled run must end exactly as the
+// definitions (ckpt.Capture). The compiled run must end exactly as the
 // interpreter's golden run did.
 func (cp *Campaign) capture(nsnaps int) error {
 	ip := ir.NewInterp(cp.M, Width, cp.MemSize)
@@ -141,31 +139,16 @@ func (cp *Campaign) capture(nsnaps int) error {
 		return fmt.Errorf("llfi: %w", err)
 	}
 	ip.Mem.EnableTracking()
-	mc := p.NewMachine(ip)
-	mc.MaxSteps = cp.Limit
-	if err := mc.Start(); err != nil {
+	m := &machine{ip: ip, mc: p.NewMachine(ip)}
+	m.mc.MaxSteps = cp.Limit
+	if err := m.mc.Start(); err != nil {
 		return fmt.Errorf("llfi: compiled golden run: %w", err)
 	}
 	ch := ckpt.New(ckpt.Meta{Engine: Engine, RAMBytes: cp.MemSize})
-	step := cp.GoldenDefs
-	if nsnaps > 1 {
-		step /= uint64(nsnaps)
-	}
-	step = max(step, 1)
-	var blob []byte
-	var pages, chunks []int
-	for next := uint64(0); next == 0 || next < cp.GoldenDefs; next += step {
-		if paused, err := mc.Run(next); !paused {
-			return fmt.Errorf("llfi: compiled golden run ended before definition %d: %v", next, err)
-		}
-		blob = mc.AppendState(blob[:0])
-		pages = ip.Mem.TakeDirtyPages(pages[:0])
-		chunks = ckpt.AppendChunks(chunks[:0], 0, len(blob))
-		ch.Add(next, mc.Probe(), ip.Mem.Bytes(), pages, blob, chunks, nil)
-	}
-	if _, err := mc.Run(tb.NoStop); err != nil || !ip.Exited || ip.ExitCode != cp.GoldenExit ||
-		!bytes.Equal(ip.Out, cp.GoldenOut) || mc.Steps() != cp.GoldenSteps || mc.DefSeq() != cp.GoldenDefs {
-		return fmt.Errorf("llfi: the compiled golden run differs from the interpreter's (err %v)", err)
+	ckpt.Capture(ch, m, cp.GoldenDefs, nsnaps)
+	if m.RunTo(tb.NoStop); m.err != nil || !ip.Exited || ip.ExitCode != cp.GoldenExit ||
+		!bytes.Equal(ip.Out, cp.GoldenOut) || m.mc.Steps() != cp.GoldenSteps || m.mc.DefSeq() != cp.GoldenDefs {
+		return fmt.Errorf("llfi: the compiled golden run differs from the interpreter's (err %v)", m.err)
 	}
 	cp.prog, cp.chain = p, ch
 	return nil
@@ -251,83 +234,94 @@ func (cp *Campaign) Run(f Fault) inject.Outcome {
 	return o
 }
 
+// machine is a compiled machine over an interpreter's memory and output
+// as the checkpoint driver sees it: the golden capture machine and, on
+// the fast path, every worker arena. Coordinates are definition counts;
+// the watchdog is the compiled machine's MaxSteps.
+type machine struct {
+	ip     *ir.Interp
+	mc     *tb.Machine
+	golden []byte // the golden output, whose prefix a restore sets
+	err    error  // the end of the last run: nil on a clean end
+	cmp    []byte // the convergence test's encode scratch
+}
+
+func (m *machine) Coord() uint64       { return m.mc.DefSeq() }
+func (m *machine) Probe() uint64       { return m.mc.Probe() }
+func (m *machine) Memory() *mem.Memory { return m.ip.Mem }
+func (m *machine) Aux() []byte         { return nil }
+
+func (m *machine) RunTo(seq uint64) bool {
+	paused, err := m.mc.Run(seq)
+	m.err = err
+	return !paused
+}
+
+func (m *machine) Encode(blob []byte, changed []int) ([]byte, []int) {
+	blob = m.mc.AppendState(blob[:0])
+	return blob, ckpt.AppendChunks(changed, 0, len(blob))
+}
+
+// Restore sets the frames, registers, steps and stack pointer from
+// checkpoint g's blob and the output to golden's prefix, disarming the
+// fault.
+func (m *machine) Restore(cu *ckpt.Cursor, g int) error {
+	return m.mc.SetState(cu.Blob(), cu.Chain().Coord(g), m.golden)
+}
+
+// Matches compares output, RAM and state blob. A run equal to golden
+// there (frames, registers, steps, stack pointer, output and memory) is
+// golden from then on, watchdog budget included.
+func (m *machine) Matches(cu *ckpt.Cursor, j int) bool {
+	ch, out := cu.Chain(), m.ip.Out
+	if len(out) > len(m.golden) || !bytes.Equal(out, m.golden[:len(out)]) {
+		return false
+	}
+	if !ch.RAMEqual(m.ip.Mem, cu.At(), j) {
+		return false
+	}
+	m.cmp = m.mc.AppendState(m.cmp[:0])
+	return ch.StateEqual(j, m.cmp)
+}
+
 // worker is the reusable per-worker arena: an interpreter whose memory
 // tracks its dirty pages and, on the fast path, a compiled machine over
-// it, restored in place for every injection.
+// it with the cursor that restores it, for every injection in place.
 type worker struct {
 	ip *ir.Interp
-	mc *tb.Machine // nil on the reference engine
-	// src is the checkpoint the arena was last restored from; state
-	// holds its materialized blob, and cmp is the convergence test's
-	// encode scratch.
-	src   int
-	state []byte
-	cmp   []byte
+	m  *machine     // nil on the reference engine
+	cu *ckpt.Cursor // nil on the reference engine
 }
 
 // newWorker builds an arena. Its memory is a just-constructed
 // interpreter's, which is checkpoint 0's RAM (and the reference
-// engine's image); its empty state buffer makes the first restore
-// materialize a whole blob.
+// engine's image).
 func (cp *Campaign) newWorker() *worker {
 	ip := ir.NewInterp(cp.M, Width, cp.MemSize)
 	ip.Mem.EnableTracking()
 	w := &worker{ip: ip}
 	if cp.prog != nil {
-		w.mc = cp.prog.NewMachine(ip)
+		w.m = &machine{ip: ip, mc: cp.prog.NewMachine(ip), golden: cp.GoldenOut}
+		w.cu = ckpt.NewCursor(cp.chain, w.m)
 	}
 	return w
 }
 
-// inject runs fault f on worker w through the active engine: on the
-// fast path from checkpoint g, the one at or below f.Seq. earlyStop
-// reports a run ended by convergence.
+// inject runs fault f on worker w through the active engine. On the
+// fast path it restores checkpoint g, the one at or below f.Seq, arms
+// the flip and runs to the end, pausing at every later checkpoint to
+// test for convergence. earlyStop reports a run ended by convergence.
 func (cp *Campaign) inject(w *worker, f Fault, g int) (o inject.Outcome, earlyStop bool) {
-	if w.mc == nil {
+	if w.m == nil {
 		return cp.runReference(w.ip, f), false
 	}
-	return cp.runFrom(w, f, g)
-}
-
-// runFrom restores checkpoint g into the worker's arena (the state blob
-// and RAM by delta walk from the arena's last checkpoint, the output as
-// golden's prefix), arms the fault, and runs to the end, pausing at
-// every later checkpoint to test for convergence: a scalar probe gates
-// the full compare of output, RAM and state blob. A run equal to golden
-// there (frames, registers, steps, stack pointer, output and memory) is
-// golden from then on, watchdog budget included, so it is Masked.
-func (cp *Campaign) runFrom(w *worker, f Fault, g int) (o inject.Outcome, earlyStop bool) {
-	ch, ip, mc := cp.chain, w.ip, w.mc
-	w.state = ch.StateAt(g, w.state, w.src)
-	ch.RestoreRAM(ip.Mem, w.src, g)
-	w.src = g
-	if err := mc.SetState(w.state, ch.Coord(g), cp.GoldenOut); err != nil {
-		// Unreachable: every checkpoint was encoded by this program's
-		// machine.
-		panic(fmt.Sprintf("llfi: checkpoint %d restore: %v", g, err))
+	w.cu.Restore(g)
+	w.m.mc.MaxSteps = cp.Limit
+	w.m.mc.SetFault(f.Seq, f.Bit)
+	if _, converged := w.cu.Run(tb.NoStop); converged {
+		return inject.Masked, true
 	}
-	mc.MaxSteps = cp.Limit
-	mc.SetFault(f.Seq, f.Bit)
-	for j := g + 1; j < ch.Len(); j++ {
-		paused, err := mc.Run(ch.Coord(j))
-		if !paused {
-			return cp.outcome(ip, err), false
-		}
-		if mc.Probe() != ch.Probe(j) {
-			continue
-		}
-		if len(ip.Out) > len(cp.GoldenOut) || !bytes.Equal(ip.Out, cp.GoldenOut[:len(ip.Out)]) {
-			break // output is append-only: this run can never converge
-		}
-		if ch.RAMEqual(ip.Mem, g, j) {
-			w.cmp = mc.AppendState(w.cmp[:0])
-			if ch.StateEqual(j, w.cmp) {
-				return inject.Masked, true
-			}
-		}
-	}
-	_, err := mc.Run(tb.NoStop)
-	return cp.outcome(ip, err), false
+	return cp.outcome(w.ip, w.m.err), false
 }
 
 // runReference performs one injection on the reference engine: the
@@ -365,51 +359,37 @@ func (cp *Campaign) outcome(ip *ir.Interp, err error) inject.Outcome {
 type Tally = results.Tally
 
 // record converts a classified fault into the layer-agnostic form.
-func record(f Fault, o inject.Outcome) results.Record {
+func record(f Fault, o inject.Outcome, earlyStop bool) results.Record {
 	return results.Record{
-		Layer:   results.LayerSoft,
-		Coord:   f.Seq,
-		Bit:     int(f.Bit),
-		Outcome: o,
+		Layer:     results.LayerSoft,
+		Coord:     f.Seq,
+		Bit:       int(f.Bit),
+		Outcome:   o,
+		EarlyStop: earlyStop,
 	}
 }
 
-// RunCampaign performs n injections, fanned across cp.Workers
-// goroutines (<= 0: all CPUs). The fault sequence is pre-drawn from the
-// seed exactly as the serial loop drew it, so the tally is
-// bit-identical for every worker count. progress, when non-nil, is
-// called exactly once per injection, serialized and in injection-index
-// order; it must not call back into the campaign.
+// RunCampaign tallies n injections, fanned across cp.Workers goroutines
+// (<= 0: all CPUs), bit-identical for every worker count. progress
+// follows campaign.RecordsAt's contract and must not call back into the
+// campaign.
 func (cp *Campaign) RunCampaign(n int, seed int64, progress func(i int, r results.Record)) Tally {
 	return results.TallyOf(cp.Records(n, 0, seed, progress))
 }
 
 // Records executes injections [from, n) of the n-fault sequence
-// pre-drawn from seed and returns their records, indexed absolutely.
-// Records for [0, from) from an earlier shorter campaign with the same
-// key concatenate into exactly a one-shot n-injection record set (the
-// top-up resume primitive).
+// pre-drawn from seed and returns their records, indexed absolutely
+// (campaign.Tail: the top-up resume primitive).
 func (cp *Campaign) Records(n, from int, seed int64, progress func(i int, r results.Record)) []results.Record {
-	faults := cp.Pool(n, seed)
-	if from < 0 {
-		from = 0
-	}
-	if from >= n {
-		return nil
-	}
-	return cp.RecordsAt(faults[from:], from, progress)
+	faults, base := campaign.Tail(cp.Pool(n, seed), from)
+	return cp.RecordsAt(faults, base, progress)
 }
 
 // Pool pre-draws the n-fault sequence from seed — exactly the faults
 // Records would inject, exposed so stratified campaigns can partition
 // the pool into equivalence classes and inject per-stratum subsets.
 func (cp *Campaign) Pool(n int, seed int64) []Fault {
-	r := rand.New(rand.NewSource(seed))
-	faults := make([]Fault, n)
-	for i := range faults {
-		faults[i] = cp.Sample(r)
-	}
-	return faults
+	return campaign.Pool(n, seed, cp.Sample)
 }
 
 // UsedDef reports whether the golden run ever read the value of dynamic
@@ -421,52 +401,29 @@ func (cp *Campaign) UsedDef(seq uint64) bool {
 }
 
 // RecordsAt injects the given faults (any ordered subset of a pool) and
-// returns their records with absolute indices base+i — the stratified
-// analogue of Records, bit-identical for every worker count.
+// returns their records with absolute indices base+i
+// (campaign.RecordsAt): the stratified analogue of Records. When
+// Static is on, the static demanded-bits verdict is the soft layer's
+// resolver: provably-masked faults short-circuit before any interpreter
+// exists, and when every fault in the batch resolves, no arena is ever
+// allocated.
 func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r results.Record)) []results.Record {
-	jobs := make([]campaign.Job, len(faults))
-	for i := range jobs {
-		jobs[i] = campaign.Job{Index: i, Group: cp.CkptFor(faults[i].Seq)}
-	}
-	var emit func(i int, rec results.Record)
-	if progress != nil {
-		emit = func(i int, rec results.Record) { progress(base+i, rec) }
-	}
-	// The static demanded-bits verdict is the soft layer's resolver:
-	// when Static is on, provably-masked faults short-circuit before any
-	// interpreter exists. When every fault in the batch resolves, no
-	// arena is ever allocated.
-	var resolve func(j campaign.Job) results.Record
-	var resolveOK func(j campaign.Job) (results.Record, bool)
+	var resolve func(f Fault) (results.Record, bool)
 	if cp.Static && !cp.reference {
-		resolve = func(j campaign.Job) results.Record {
-			f := faults[j.Index]
-			rec := record(f, inject.Masked)
+		resolve = func(f Fault) (results.Record, bool) {
+			rec := record(f, inject.Masked, false)
 			rec.StaticResolved = true
-			rec.Index = base + j.Index
-			return rec
-		}
-		resolveOK = func(j campaign.Job) (results.Record, bool) {
-			if cp.StaticMasked(faults[j.Index]) {
-				return resolve(j), true
-			}
-			return results.Record{}, false
+			return rec, cp.StaticMasked(f)
 		}
 	}
-	return campaign.RunResolved(jobs, cp.Workers, resolveOK, cp.newWorker,
-		func(w *worker, j campaign.Job) results.Record {
-			f := faults[j.Index]
-			var rec results.Record
+	return campaign.RecordsAt(faults, base, cp.Workers,
+		func(f Fault) int { return cp.CkptFor(f.Seq) }, resolve, cp.newWorker,
+		func(w *worker, f Fault, g int) results.Record {
 			if cp.deadDef(f) {
-				rec = record(f, inject.Masked)
-				rec.EarlyStop = true
-			} else {
-				o, early := cp.inject(w, f, j.Group)
-				rec = record(f, o)
-				rec.EarlyStop = early
+				return record(f, inject.Masked, true)
 			}
-			rec.Index = base + j.Index
-			return rec
+			o, early := cp.inject(w, f, g)
+			return record(f, o, early)
 		},
-		emit)
+		progress)
 }
