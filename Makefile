@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint vet-analyzers race check cover gobench
+.PHONY: all build test vet lint vet-analyzers race check cover floors breadth gobench
 
 all: check
 
@@ -51,6 +51,23 @@ check:
 	$(GO) run ./tools/lint
 	$(GO) test -race ./...
 	$(GO) test -cover ./...
+
+# floors runs the CI-scale speed floors (fast path vs reference,
+# columnar vs JSONL) and the allocation gates (micro core, micro, arch
+# and soft injection, warm Fig. 4 regeneration). Both are built only
+# without -race, which changes timings and allocation counts, so
+# check's race run skips them.
+floors:
+	$(GO) test -count=1 -run 'Floor|Alloc' . ./internal/results ./internal/micro ./internal/inject ./internal/arch ./internal/llfi
+
+# breadth runs the full-breadth gates, built only without -race so the
+# race run's budget does not grow: micro fast path vs reference (ten
+# benchmarks x four configs x five structures), prepared checkpoint
+# chains vs a full capture (ten benchmarks x four configs and arch, at
+# two densities), and static-resolution soundness on the ten hardened
+# builds.
+breadth:
+	$(GO) test -count=1 -run 'TestMicroEquivalenceFullBreadth|TestChainCaptureFullBreadth|TestStaticSoundnessHardened' .
 
 # gobench runs the root package's Go benchmarks (paper artifacts and
 # substrate throughput) and the full-scale floor benchmarks

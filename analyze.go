@@ -215,7 +215,7 @@ func (l *Lab) Analyze(ao AnalyzeOptions) (*report.Report, error) {
 // benchmark, how many fault-site bits the known-bits/demanded-bits
 // analysis proves masked — at the hardware text level (both ISAs, a
 // stratification feature) and at the software IR level (a sound
-// per-site verdict consumed by `campaign -static`). It runs golden
+// per-site verdict the fast path's soft campaigns act on). It runs golden
 // executions (to weight the soft verdict by the dynamic fault pool) but
 // performs zero fault injections.
 func (l *Lab) AnalyzeBits() (*report.Report, error) {
@@ -306,7 +306,7 @@ func (l *Lab) AnalyzeBits() (*report.Report, error) {
 			fmt.Sprint(e.demand), report.Pct(e.frac),
 			fmt.Sprintf("%s (%d/%d)", report.Pct(float64(e.poolResolved)/float64(e.poolSize)), e.poolResolved, e.poolSize))
 	}
-	r.Notef("Resolved is the static per-site-bit fraction proven masked; PoolResolved weights it by the dynamic fault pool (%d sites drawn as `campaign -strat` draws them) — exactly the injections `campaign -static` never performs", DefaultStratPool)
+	r.Notef("Resolved is the static per-site-bit fraction proven masked; PoolResolved weights it by the dynamic fault pool (%d sites drawn as `campaign -strat` draws them) — exactly the injections a soft campaign never performs on the fast path", DefaultStratPool)
 	r.Notef("dominance chain: demanded-bits ⊆ register liveness ⊆ dynamic ACE ⊆ injected PVF (see DESIGN.md); the Dem⊆Live column machine-checks the first containment")
 	r.Notef("analysis provenance: seed %d; golden executions only, zero fault injections performed", seed)
 	return r, nil

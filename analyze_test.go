@@ -75,7 +75,4 @@ func TestAnalyzeBitsAfterCampaign(t *testing.T) {
 	if got, want := warm.String(), fresh.String(); got != want {
 		t.Errorf("after a prepared soft campaign:\n%s\nfresh lab:\n%s", got, want)
 	}
-	if s.Static {
-		t.Error("AnalyzeBits turned on System.Static")
-	}
 }

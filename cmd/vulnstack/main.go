@@ -8,8 +8,8 @@
 //	vulnstack analyze [-bench a,b] [-seed S] [-store DIR] [-ace=false] [-bits]
 //	vulnstack run -bench sha [-config A72] [-harden]
 //	vulnstack campaign -bench sha -config A72 -struct L2 -n 200 [-store DIR | -reference] [-cpuprofile F] [-memprofile F]
-//	vulnstack campaign -layer uniform|soft -bench sha -n 200 [-static] [-store DIR]
-//	vulnstack campaign -strat [-layer micro|arch|soft] [-static] [-ci 0.0288] [-conf 0.99] [-pool 20000] [-n0 N] [-maxnew N] [-store DIR]
+//	vulnstack campaign -layer uniform|soft -bench sha -n 200 [-store DIR]
+//	vulnstack campaign -strat [-layer micro|arch|soft] [-ci 0.0288] [-conf 0.99] [-pool 20000] [-n0 N] [-maxnew N] [-store DIR]
 //	vulnstack results [list|show|export] -store DIR [-id ID] [filters]
 package main
 
@@ -233,12 +233,11 @@ func cmdCampaign(args []string) error {
 	n0 := fs.Int("n0", 0, "stratified pilot injections per stratum (0 = default)")
 	maxNew := fs.Int("maxnew", 0, "stratified fresh-injection budget for this invocation (0 = unbounded; a truncated run resumes from -store bit-identically)")
 	fpmName := fs.String("fpm", "WD", "arch-layer fault model for -strat -layer arch (WD, WI, WOI)")
-	static := fs.Bool("static", false, "bit-precise static resolution: classify provably-masked soft-layer sites without injecting (tallies stay bit-identical); with -strat, adds the demanded-bits stratum level at every layer")
 	seed := fs.Int64("seed", 1, "sampling seed")
 	hard := fs.Bool("harden", false, "apply the fault-tolerance transform")
 	workers := fs.Int("workers", 0, "campaign worker goroutines (0 = all CPUs; tallies are identical for any value)")
 	storeDir := fs.String("store", "", "persistent results store directory (reuse + top-up of stored records)")
-	reference := fs.Bool("reference", false, "run the reference engine: every shortcut off (step engines, no lifetime tables, no early-stop, no dead-def filter, no decode memo); tallies are identical, records differ only in early-stop provenance; never uses -store")
+	reference := fs.Bool("reference", false, "run the reference engine: every shortcut off (step engines, no lifetime tables, no early-stop, no dead-def filter, no static resolution, no decode memo); tallies are identical, records differ only in early-stop and static-resolution provenance; never uses -store")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile (runtime/pprof) to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile (runtime/pprof) to this file")
 	fs.Parse(args)
@@ -271,7 +270,7 @@ func cmdCampaign(args []string) error {
 	} else if !*strat {
 		t.Seed = *seed
 	}
-	sys, err := campaignSystem(t, is, *workers, *storeDir, *reference, *static)
+	sys, err := campaignSystem(t, is, *workers, *storeDir, *reference)
 	if err != nil {
 		return err
 	}
@@ -289,7 +288,7 @@ func cmdCampaign(args []string) error {
 // uniform, soft and strat) from the shared flags. A reference run
 // refuses -store before the directory is opened, so nothing is written
 // into it.
-func campaignSystem(t vulnstack.Target, is isa.ISA, workers int, storeDir string, reference, static bool) (*vulnstack.System, error) {
+func campaignSystem(t vulnstack.Target, is isa.ISA, workers int, storeDir string, reference bool) (*vulnstack.System, error) {
 	if reference && storeDir != "" {
 		return nil, fmt.Errorf("campaign: -reference never reads or writes a results store; drop -store")
 	}
@@ -299,7 +298,6 @@ func campaignSystem(t vulnstack.Target, is isa.ISA, workers int, storeDir string
 	}
 	sys.Workers = workers
 	sys.Reference = reference
-	sys.Static = static
 	if storeDir != "" {
 		if sys.Store, err = results.OpenStore(storeDir); err != nil {
 			return nil, err
@@ -365,13 +363,12 @@ func microCampaign(sys *vulnstack.System, cfg micro.Config, stName string, n int
 // instant), whose failure rate is the measured quantity that the
 // dynamic ACE bound — and transitively the static bound of `vulnstack
 // analyze` — provably dominates. -layer soft is the software-level
-// (LLFI-style) campaign, optionally with the bit-precise static
-// resolution pass: faults the demanded-bits analysis proves masked are
-// classified without running, with tallies bit-identical to the
-// uninstrumented dynamic baseline.
+// (LLFI-style) campaign; on the fast path, faults the demanded-bits
+// analysis proves masked are classified without running, with tallies
+// bit-identical to the reference engine's.
 func splitCampaign(sys *vulnstack.System, layer string, n int, seed int64) error {
 	k := sys.SoftKey(seed)
-	what := fmt.Sprintf("software-level IR injections (static=%v)", sys.Static)
+	what := "software-level IR injections"
 	metric := "SVF"
 	measure := func() (vuln.Split, error) { return sys.SVF(n, seed) }
 	if layer == "uniform" {

@@ -38,12 +38,3 @@ func TestCampaignReferenceRefusesStore(t *testing.T) {
 		}
 	}
 }
-
-// TestCampaignStaticReference: -static is a shortcut the reference
-// engine refuses at the soft layer, with an error naming both.
-func TestCampaignStaticReference(t *testing.T) {
-	err := cmdCampaign([]string{"-layer", "soft", "-bench", "crc32", "-n", "2", "-static", "-reference"})
-	if err == nil || !strings.Contains(err.Error(), "Static") || !strings.Contains(err.Error(), "Reference") {
-		t.Fatalf("campaign -layer soft -static -reference returned %v, want an error naming both", err)
-	}
-}

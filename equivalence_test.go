@@ -128,8 +128,9 @@ func assertFastMatchesReference(t *testing.T, benches []string, layers ...equivL
 }
 
 // assertSameRecords fails unless the fast-path stream equals the
-// reference stream record for record, ignoring only the EarlyStop
-// provenance flag (which the reference engine never sets). On failure
+// reference stream record for record, ignoring only the EarlyStop and
+// StaticResolved provenance flags (which the reference engine never
+// sets). On failure
 // it reports the first divergent record with its provenance, so the
 // divergence is attributable to a specific shortcut.
 func assertSameRecords(t *testing.T, what string, fast, ref []results.Record) {
@@ -140,8 +141,8 @@ func assertSameRecords(t *testing.T, what string, fast, ref []results.Record) {
 			return
 		}
 		a, b := fast[i], ref[i]
-		a.EarlyStop = false
-		if b.EarlyStop || a != b {
+		a.EarlyStop, a.StaticResolved = false, false
+		if b.EarlyStop || b.StaticResolved || a != b {
 			t.Errorf("%s: first divergent record %d (fast provenance: early-stop=%v static=%v)\n     fast: %+v\nreference: %+v",
 				what, i, fast[i].EarlyStop, fast[i].StaticResolved, fast[i], ref[i])
 			return

@@ -588,7 +588,7 @@ func (cp *Campaign) Pool(fpm micro.FPM, n int, seed int64) []Fault {
 // (campaign.RecordsAt): the stratified analogue of Records.
 func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r results.Record)) []results.Record {
 	return campaign.RecordsAt(faults, base, cp.Workers,
-		func(f Fault) int { return cp.CkptFor(f.K) }, nil, cp.newWorker,
+		func(f Fault) int { return cp.CkptFor(f.K) }, cp.newWorker,
 		func(w *worker, f Fault, g int) results.Record {
 			o, early := cp.inject(w, f, g)
 			return record(f, o, early)

@@ -31,14 +31,13 @@ func Tail[F any](pool []F, from int) ([]F, int) {
 // RecordsAt injects faults, any ordered subset of a pool, and returns
 // their records with absolute indices base+i, bit-identical for every
 // worker count. group maps a fault to its governing checkpoint, whose
-// jobs run together on one worker; resolve, when non-nil, classifies a
-// fault from program text alone before any worker state exists (see
-// RunResolved); run injects one fault from its checkpoint on a worker's
-// state. progress, when non-nil, sees every record once, serialized and
-// in index order.
+// jobs run together on one worker; run classifies one fault from its
+// checkpoint on a worker's state, which newState makes once per worker.
+// A layer whose run decides some faults without a machine builds that
+// state's arena lazily, when a fault first needs one. progress, when
+// non-nil, sees every record once, serialized and in index order.
 func RecordsAt[F, S any](faults []F, base, workers int,
 	group func(f F) int,
-	resolve func(f F) (results.Record, bool),
 	newState func() S,
 	run func(state S, f F, g int) results.Record,
 	progress func(i int, r results.Record),
@@ -47,19 +46,11 @@ func RecordsAt[F, S any](faults []F, base, workers int,
 	for i, f := range faults {
 		jobs[i] = Job{Index: i, Group: group(f)}
 	}
-	var res func(j Job) (results.Record, bool)
-	if resolve != nil {
-		res = func(j Job) (results.Record, bool) {
-			rec, ok := resolve(faults[j.Index])
-			rec.Index = base + j.Index
-			return rec, ok
-		}
-	}
 	var emit func(i int, r results.Record)
 	if progress != nil {
 		emit = func(i int, r results.Record) { progress(base+i, r) }
 	}
-	return RunResolved(jobs, workers, res, newState,
+	return Run(jobs, workers, newState,
 		func(state S, j Job) results.Record {
 			rec := run(state, faults[j.Index], j.Group)
 			rec.Index = base + j.Index

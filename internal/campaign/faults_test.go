@@ -3,6 +3,7 @@ package campaign
 import (
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"vulnstack/internal/results"
@@ -27,22 +28,18 @@ func TestPoolTail(t *testing.T) {
 
 // TestRecordsAt: records carry the absolute index base+i and progress
 // sees each once, in order and offset by base, for every worker count;
-// resolved faults never reach run, and every job runs from its group.
+// every job runs from its group, on a state made at most once per
+// worker.
 func TestRecordsAt(t *testing.T) {
 	faults := Pool(40, 3, func(r *rand.Rand) int { return r.Intn(100) })
 	group := func(f int) int { return f / 25 }
-	resolve := func(f int) (results.Record, bool) {
-		return results.Record{Coord: uint64(f), StaticResolved: true}, f%7 == 0
-	}
 	var want []results.Record
 	for _, workers := range []int{1, 3} {
 		var seen []int
-		recs := RecordsAt(faults, 100, workers, group, resolve,
-			func() int { return 0 },
+		var states atomic.Int32
+		recs := RecordsAt(faults, 100, workers, group,
+			func() int { return int(states.Add(1)) },
 			func(_ int, f, g int) results.Record {
-				if f%7 == 0 {
-					t.Errorf("resolved fault %d ran", f)
-				}
 				if g != group(f) {
 					t.Errorf("fault %d ran from group %d, want %d", f, g, group(f))
 				}
@@ -54,8 +51,11 @@ func TestRecordsAt(t *testing.T) {
 				}
 				seen = append(seen, i)
 			})
+		if n := int(states.Load()); n > workers {
+			t.Errorf("workers %d: %d states made", workers, n)
+		}
 		for i, r := range recs {
-			if r.Index != 100+i || r.Coord != uint64(faults[i]) || r.StaticResolved != (faults[i]%7 == 0) {
+			if r.Index != 100+i || r.Coord != uint64(faults[i]) {
 				t.Fatalf("workers %d: record %d is %+v for fault %d", workers, i, r, faults[i])
 			}
 			if seen[i] != 100+i {

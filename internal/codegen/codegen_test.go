@@ -291,64 +291,3 @@ func TestBuildRejectsBadModule(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestOptimizedModulesBehaveIdentically compiles benchmarks, applies
-// the IR optimizer, and verifies machine behaviour is unchanged while
-// the dynamic instruction count shrinks.
-func TestOptimizedModulesBehaveIdentically(t *testing.T) {
-	spec := `
-const N = 24
-var a [N]int
-func main() int {
-	var i int
-	for i = 0; i < N; i = i + 1 {
-		a[i] = (i * 3 + 1) ^ (2 * 8)
-	}
-	var s int = 0
-	for i = 0; i < N; i = i + 1 {
-		s = s + a[i] * (4 - 3)
-	}
-	out32(s)
-	return 0
-}`
-	for _, is := range []isa.ISA{isa.VSA32, isa.VSA64} {
-		m, err := minic.Compile(spec, is.XLen())
-		if err != nil {
-			t.Fatal(err)
-		}
-		base := m.NumInstrs()
-		baseOut, _ := runMachineModule(t, m, is)
-		if n := ir.Optimize(m); n == 0 {
-			t.Fatal("optimizer found nothing in constant-rich code")
-		}
-		if m.NumInstrs() >= base {
-			t.Fatalf("%v: no static shrink (%d -> %d)", is, base, m.NumInstrs())
-		}
-		optOut, _ := runMachineModule(t, m, is)
-		if !bytes.Equal(optOut, baseOut) {
-			t.Fatalf("%v: optimization changed output", is)
-		}
-	}
-}
-
-// runMachineModule runs an already-compiled module on the emulator.
-func runMachineModule(t *testing.T, m *ir.Module, is isa.ISA) ([]byte, uint64) {
-	t.Helper()
-	prog, err := Build(m, is)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := kernel.BuildImage(prog, 1<<21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus := dev.NewBus(img.NewMemory())
-	c := emu.New(is, bus, img.Entry)
-	if !c.Run(1 << 26) {
-		t.Fatal("watchdog")
-	}
-	if bus.Halt != dev.HaltClean {
-		t.Fatalf("halt %v", bus.Halt)
-	}
-	return bus.Out, c.Instret
-}

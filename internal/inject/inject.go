@@ -510,7 +510,7 @@ func (cp *Campaign) Pool(s micro.Structure, n int, seed int64) []Fault {
 // (campaign.RecordsAt): the stratified analogue of Records.
 func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r Record)) []Record {
 	return campaign.RecordsAt(faults, base, cp.Workers,
-		func(f Fault) int { return cp.CkptFor(f.Cycle) }, nil,
+		func(f Fault) int { return cp.CkptFor(f.Cycle) },
 		func() *worker { return &worker{budgeted: true} },
 		func(w *worker, f Fault, g int) Record { return cp.run(w, f, g).Record() },
 		progress)

@@ -27,10 +27,10 @@ func TestWarmInjectionAllocFree(t *testing.T) {
 		r := rand.New(rand.NewSource(5))
 		for found := 0; found < 6; {
 			f := cp.Sample(r)
-			if cp.deadDef(f) {
+			if !cp.UsedDef(f.Seq) {
 				continue
 			}
-			w, g := cp.newWorker(), cp.CkptFor(f.Seq)
+			w, g := &worker{}, cp.CkptFor(f.Seq)
 			want, wantEarly := cp.inject(w, f, g)
 			if want == inject.Crash {
 				continue

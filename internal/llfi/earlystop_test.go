@@ -29,9 +29,10 @@ func TestSampleClampNoDefs(t *testing.T) {
 	}
 }
 
-// TestDeadFilterEquivalence: the dead-definition filter must not change
-// a single record's outcome — only skip the runs it can prove Masked:
-// the fast path matches the reference engine record for record.
+// TestDeadFilterEquivalence: the dead-definition filter and static
+// resolution must not change a single record's outcome — only skip the
+// runs they can prove Masked: the fast path matches the reference
+// engine record for record.
 func TestDeadFilterEquivalence(t *testing.T) {
 	const n, seed = 80, 2021
 	on := prep(t, "sha").Records(n, 0, seed, nil)
@@ -41,14 +42,14 @@ func TestDeadFilterEquivalence(t *testing.T) {
 	}
 	skipped := 0
 	for i := range on {
-		if on[i].EarlyStop {
+		if on[i].EarlyStop || on[i].StaticResolved {
 			skipped++
 			if on[i].Outcome != inject.Masked {
-				t.Fatalf("record %d: early-stopped with outcome %v", i, on[i].Outcome)
+				t.Fatalf("record %d: skipped with outcome %v", i, on[i].Outcome)
 			}
 		}
 		a := on[i]
-		a.EarlyStop = false
+		a.EarlyStop, a.StaticResolved = false, false
 		if a != off[i] {
 			t.Fatalf("record %d differs beyond provenance:\n on: %+v\noff: %+v", i, on[i], off[i])
 		}
@@ -56,7 +57,7 @@ func TestDeadFilterEquivalence(t *testing.T) {
 	if results.TallyOf(on) != results.TallyOf(off) {
 		t.Fatal("tallies differ")
 	}
-	t.Logf("dead-definition filter skipped %d/%d runs", skipped, n)
+	t.Logf("%d/%d records early-stopped or statically resolved", skipped, n)
 }
 
 // TestDeadFilterMatchesExecution: every definition the filter calls
@@ -90,7 +91,7 @@ func main() int {
 	}
 	var dead []uint64
 	for seq := uint64(0); seq < cp.GoldenDefs; seq++ {
-		if cp.deadDef(Fault{Seq: seq}) {
+		if !cp.UsedDef(seq) {
 			dead = append(dead, seq)
 		}
 	}

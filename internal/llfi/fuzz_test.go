@@ -21,7 +21,9 @@ func FuzzSoftState(f *testing.F) {
 		f.Add(append([]byte(nil), blob...))
 		f.Add(append([]byte(nil), blob[:len(blob)-8]...))
 	}
-	mc := cp.newWorker().m.mc
+	w := &worker{}
+	cp.arena(w)
+	mc := w.m.mc
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := mc.SetState(data, 0, cp.GoldenOut); err != nil {
 			return

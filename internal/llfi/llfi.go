@@ -56,13 +56,6 @@ type Campaign struct {
 	// interpreter at all.
 	usedDefs []uint64
 
-	// Static enables the bit-precise static resolution pass: faults
-	// flipping a bit the interprocedural demanded-bits analysis proves
-	// can never influence an observable output (program bytes, exit
-	// code, detection, or a crash) are classified Masked without ever
-	// preparing an interpreter. Off by default; a reference campaign
-	// never resolves statically.
-	Static bool
 	// defSites maps each dynamic definition sequence number from the
 	// golden run to its static instruction site (ir.Interp.DefSites).
 	defSites []int32
@@ -189,16 +182,6 @@ func (cp *Campaign) Sample(r *rand.Rand) Fault {
 	}
 }
 
-// deadDef reports whether f targets a definition the golden run never
-// read: such faults are provably Masked without running.
-func (cp *Campaign) deadDef(f Fault) bool {
-	if cp.reference {
-		return false
-	}
-	w := int(f.Seq >> 6)
-	return w >= len(cp.usedDefs) || cp.usedDefs[w]&(1<<(f.Seq&63)) == 0
-}
-
 // StaticMasked reports whether f is provably Masked by the static
 // demanded-bits analysis alone: either the fault targets a sequence
 // number past the end of the dynamic definition stream (the definition
@@ -206,9 +189,8 @@ func (cp *Campaign) deadDef(f Fault) bool {
 // site is statically undemanded — no chain of uses can carry it into
 // program output, the exit code, a branch, an address, or a syscall
 // operand, so the injected run is observably identical to golden.
-// It is the analysis verdict alone, whatever Static says: Run and
-// RecordsAt act on it only when Static is on and the campaign runs the
-// fast engine.
+// It is the analysis verdict alone: Run and RecordsAt act on it on the
+// fast engine only, and the reference engine runs every fault.
 func (cp *Campaign) StaticMasked(f Fault) bool {
 	if f.Seq >= cp.GoldenDefs {
 		return true
@@ -224,14 +206,32 @@ func (cp *Campaign) StaticMasked(f Fault) bool {
 // stratified campaigns key strata on its per-site verdicts.
 func (cp *Campaign) IRBits() *static.IRBits { return cp.irb }
 
-// Run performs one injection and classifies the outcome on a
-// throwaway arena; campaigns reuse per-worker arenas in RecordsAt.
+// Run classifies one fault as a campaign does, on a throwaway arena that
+// is built only if the fault runs; campaigns reuse per-worker arenas in
+// RecordsAt.
 func (cp *Campaign) Run(f Fault) inject.Outcome {
-	if (cp.Static && !cp.reference && cp.StaticMasked(f)) || cp.deadDef(f) {
-		return inject.Masked
+	return cp.run(&worker{}, f, cp.CkptFor(f.Seq)).Outcome
+}
+
+// run classifies one fault. On the fast engine a fault needs no machine
+// when the demanded-bits analysis proves it Masked (a record flagged
+// StaticResolved) or when it targets a definition the golden run never
+// read (the dead-definition filter: Masked, flagged EarlyStop). Every
+// other fault, and every fault on the reference engine, runs on w's
+// arena from checkpoint g.
+func (cp *Campaign) run(w *worker, f Fault, g int) results.Record {
+	if !cp.reference {
+		if cp.StaticMasked(f) {
+			rec := record(f, inject.Masked, false)
+			rec.StaticResolved = true
+			return rec
+		}
+		if !cp.UsedDef(f.Seq) {
+			return record(f, inject.Masked, true)
+		}
 	}
-	o, _ := cp.inject(cp.newWorker(), f, cp.CkptFor(f.Seq))
-	return o
+	o, early := cp.inject(w, f, g)
+	return record(f, o, early)
 }
 
 // machine is a compiled machine over an interpreter's memory and output
@@ -287,31 +287,36 @@ func (m *machine) Matches(cu *ckpt.Cursor, j int) bool {
 // worker is the reusable per-worker arena: an interpreter whose memory
 // tracks its dirty pages and, on the fast path, a compiled machine over
 // it with the cursor that restores it, for every injection in place.
+// The arena is built when a fault first needs it, so a worker whose
+// faults all resolve without running builds none.
 type worker struct {
-	ip *ir.Interp
+	ip *ir.Interp   // nil until the worker's first injection
 	m  *machine     // nil on the reference engine
 	cu *ckpt.Cursor // nil on the reference engine
 }
 
-// newWorker builds an arena. Its memory is a just-constructed
-// interpreter's, which is checkpoint 0's RAM (and the reference
-// engine's image).
-func (cp *Campaign) newWorker() *worker {
-	ip := ir.NewInterp(cp.M, Width, cp.MemSize)
-	ip.Mem.EnableTracking()
-	w := &worker{ip: ip}
+// arena builds w's arena unless it has one. Its memory is a
+// just-constructed interpreter's, which is checkpoint 0's RAM (and the
+// reference engine's image).
+func (cp *Campaign) arena(w *worker) {
+	if w.ip != nil {
+		return
+	}
+	w.ip = ir.NewInterp(cp.M, Width, cp.MemSize)
+	w.ip.Mem.EnableTracking()
 	if cp.prog != nil {
-		w.m = &machine{ip: ip, mc: cp.prog.NewMachine(ip), golden: cp.GoldenOut}
+		w.m = &machine{ip: w.ip, mc: cp.prog.NewMachine(w.ip), golden: cp.GoldenOut}
 		w.cu = ckpt.NewCursor(cp.chain, w.m)
 	}
-	return w
 }
 
-// inject runs fault f on worker w through the active engine. On the
-// fast path it restores checkpoint g, the one at or below f.Seq, arms
-// the flip and runs to the end, pausing at every later checkpoint to
-// test for convergence. earlyStop reports a run ended by convergence.
+// inject runs fault f on worker w through the active engine, building
+// w's arena first if it has none. On the fast path it restores
+// checkpoint g, the one at or below f.Seq, arms the flip and runs to the
+// end, pausing at every later checkpoint to test for convergence.
+// earlyStop reports a run ended by convergence.
 func (cp *Campaign) inject(w *worker, f Fault, g int) (o inject.Outcome, earlyStop bool) {
+	cp.arena(w)
 	if w.m == nil {
 		return cp.runReference(w.ip, f), false
 	}
@@ -402,28 +407,9 @@ func (cp *Campaign) UsedDef(seq uint64) bool {
 
 // RecordsAt injects the given faults (any ordered subset of a pool) and
 // returns their records with absolute indices base+i
-// (campaign.RecordsAt): the stratified analogue of Records. When
-// Static is on, the static demanded-bits verdict is the soft layer's
-// resolver: provably-masked faults short-circuit before any interpreter
-// exists, and when every fault in the batch resolves, no arena is ever
-// allocated.
+// (campaign.RecordsAt): the stratified analogue of Records.
 func (cp *Campaign) RecordsAt(faults []Fault, base int, progress func(i int, r results.Record)) []results.Record {
-	var resolve func(f Fault) (results.Record, bool)
-	if cp.Static && !cp.reference {
-		resolve = func(f Fault) (results.Record, bool) {
-			rec := record(f, inject.Masked, false)
-			rec.StaticResolved = true
-			return rec, cp.StaticMasked(f)
-		}
-	}
 	return campaign.RecordsAt(faults, base, cp.Workers,
-		func(f Fault) int { return cp.CkptFor(f.Seq) }, resolve, cp.newWorker,
-		func(w *worker, f Fault, g int) results.Record {
-			if cp.deadDef(f) {
-				return record(f, inject.Masked, true)
-			}
-			o, early := cp.inject(w, f, g)
-			return record(f, o, early)
-		},
-		progress)
+		func(f Fault) int { return cp.CkptFor(f.Seq) },
+		func() *worker { return &worker{} }, cp.run, progress)
 }

@@ -305,10 +305,6 @@ func (m *Memory) Page(p uint32) []byte {
 // (checkpoint capture walks it chunk-wise). Must not be mutated.
 func (m *Memory) Bytes() []byte { return m.data }
 
-// NumPages returns how many pages (including a final partial one) the
-// RAM spans.
-func (m *Memory) NumPages() int { return (len(m.data) + PageSize - 1) >> PageShift }
-
 // SetPage overwrites page p with data without marking it dirty: the
 // checkpoint-chain restore uses it to materialize a known-good state
 // and then re-baselines tracking itself via ResetDirty.
@@ -449,15 +445,6 @@ func (m *Memory) Store64(addr, v uint64) (ok bool) {
 		return false
 	}
 	binary.LittleEndian.PutUint64(m.data[addr:], v)
-	return true
-}
-
-// ReadBytes copies len(dst) bytes starting at addr into dst.
-func (m *Memory) ReadBytes(addr uint64, dst []byte) bool {
-	if !m.Valid(addr, len(dst)) {
-		return false
-	}
-	copy(dst, m.data[addr:])
 	return true
 }
 

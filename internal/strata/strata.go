@@ -37,16 +37,15 @@ type Key struct {
 	// Dem is the demanded-bits bucket from the bit-precise static
 	// analysis: DemResolved for sites the analysis proves Masked,
 	// DemDemanded for sites whose flipped bit is statically demanded,
-	// and DemNone (the zero value) for partitions built without the
-	// static pass — those keys keep their pre-static labels, so adding
-	// the field never perturbs existing partitions or store keys.
+	// and DemNone (the zero value) for a key without the feature, whose
+	// label omits the level.
 	Dem int
 }
 
 // Demanded-bits bucket values for Key.Dem.
 const (
-	// DemNone marks a partition keyed without the static demanded-bits
-	// feature (the zero value, label-invisible).
+	// DemNone marks a key without the demanded-bits feature (the zero
+	// value, label-invisible).
 	DemNone = 0
 	// DemResolved marks sites whose flipped bit is provably masked.
 	DemResolved = 1

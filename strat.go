@@ -196,8 +196,9 @@ func (s *System) demBucketAt(bf *static.BitFlow, pc uint64, bit int) int {
 
 // StratMicro measures one structure's AVF with stratified sampling:
 // pool sites are partitioned by (structure, bit bucket, liveness bucket
-// at the governing checkpoint's fetch PC) and the allocator samples
-// strata adaptively until the reweighted estimate meets opt's bound.
+// and demanded-bits bucket at the governing checkpoint's fetch PC) and
+// the allocator samples strata adaptively until the reweighted estimate
+// meets opt's bound.
 func (s *System) StratMicro(cfg micro.Config, st micro.Structure, opt StratOptions, seed int64) (StratResult, error) {
 	if cfg.ISA != s.ISA {
 		return StratResult{}, fmt.Errorf("vulnstack: config %s (%v) does not match system ISA %v", cfg.Name, cfg.ISA, s.ISA)
@@ -208,23 +209,16 @@ func (s *System) StratMicro(cfg micro.Config, st micro.Structure, opt StratOptio
 	}
 	pool := cp.Pool(st, opt.pool(), seed)
 	pcs := cp.CheckpointPCs()
-	g := s.liveCFG()
-	var bf *static.BitFlow
-	if s.Static {
-		bf = s.bitFlow()
-	}
+	g, bf := s.liveCFG(), s.bitFlow()
 	part := strata.New(len(pool), func(i int) strata.Key {
 		f := pool[i]
 		pc := pcs[cp.CkptFor(f.Cycle)]
-		key := strata.Key{
+		return strata.Key{
 			Class: st.String(),
 			Bit:   strata.BitBucket(f.Bit),
 			Live:  s.liveBucketAt(g, pc),
+			Dem:   s.demBucketAt(bf, pc, f.Bit),
 		}
-		if bf != nil {
-			key.Dem = s.demBucketAt(bf, pc, f.Bit)
-		}
-		return key
 	})
 	k := s.MicroKey(cfg, st, seed)
 	k.Mode = opt.mode(part)
@@ -251,11 +245,7 @@ func (s *System) StratPVF(fpm micro.FPM, opt StratOptions, seed int64) (StratRes
 	}
 	pool := cp.Pool(fpm, opt.pool(), seed)
 	pcs := cp.CheckpointPCs()
-	g := s.liveCFG()
-	var bf *static.BitFlow
-	if s.Static {
-		bf = s.bitFlow()
-	}
+	g, bf := s.liveCFG(), s.bitFlow()
 	part := strata.New(len(pool), func(i int) strata.Key {
 		f := pool[i]
 		pc := pcs[cp.CkptFor(f.K)]
@@ -267,15 +257,12 @@ func (s *System) StratPVF(fpm micro.FPM, opt StratOptions, seed int64) (StratRes
 				class = "nofetch"
 			}
 		}
-		key := strata.Key{
+		return strata.Key{
 			Class: class,
 			Bit:   strata.BitBucket(f.Bit),
 			Live:  s.liveBucketAt(g, pc),
+			Dem:   s.demBucketAt(bf, pc, f.Bit),
 		}
-		if bf != nil {
-			key.Dem = s.demBucketAt(bf, pc, f.Bit)
-		}
-		return key
 	})
 	k := s.ArchKey(fpm, seed)
 	k.Mode = tbMode(opt.mode(part))
@@ -291,7 +278,8 @@ func (s *System) StratPVF(fpm micro.FPM, opt StratOptions, seed int64) (StratRes
 // StratSVF measures the software-level vulnerability with stratified
 // sampling: pool sites are partitioned by whether the golden run ever
 // read the targeted definition (dead defs are provably Masked, so that
-// stratum's variance collapses immediately) and by bit bucket.
+// stratum's variance collapses immediately), by bit bucket and by the
+// demanded-bits verdict.
 func (s *System) StratSVF(opt StratOptions, seed int64) (StratResult, error) {
 	if s.ISA != isa.VSA64 {
 		return StratResult{}, fmt.Errorf("vulnstack: SVF (LLFI) supports only the 64-bit ISA")
@@ -307,20 +295,19 @@ func (s *System) StratSVF(opt StratOptions, seed int64) (StratResult, error) {
 		if cp.UsedDef(f.Seq) {
 			class = "live"
 		}
-		key := strata.Key{Class: class, Bit: strata.BitBucket(int(f.Bit)), Live: -1}
-		if s.Static {
-			// The soft layer has a sound per-site verdict: a
-			// DemResolved stratum holds only provably-Masked faults, so
-			// the driver counts its whole mass without injecting.
-			key.Dem = strata.DemDemanded
-			if cp.StaticMasked(f) {
-				key.Dem = strata.DemResolved
-			}
+		// The soft layer has a sound per-site verdict: a DemResolved
+		// stratum holds only provably-Masked faults.
+		dem := strata.DemDemanded
+		if cp.StaticMasked(f) {
+			dem = strata.DemResolved
 		}
-		return key
+		return strata.Key{Class: class, Bit: strata.BitBucket(int(f.Bit)), Live: -1, Dem: dem}
 	})
+	// The fast engine counts a resolved stratum's whole mass without
+	// injecting; the reference engine, which resolves nothing, injects
+	// it like any other stratum.
 	var resolved []bool
-	if s.Static {
+	if !s.Reference {
 		resolved = make([]bool, part.NumStrata())
 		for h := range resolved {
 			resolved[h] = part.Key(h).Dem == strata.DemResolved
@@ -345,7 +332,7 @@ func (s *System) StratSVF(opt StratOptions, seed int64) (StratResult, error) {
 // stream (index and stratum label) — the partition fingerprint in the
 // key makes a mismatch unreachable short of store corruption.
 //
-// resolved (nil when no static pass ran) marks strata whose every site
+// resolved (nil on the reference engine) marks strata whose every site
 // is provably Masked by static analysis: the driver synthesizes their
 // exhaustive all-Masked tallies up front, the planner allocates them
 // zero samples, and no record for them ever enters the stream — their

@@ -1,13 +1,16 @@
 package vulnstack
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"vulnstack/internal/isa"
 	"vulnstack/internal/micro"
 	"vulnstack/internal/results"
+	"vulnstack/internal/strata"
 	"vulnstack/internal/vuln"
 )
 
@@ -105,6 +108,73 @@ func TestStratifiedEstimateWithinCI(t *testing.T) {
 		t.Logf("stratified used fewer injections on %d/%d benchmark x layer cells", fewer, total)
 		assertReductionFloor(t, nUniform, microN, 1.5)
 	})
+}
+
+// TestStratPartitionsEngineIndependent: the fast and the reference
+// engine partition every layer's pool identically — same stratum labels
+// and sizes, each keyed on the demanded-bits level — so a stratified
+// campaign's store key and plan do not depend on the engine. Only the
+// fast engine counts the soft layer's resolved strata without
+// injecting; the reference engine injects them like any other stratum.
+func TestStratPartitionsEngineIndependent(t *testing.T) {
+	opt := stratTestOpts
+	opt.MaxNew = 16
+	run := func(reference bool) []StratResult {
+		sys, err := Build(Target{Bench: "crc32", Seed: 1}, isa.VSA64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.snapshots = 6
+		sys.Reference = reference
+		var out []StratResult
+		for _, f := range []func() (StratResult, error){
+			func() (StratResult, error) {
+				return sys.StratMicro(micro.ConfigA72(), micro.StructRF, opt, 2021)
+			},
+			func() (StratResult, error) { return sys.StratPVF(micro.FPMWD, opt, 2021) },
+			func() (StratResult, error) { return sys.StratPVF(micro.FPMWI, opt, 2021) },
+			func() (StratResult, error) { return sys.StratSVF(opt, 2021) },
+		} {
+			res, err := f()
+			if err != nil {
+				t.Fatalf("reference=%v: %v", reference, err)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	fast, ref := run(false), run(true)
+	for i, what := range []string{"micro RF", "arch WD", "arch WI", "soft"} {
+		a, b := fast[i], ref[i]
+		if a.Key.Mode != b.Key.Mode || len(a.Strata) != len(b.Strata) {
+			t.Fatalf("%s: fast mode %q with %d strata, reference %q with %d", what, a.Key.Mode, len(a.Strata), b.Key.Mode, len(b.Strata))
+		}
+		for h := range a.Strata {
+			if a.Strata[h].Label != b.Strata[h].Label || a.Strata[h].Size != b.Strata[h].Size {
+				t.Errorf("%s: stratum %d is %q (%d sites) on the fast engine, %q (%d) on the reference",
+					what, h, a.Strata[h].Label, a.Strata[h].Size, b.Strata[h].Label, b.Strata[h].Size)
+			}
+			if !strings.Contains(a.Strata[h].Label, "/d") {
+				t.Errorf("%s: stratum %q has no demanded-bits level", what, a.Strata[h].Label)
+			}
+			if b.Strata[h].Resolved {
+				t.Errorf("%s: the reference engine counted stratum %q as resolved", what, b.Strata[h].Label)
+			}
+		}
+	}
+	resolved := fmt.Sprintf("/d%d", strata.DemResolved)
+	soft, saw := fast[3], false
+	for _, sr := range soft.Strata {
+		if strings.HasSuffix(sr.Label, resolved) {
+			saw = true
+			if !sr.Resolved {
+				t.Errorf("soft: fast-engine stratum %q is not counted as resolved", sr.Label)
+			}
+		}
+	}
+	if !saw || soft.Resolved == 0 {
+		t.Errorf("soft: no demanded-bits-resolved stratum in the partition (%d sites resolved)", soft.Resolved)
+	}
 }
 
 // assertWithinCI fails tb unless the stratified estimate est lies

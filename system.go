@@ -80,19 +80,18 @@ type System struct {
 	Workers int
 	// Reference selects the reference engine at every layer: every
 	// shortcut off — step engines instead of translation blocks, no
-	// convergence early-stop, no dead-definition filter, no micro decode
-	// memo. It is the oracle the default fast path is gated against:
-	// record streams are identical except for their EarlyStop
-	// provenance. A reference system never reads or writes a results
-	// store or a checkpoint chain, and rejects Static at the soft layer.
-	// Set before the first campaign use.
+	// convergence early-stop, no dead-definition filter, no static
+	// resolution, no micro decode memo. It is the oracle the default
+	// fast path is gated against: record streams are identical except
+	// for their EarlyStop and StaticResolved provenance, and stratified
+	// campaigns partition their pools identically. A reference system
+	// never reads or writes a results store or a checkpoint chain. Set
+	// before the first campaign use.
 	Reference bool
-	// Static enables the bit-precise static resolution pass: at the soft
-	// layer, faults the interprocedural demanded-bits analysis proves
-	// Masked are classified without running (provenance-flagged records,
-	// tallies bit-identical to the dynamic baseline — the EarlyStop
-	// contract); at every layer, stratified campaigns gain the
-	// demanded-bits stratum key level. Set before the first campaign use.
+	// Static is ignored.
+	//
+	// Deprecated: static resolution and the demanded-bits stratum level
+	// are part of the fast path at every layer, so no code reads Static.
 	Static bool
 	// Store, when set, persists per-injection records on disk and
 	// serves repeat measurements from them: a fully stored campaign is
@@ -293,14 +292,10 @@ func (s *System) ArchCampaign() (*arch.Campaign, error) {
 }
 
 // LLFICampaign returns the SVF campaign. Like the real LLFI tool, it
-// only exists for the 64-bit variant. Static resolution is a shortcut,
-// so a reference system refuses it rather than silently ignoring it.
+// only exists for the 64-bit variant.
 func (s *System) LLFICampaign() (*llfi.Campaign, error) {
 	if s.ISA != isa.VSA64 {
 		return nil, fmt.Errorf("vulnstack: SVF (LLFI) supports only the 64-bit ISA")
-	}
-	if s.Static && s.Reference {
-		return nil, fmt.Errorf("vulnstack: Static and Reference are mutually exclusive (the reference engine resolves nothing statically)")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,7 +305,6 @@ func (s *System) LLFICampaign() (*llfi.Campaign, error) {
 			return nil, err
 		}
 		cp.Workers = s.Workers
-		cp.Static = s.Static
 		s.llfiC = cp
 	}
 	return s.llfiC, nil

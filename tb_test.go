@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"vulnstack/internal/isa"
 	"vulnstack/internal/micro"
 	"vulnstack/internal/results"
 )
@@ -108,25 +107,5 @@ func TestReferenceRejectsStore(t *testing.T) {
 	}
 	if len(ents) != 0 {
 		t.Errorf("reference system wrote %d entries into the store (first %q)", len(ents), ents[0].Name())
-	}
-}
-
-// TestStaticReferenceExclusive: static resolution is a shortcut, so a
-// reference system refuses Static at the soft layer, uniform and
-// stratified, with an error naming both, instead of silently resolving
-// nothing.
-func TestStaticReferenceExclusive(t *testing.T) {
-	sys, err := Build(Target{Bench: "crc32", Seed: 1}, isa.VSA64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Static = true
-	sys.Reference = true
-	_, errSVF := sys.SVF(4, 2021)
-	_, errStrat := sys.StratSVF(stratTestOpts, 2021)
-	for name, err := range map[string]error{"SVF": errSVF, "StratSVF": errStrat} {
-		if err == nil || !strings.Contains(err.Error(), "Static") || !strings.Contains(err.Error(), "Reference") {
-			t.Errorf("%s with Static and Reference returned %v, want an error naming both", name, err)
-		}
 	}
 }
